@@ -5,8 +5,11 @@
 //! 1. **Bit-identity enforcement.** Before anything is timed, every tiled
 //!    kernel (`cocktail_quant::parallel::*_with_threads`) is checked
 //!    byte-for-byte against its scalar fused form *and* the
-//!    dequantize-then-dense `*_reference` form. A single differing bit
-//!    aborts the binary.
+//!    dequantize-then-dense `*_reference` form, and the streaming prefill
+//!    attention (`cocktail_tensor::ops::causal_attention`) against the
+//!    materialised score/mask/probability path, inline and as the
+//!    engine's (slot, head) tiles. A single differing bit aborts the
+//!    binary.
 //! 2. **Wall-clock sanity bands.** Timing on shared CI runners is too
 //!    noisy to gate tightly, so the parallel path is only required to stay
 //!    within a generous multiple of the scalar path (see
@@ -24,7 +27,10 @@
 //!    out of the record: they would differ on every host.
 
 use cocktail_bench::{write_record, ExperimentRecord};
+use cocktail_kvcache::{PrefixKvBlock, SharedPrefixKv};
+use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 use cocktail_quant::{gemm, parallel, Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
+use cocktail_tensor::ops::{causal_attention, causal_mask, KvRows};
 use cocktail_tensor::{rng, Matrix};
 use criterion::{black_box, Criterion};
 use serde::Serialize;
@@ -71,6 +77,34 @@ struct KernelRow {
     fingerprint: i64,
 }
 
+/// The prefill-attention kernel in the deterministic record.
+#[derive(Debug, Serialize)]
+struct AttentionRow {
+    /// Kernel name.
+    kernel: String,
+    /// One head's suffix queries, `rows x head_dim`.
+    query_shape: String,
+    /// Reused prefix rows ahead of the suffix keys.
+    prefix_rows: usize,
+    /// Causally visible (query, key) pairs of one head:
+    /// `n(n+1)/2 + n * prefix` for `n` suffix rows.
+    visible_pairs: usize,
+    /// Bit-fingerprint of the kernel output (asserted identical to the
+    /// materialised score/mask/probability path).
+    fingerprint: i64,
+    /// Slots of the engine-level tiled check (one cold, one resumed).
+    engine_slots: usize,
+    /// Its slot-major (slot, head) tile list: the same at every thread
+    /// count, `slots x heads` entries.
+    engine_tiles: usize,
+    /// The dispatcher's work metric of one of its layers (visible pairs of
+    /// every slot x hidden width).
+    engine_work: usize,
+    /// Bit-fingerprint of its hidden states (asserted identical inline and
+    /// on the kernel pool).
+    engine_fingerprint: i64,
+}
+
 /// Payload of `results/kernels.json`.
 #[derive(Debug, Serialize)]
 struct KernelRecord {
@@ -78,6 +112,8 @@ struct KernelRecord {
     parallel_threshold: usize,
     /// Per-kernel deterministic rows.
     kernels: Vec<KernelRow>,
+    /// The streaming prefill-attention kernel and its tile dispatch.
+    prefill_attention: AttentionRow,
 }
 
 /// Order-sensitive bit-fingerprint of a matrix: any single-bit difference
@@ -199,6 +235,116 @@ fn assert_bit_identity(f: &Fixtures) -> (QuantizedMatrix, Matrix, Matrix, Matrix
     (scalar_q, scalar_dq, scalar_scores, scalar_av)
 }
 
+/// Suffix and reused-prefix rows of the kernel-level attention fixture.
+const ATTENTION_SUFFIX: usize = 160;
+const ATTENTION_PREFIX: usize = 96;
+const ATTENTION_HEAD_DIM: usize = 16;
+
+fn visible_pairs(suffix: usize, prefix: usize) -> usize {
+    suffix * (suffix + 1) / 2 + suffix * prefix
+}
+
+/// Asserts the streaming kernel equal to the materialised path on a
+/// resumed shape, and the engine's (slot, head) tiles equal inline (as a
+/// batch) and on the kernel pool (one slot at a time; GQA profile, one cold
+/// and one resumed slot), and returns the record row.
+fn assert_prefill_attention_identity() -> AttentionRow {
+    let kv_len = ATTENTION_PREFIX + ATTENTION_SUFFIX;
+    let q = rng::gaussian_matrix(ATTENTION_SUFFIX, ATTENTION_HEAD_DIM, 1.0, 16);
+    let k = rng::gaussian_matrix(kv_len, ATTENTION_HEAD_DIM, 1.0, 17);
+    let v = rng::gaussian_matrix(kv_len, ATTENTION_HEAD_DIM, 1.0, 18);
+    let scale = 1.0 / (ATTENTION_HEAD_DIM as f32).sqrt();
+    let mut scores = q.matmul_transposed(&k).expect("score gemm");
+    scores.scale_in_place(scale);
+    let materialised = scores
+        .masked_softmax(&causal_mask(ATTENTION_SUFFIX, kv_len))
+        .and_then(|probs| probs.matmul(&v))
+        .expect("materialised attention");
+    let (prefix, suffix) = (
+        KvRows::leading(&k, &v, ATTENTION_PREFIX),
+        KvRows {
+            k: &k.as_slice()[ATTENTION_PREFIX * ATTENTION_HEAD_DIM..],
+            v: &v.as_slice()[ATTENTION_PREFIX * ATTENTION_HEAD_DIM..],
+        },
+    );
+    let streamed = causal_attention(&q, [prefix, suffix], scale).expect("streaming attention");
+    assert_eq!(
+        streamed, materialised,
+        "streaming and materialised prefill attention diverged"
+    );
+
+    let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).expect("engine builds");
+    let config = engine.config().clone();
+    let prompt = |tokens: usize, salt: u32| -> Vec<u32> {
+        (0..tokens as u32)
+            .map(|i| (i * 31 + salt) % config.vocab_size as u32)
+            .collect()
+    };
+    let (cold_prompt, warm_prompt, warm_prefix) = (prompt(192, 7), prompt(128, 11), 64usize);
+    let head_start = engine
+        .prefill(&warm_prompt[..warm_prefix])
+        .expect("prefix prefill");
+    let blocks = head_start
+        .kv
+        .iter()
+        .flatten()
+        .map(|raw| PrefixKvBlock::new(raw.k.clone(), raw.v.clone()).expect("prefix block"))
+        .collect();
+    let shared = SharedPrefixKv::from_blocks(config.n_layers, config.n_kv_heads, blocks)
+        .expect("shared prefix");
+    let slots = [
+        PrefillSlot::cold(&cold_prompt),
+        PrefillSlot::with_prefix(&warm_prompt, &shared, warm_prefix),
+    ];
+    let slot_work = [
+        visible_pairs(cold_prompt.len(), 0),
+        visible_pairs(warm_prompt.len() - warm_prefix, warm_prefix),
+    ]
+    .map(|pairs| pairs * config.hidden_dim);
+    let engine_work: usize = slot_work.iter().sum();
+    assert!(
+        slot_work
+            .iter()
+            .all(|&work| work >= parallel::PARALLEL_THRESHOLD),
+        "each slot of the tiled check must clear the parallel threshold"
+    );
+    // Only a lone slot forks its tiles, so the pooled side prefills the
+    // slots one at a time; the batch runs the same tiles inline.
+    let hidden_of = |batches: &[&[PrefillSlot<'_>]], threads: usize| -> Matrix {
+        parallel::set_kernel_thread_override(Some(threads));
+        let prefills: Vec<_> = batches
+            .iter()
+            .flat_map(|batch| engine.prefill_batch(batch).expect("prefill"))
+            .collect();
+        parallel::set_kernel_thread_override(None);
+        let parts: Vec<&Matrix> = prefills.iter().map(|b| &b.hidden).collect();
+        Matrix::concat_rows(&parts).expect("hidden rows share the width")
+    };
+    let inline = hidden_of(&[&slots], 1);
+    for threads in [2usize, 4] {
+        assert_eq!(
+            inline,
+            hidden_of(&[&slots[..1], &slots[1..]], threads),
+            "prefill tiles diverged at {threads} threads"
+        );
+    }
+    println!(
+        "bit-identity: streaming == materialised prefill attention; (slot, head) tiles inline == \
+         pooled at 2/4 threads"
+    );
+    AttentionRow {
+        kernel: "prefill_attention".to_string(),
+        query_shape: format!("{ATTENTION_SUFFIX}x{ATTENTION_HEAD_DIM}"),
+        prefix_rows: ATTENTION_PREFIX,
+        visible_pairs: visible_pairs(ATTENTION_SUFFIX, ATTENTION_PREFIX),
+        fingerprint: fingerprint(&streamed),
+        engine_slots: slots.len(),
+        engine_tiles: slots.len() * config.n_heads,
+        engine_work,
+        engine_fingerprint: fingerprint(&inline),
+    }
+}
+
 /// One timed closure (the operands are owned clones, so scalar and
 /// parallel runs never contend on borrows).
 type BenchFn = Box<dyn FnMut()>;
@@ -295,7 +441,11 @@ fn bands_and_display(c: &mut Criterion, f: &Fixtures) {
     group.finish();
 }
 
-fn write_deterministic_record(f: &Fixtures, outputs: &(QuantizedMatrix, Matrix, Matrix, Matrix)) {
+fn write_deterministic_record(
+    f: &Fixtures,
+    outputs: &(QuantizedMatrix, Matrix, Matrix, Matrix),
+    prefill_attention: AttentionRow,
+) {
     let (quantized, dequantized, scores, av) = outputs;
     let row = |kernel: &str,
                input: &Matrix,
@@ -367,6 +517,7 @@ fn write_deterministic_record(f: &Fixtures, outputs: &(QuantizedMatrix, Matrix, 
         rows: KernelRecord {
             parallel_threshold: parallel::PARALLEL_THRESHOLD,
             kernels,
+            prefill_attention,
         },
     });
     println!("wrote {}", path.display());
@@ -375,7 +526,8 @@ fn write_deterministic_record(f: &Fixtures, outputs: &(QuantizedMatrix, Matrix, 
 fn main() {
     let f = fixtures();
     let outputs = assert_bit_identity(&f);
+    let prefill_attention = assert_prefill_attention_identity();
     let mut criterion = Criterion::default();
     bands_and_display(&mut criterion, &f);
-    write_deterministic_record(&f, &outputs);
+    write_deterministic_record(&f, &outputs, prefill_attention);
 }

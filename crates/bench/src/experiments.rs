@@ -2713,9 +2713,9 @@ impl Default for PipelineTimingsBest {
 pub struct KernelScalingReport {
     /// Prompt length driven through prefill.
     pub prompt_tokens: usize,
-    /// The dispatcher's work metric for one layer's score GEMM
-    /// (`suffix x prompt x hidden`), which must clear the threshold for the
-    /// head-parallel path to engage.
+    /// The dispatcher's work metric for one layer's prefill attention
+    /// (causally visible pairs `n(n+1)/2` x `hidden`), which must clear
+    /// the threshold for the (slot, head) tiles to run on the kernel pool.
     pub score_work: usize,
     /// The dispatcher's scalar/parallel cutover, in work units.
     pub parallel_threshold: usize,
@@ -2735,8 +2735,8 @@ pub struct KernelScalingReport {
     /// Whether the scalar and parallel prefills produced byte-identical
     /// outputs (KV tensors, hidden states and logits).
     pub bit_identical: bool,
-    /// Whether the engine's request-level pool never re-spawned a thread
-    /// across the timing rounds.
+    /// Whether the engine's decode pool never spawned a thread across the
+    /// timing rounds (prefill does not use it).
     pub engine_pool_spawns_flat: bool,
     /// Whether the process-wide kernel pool never re-spawned a thread
     /// across the timing rounds.
@@ -2778,7 +2778,7 @@ pub fn kernel_scaling_with(repetitions: usize, write: bool) -> KernelScalingRepo
     let prompt: Vec<u32> = (0..prompt_tokens)
         .map(|i| (i as u32 * 31 + 7) % vocab)
         .collect();
-    let score_work = prompt_tokens * prompt_tokens * hidden_dim;
+    let score_work = prompt_tokens * (prompt_tokens + 1) / 2 * hidden_dim;
     assert!(
         kernel_parallel::should_parallelize(score_work) || kernel_parallel::kernel_threads() == 1,
         "the prompt must be long enough to clear the parallel threshold"

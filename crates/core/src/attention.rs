@@ -128,15 +128,16 @@ pub fn grouped_attend(
             score_blocks.push(scores);
         }
     }
-    // The FP16 remainder and decode tail belong to the FP16 block.
-    let remainder_scores = {
-        let k = cache.full_key_matrix();
-        let total = cache.chunks().iter().map(|c| c.token_len()).sum::<usize>();
-        let fp16_extra = k.slice_rows(total, k.rows());
-        queries.matmul_transposed(&fp16_extra)?
-    };
-    block_tokens[3] += remainder_scores.cols();
-    score_blocks.push(remainder_scores);
+    // The FP16 remainder and decode tail belong to the FP16 block. Only
+    // these few rows are copied; the chunks are never dequantized here.
+    let (remainder_k, remainder_v) = cache.remainder();
+    let (tail_k, tail_v) = cache.tail();
+    let fp16_extra = remainder_k.rows() + tail_k.rows();
+    if fp16_extra > 0 {
+        let extra_k = Matrix::concat_rows(&[remainder_k, tail_k])?;
+        score_blocks.push(queries.matmul_transposed(&extra_k)?);
+        block_tokens[3] += fp16_extra;
+    }
 
     let refs: Vec<&Matrix> = score_blocks.iter().collect();
     let mut att = Matrix::concat_cols(&refs)?;
@@ -167,13 +168,10 @@ pub fn grouped_attend(
         output.add_assign(&partial)?;
         col += len;
     }
-    // FP16 remainder + tail block.
-    let v_full = cache.full_value_matrix();
-    let chunk_total: usize = cache.chunks().iter().map(|c| c.token_len()).sum();
-    let fp16_extra_v = v_full.slice_rows(chunk_total, v_full.rows());
-    if fp16_extra_v.rows() > 0 {
-        let probs = att.slice_cols(col, col + fp16_extra_v.rows());
-        output.add_assign(&probs.matmul(&fp16_extra_v)?)?;
+    if fp16_extra > 0 {
+        let extra_v = Matrix::concat_rows(&[remainder_v, tail_v])?;
+        let probs = att.slice_cols(col, col + fp16_extra);
+        output.add_assign(&probs.matmul(&extra_v)?)?;
     }
 
     Ok(GroupedAttention {

@@ -169,6 +169,16 @@ impl ChunkedLayerCache {
         self.remainder_k.rows()
     }
 
+    /// The FP16 remainder rows as `(keys, values)`.
+    pub fn remainder(&self) -> (&Matrix, &Matrix) {
+        (&self.remainder_k, &self.remainder_v)
+    }
+
+    /// The FP16 decode-tail rows as `(keys, values)`.
+    pub fn tail(&self) -> (&Matrix, &Matrix) {
+        (&self.tail_k, &self.tail_v)
+    }
+
     /// Total number of cached tokens (chunks + remainder + decode tail).
     pub fn total_tokens(&self) -> usize {
         self.segmentation.chunk_count() * self.segmentation.chunk_size()
@@ -330,14 +340,11 @@ impl ChunkedLayerCache {
                 self.head_dim
             )));
         }
-        let mut k_round = k_row.to_vec();
-        let mut v_round = v_row.to_vec();
-        cocktail_tensor::ops::round_to_f16(&mut k_round);
-        cocktail_tensor::ops::round_to_f16(&mut v_round);
-        let k_new = Matrix::from_vec(1, self.head_dim, k_round).expect("row has head_dim elements");
-        let v_new = Matrix::from_vec(1, self.head_dim, v_round).expect("row has head_dim elements");
-        self.tail_k = Matrix::concat_rows(&[&self.tail_k, &k_new])?;
-        self.tail_v = Matrix::concat_rows(&[&self.tail_v, &v_new])?;
+        for (tail, row) in [(&mut self.tail_k, k_row), (&mut self.tail_v, v_row)] {
+            tail.push_row(row)?;
+            let last = tail.rows() - 1;
+            cocktail_tensor::ops::round_to_f16(tail.row_mut(last));
+        }
         Ok(())
     }
 
@@ -726,6 +733,40 @@ mod tests {
         assert_eq!(cache.tail_len(), 2);
         assert_eq!(cache.total_tokens(), 34);
         assert!(cache.append_decode_token(&[1.0, 2.0], &[0.5, 0.5]).is_err());
+    }
+
+    #[test]
+    fn append_decode_token_stores_fp16_rounded_rows_in_order() {
+        let mut cache = build_cache(32, 4, 16, 6);
+        let rows = [[0.1f32, -2.3, 1e-9, 70000.0], [3.3, 0.0, -0.7, 5.5]];
+        let mut expected = Matrix::zeros(0, 4);
+        for row in &rows {
+            cache.append_decode_token(row, row).unwrap();
+            let mut rounded = Matrix::from_vec(1, 4, row.to_vec()).unwrap();
+            rounded.round_to_f16();
+            expected = Matrix::concat_rows(&[&expected, &rounded]).unwrap();
+            assert_eq!(cache.tail(), (&expected, &expected));
+        }
+    }
+
+    #[test]
+    fn remainder_and_tail_are_the_trailing_rows_of_the_full_matrices() {
+        let mut cache = build_cache(70, 8, 16, 13);
+        cache.quantize_chunk(1, Bitwidth::Int4, 8).unwrap();
+        cache.append_decode_token(&[0.25; 8], &[0.5; 8]).unwrap();
+        let chunk_tokens = 64;
+        let (rem_k, rem_v) = cache.remainder();
+        let (tail_k, tail_v) = cache.tail();
+        let full_k = cache.full_key_matrix();
+        let full_v = cache.full_value_matrix();
+        assert_eq!(
+            Matrix::concat_rows(&[rem_k, tail_k]).unwrap(),
+            full_k.slice_rows(chunk_tokens, full_k.rows())
+        );
+        assert_eq!(
+            Matrix::concat_rows(&[rem_v, tail_v]).unwrap(),
+            full_v.slice_rows(chunk_tokens, full_v.rows())
+        );
     }
 
     #[test]

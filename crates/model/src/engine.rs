@@ -8,7 +8,7 @@ use crate::tokenizer::Tokenizer;
 use crate::weights::{LayerWeights, ModelWeights};
 use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
 use cocktail_quant::parallel as kernel_parallel;
-use cocktail_tensor::ops::{causal_mask, rms_norm_rows, rope_rows, silu};
+use cocktail_tensor::ops::{causal_attention, rms_norm_rows, rope_rows, silu, KvRows};
 use cocktail_tensor::Matrix;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -240,176 +240,29 @@ impl EngineShared {
         Matrix::concat_cols(&head_refs).map_err(ModelError::from)
     }
 
-    /// The per-slot attention of one prefill layer: RoPE the slot's suffix
-    /// K per KV head, assemble `[reused prefix ++ suffix]` K/V, and run
-    /// causal attention for every query head. Returns the concatenated
-    /// attention rows plus this layer's per-KV-head suffix KV. Pure
-    /// per-slot arithmetic, so it can run inline or on any pool worker with
-    /// bit-identical output.
-    fn prefill_slot_attention(
+    /// One (slot, head) tile of a prefill layer: RoPE the head's suffix
+    /// queries, then stream causal attention over the slot's reused prefix
+    /// rows (borrowed from the shared block, never copied) followed by its
+    /// suffix rows. Pure per-tile arithmetic, so it runs inline or on any
+    /// kernel-pool worker with bit-identical output.
+    fn prefill_tile(
         &self,
         layer_idx: usize,
-        prompt_len: usize,
-        prefix: Option<(&SharedPrefixKv, usize)>,
-        q_s: &Matrix,
-        k_s: &Matrix,
-        v_s: &Matrix,
-    ) -> Result<(Matrix, Vec<RawKv>), ModelError> {
-        let head = self.config.head_dim();
-        let scale = self.attention_scale();
-        let prefix_len = prefix.map_or(0, |(_, len)| len);
-        let suffix_len = prompt_len - prefix_len;
-
-        let (layer_kv, full) = self.prefill_slot_kv(layer_idx, prefix, k_s, v_s)?;
-
-        // Causal mask over the whole prompt for the suffix query block:
-        // query row i (absolute position prefix_len + i) sees every prefix
-        // key and suffix keys up to itself.
-        let mask = causal_mask(suffix_len, prompt_len);
-        let mut head_outputs = Vec::with_capacity(self.config.n_heads);
-        for h in 0..self.config.n_heads {
-            let mut q_h = q_s.slice_cols(h * head, (h + 1) * head);
-            rope_rows(&mut q_h, prefix_len, self.config.rope_theta);
-            let j = h / self.config.gqa_group_size();
-            let (k_ref, v_ref): (&Matrix, &Matrix) = match &full {
-                Some(pairs) => (&pairs[j].0, &pairs[j].1),
-                None => (&layer_kv[j].k, &layer_kv[j].v),
-            };
-            let mut scores = q_h.matmul_transposed(k_ref)?;
-            scores.scale_in_place(scale);
-            let probs = scores.masked_softmax(&mask)?;
-            head_outputs.push(probs.matmul(v_ref)?);
-        }
-        let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
-        let attn = Matrix::concat_cols(&head_refs)?;
-        Ok((attn, layer_kv))
-    }
-
-    /// Shared prologue of the scalar and head-parallel prefill attention
-    /// paths: per-KV-head RoPE'd suffix K/V, plus (when resuming from a
-    /// shared prefix) the full `[prefix ++ suffix]` K/V pairs.
-    #[allow(clippy::type_complexity)]
-    fn prefill_slot_kv(
-        &self,
-        layer_idx: usize,
-        prefix: Option<(&SharedPrefixKv, usize)>,
-        k_s: &Matrix,
-        v_s: &Matrix,
-    ) -> Result<(Vec<RawKv>, Option<Vec<(Matrix, Matrix)>>), ModelError> {
-        let head = self.config.head_dim();
-        let prefix_len = prefix.map_or(0, |(_, len)| len);
-
-        // Per-KV-head suffix K/V with RoPE at the suffix positions.
-        let mut layer_kv = Vec::with_capacity(self.config.n_kv_heads);
-        for j in 0..self.config.n_kv_heads {
-            let mut k_j = k_s.slice_cols(j * head, (j + 1) * head);
-            rope_rows(&mut k_j, prefix_len, self.config.rope_theta);
-            let v_j = v_s.slice_cols(j * head, (j + 1) * head);
-            layer_kv.push(RawKv { k: k_j, v: v_j });
-        }
-
-        // Full per-KV-head K/V: reused prefix rows (already RoPE-rotated at
-        // their absolute positions when they were first computed) followed
-        // by this layer's suffix rows.
-        let full: Option<Vec<(Matrix, Matrix)>> = match prefix {
-            Some((shared, len)) if len > 0 => {
-                let mut pairs = Vec::with_capacity(self.config.n_kv_heads);
-                for (j, kv_j) in layer_kv.iter().enumerate() {
-                    let block = shared.block(layer_idx, j);
-                    let pk = block.k().slice_rows(0, len);
-                    let pv = block.v().slice_rows(0, len);
-                    pairs.push((
-                        Matrix::concat_rows(&[&pk, &kv_j.k])?,
-                        Matrix::concat_rows(&[&pv, &kv_j.v])?,
-                    ));
-                }
-                Some(pairs)
-            }
-            _ => None,
-        };
-        Ok((layer_kv, full))
-    }
-
-    /// Chooses between the scalar and head-parallel prefill attention for
-    /// one slot based on the kernel-thread setting and the attention work
-    /// size (score multiply-adds across all heads). Used only by the
-    /// *inline* prefill path: when slots already run on the engine's
-    /// worker pool, per-slot attention stays scalar so the two pools never
-    /// nest.
-    fn prefill_slot_attention_dispatch(
-        &self,
-        layer_idx: usize,
-        prompt_len: usize,
-        prefix: Option<(&SharedPrefixKv, usize)>,
-        q_s: &Matrix,
-        k_s: &Matrix,
-        v_s: &Matrix,
-    ) -> Result<(Matrix, Vec<RawKv>), ModelError> {
-        let suffix_len = prompt_len - prefix.map_or(0, |(_, len)| len);
-        let score_work = suffix_len * prompt_len * self.config.hidden_dim;
-        if self.config.n_heads > 1 && kernel_parallel::should_parallelize(score_work) {
-            self.prefill_slot_attention_parallel(layer_idx, prompt_len, prefix, q_s, k_s, v_s)
-        } else {
-            self.prefill_slot_attention(layer_idx, prompt_len, prefix, q_s, k_s, v_s)
-        }
-    }
-
-    /// Head-parallel prefill attention: the same per-head score → masked
-    /// softmax → AV blocks as [`EngineShared::prefill_slot_attention`],
-    /// with each head's block running as one job on the shared kernel pool
-    /// and the outputs stitched in head order. Per-head arithmetic is
-    /// untouched, so the result is bit-identical to the scalar loop.
-    fn prefill_slot_attention_parallel(
-        &self,
-        layer_idx: usize,
-        prompt_len: usize,
-        prefix: Option<(&SharedPrefixKv, usize)>,
-        q_s: &Matrix,
-        k_s: &Matrix,
-        v_s: &Matrix,
-    ) -> Result<(Matrix, Vec<RawKv>), ModelError> {
-        let head = self.config.head_dim();
-        let scale = self.attention_scale();
-        let theta = self.config.rope_theta;
-        let gqa = self.config.gqa_group_size();
-        let prefix_len = prefix.map_or(0, |(_, len)| len);
-        let suffix_len = prompt_len - prefix_len;
-
-        let (layer_kv, full) = self.prefill_slot_kv(layer_idx, prefix, k_s, v_s)?;
-
-        // Jobs must own their inputs, so share one K/V pair list: the full
-        // `[prefix ++ suffix]` pairs when resuming, else clones of the
-        // suffix KV (cheap relative to the attention itself, which is why
-        // the dispatch gate only sends large slots here).
-        let kv_pairs: Arc<Vec<(Matrix, Matrix)>> = Arc::new(match full {
-            Some(pairs) => pairs,
-            None => layer_kv
-                .iter()
-                .map(|kv| (kv.k.clone(), kv.v.clone()))
-                .collect(),
-        });
-        let mask = Arc::new(causal_mask(suffix_len, prompt_len));
-        let jobs: Vec<_> = (0..self.config.n_heads)
-            .map(|h| {
-                let mut q_h = q_s.slice_cols(h * head, (h + 1) * head);
-                let kv_pairs = Arc::clone(&kv_pairs);
-                let mask = Arc::clone(&mask);
-                move || -> Result<Matrix, ModelError> {
-                    rope_rows(&mut q_h, prefix_len, theta);
-                    let (k_ref, v_ref) = &kv_pairs[h / gqa];
-                    let mut scores = q_h.matmul_transposed(k_ref)?;
-                    scores.scale_in_place(scale);
-                    let probs = scores.masked_softmax(&mask)?;
-                    probs.matmul(v_ref).map_err(ModelError::from)
-                }
-            })
-            .collect();
-        let head_outputs = kernel_parallel::run_jobs(jobs)
-            .into_iter()
-            .collect::<Result<Vec<_>, ModelError>>()?;
-        let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
-        let attn = Matrix::concat_cols(&head_refs)?;
-        Ok((attn, layer_kv))
+        meta: &PrefillSlotMeta,
+        kv_head: usize,
+        mut q_h: Matrix,
+        suffix: &RawKv,
+    ) -> Result<Matrix, ModelError> {
+        rope_rows(&mut q_h, meta.prefix_len(), self.config.rope_theta);
+        let reused = meta
+            .prefix
+            .as_ref()
+            .map_or_else(KvRows::default, |(kv, len)| {
+                let block = kv.block(layer_idx, kv_head);
+                KvRows::leading(block.k(), block.v(), *len)
+            });
+        let context = [reused, KvRows::of(&suffix.k, &suffix.v)];
+        causal_attention(&q_h, context, self.attention_scale()).map_err(ModelError::from)
     }
 }
 
@@ -423,21 +276,31 @@ struct DecodeChunk {
     positions: Vec<usize>,
 }
 
-/// Prefix metadata of one prefill slot, in an owned form a pool job can
-/// capture (the [`SharedPrefixKv`] handle is a refcount bump, not a copy).
+/// One prefill slot in an owned form a tile job can capture (the
+/// [`SharedPrefixKv`] handle is a refcount bump, not a copy).
 #[derive(Clone)]
 struct PrefillSlotMeta {
+    /// First row of the slot's computed suffix in the stacked batch.
+    start: usize,
     prompt_len: usize,
     prefix: Option<(SharedPrefixKv, usize)>,
 }
 
 impl PrefillSlotMeta {
-    fn prefix_ref(&self) -> Option<(&SharedPrefixKv, usize)> {
-        self.prefix.as_ref().map(|(kv, len)| (kv, *len))
-    }
-
     fn prefix_len(&self) -> usize {
         self.prefix.as_ref().map_or(0, |(_, len)| *len)
+    }
+
+    /// Rows of the slot's computed suffix in the stacked batch.
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.prompt_len - self.prefix_len()
+    }
+
+    /// Causally visible (query, key) pairs of one head: every suffix query
+    /// sees the whole prefix plus the suffix keys up to itself.
+    fn visible_pairs(&self) -> usize {
+        let suffix = self.rows().len();
+        suffix * (suffix + 1) / 2 + suffix * self.prefix_len()
     }
 }
 
@@ -453,14 +316,17 @@ impl PrefillSlotMeta {
 /// [`InferenceEngine::generate_with_cache`] run decode-phase attention over
 /// the (possibly quantized, possibly reordered) cache.
 ///
-/// On multi-core hosts the engine owns a **persistent worker pool**
+/// On multi-core hosts the engine owns a **persistent decode pool**
 /// ([`WorkerPool`]): the threads are spawned once, on the first batched
-/// call that can use them, and then serve every decode round *and* every
-/// batched prefill for the engine's whole lifetime —
-/// [`InferenceEngine::pool_spawn_count`] stays at the worker count however
-/// many rounds run. Work is assigned to workers by contiguous chunk index
-/// and stitched back in order, so pooled outputs are bit-identical to the
-/// single-threaded loop.
+/// decode round that can use them, and then serve every decode round for
+/// the engine's whole lifetime — [`InferenceEngine::pool_spawn_count`]
+/// stays at the worker count however many rounds run. Work is assigned to
+/// workers by contiguous chunk index and stitched back in order, so pooled
+/// outputs are bit-identical to the single-threaded loop. Prefill does not
+/// use this pool: its attention is a list of (slot, head) tiles that a
+/// lone slot runs on the process-wide kernel pool of
+/// `cocktail_quant::parallel` (following `COCKTAIL_KERNEL_THREADS`) and a
+/// batch of several slots runs inline.
 ///
 /// # Example
 ///
@@ -538,24 +404,25 @@ impl InferenceEngine {
         self.seed
     }
 
-    /// The number of worker threads the engine would use for batched work:
-    /// the host's available parallelism (the pool is sized once, at first
-    /// use).
+    /// The number of worker threads the engine would use for a batched
+    /// decode round: the host's available parallelism (the pool is sized
+    /// once, at first use).
     pub fn pool_workers(&self) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     }
 
-    /// Total pool threads spawned over this engine's lifetime: `0` before
-    /// the first batched call (or forever, on a single-core host), and
-    /// exactly the worker count afterwards — the pool persists across
-    /// decode rounds and prefills instead of re-spawning per round.
+    /// Total decode-pool threads spawned over this engine's lifetime: `0`
+    /// before the first batched decode round (or forever, on a single-core
+    /// host), and exactly the worker count afterwards — the pool persists
+    /// across decode rounds instead of re-spawning per round. Prefill never
+    /// touches it.
     pub fn pool_spawn_count(&self) -> usize {
         self.pool.get().map_or(0, WorkerPool::spawn_count)
     }
 
-    /// The persistent pool, spawned on first use.
+    /// The persistent decode pool, spawned on first use.
     fn pool(&self) -> &WorkerPool {
         self.pool
             .get_or_init(|| WorkerPool::new(self.pool_workers()))
@@ -653,15 +520,20 @@ impl InferenceEngine {
     /// matrix, so the weight-streaming work — QKV projections, MLP, LM
     /// head — is paid once per batch, exactly as
     /// [`InferenceEngine::decode_step_batch`] does for decode. Attention is
-    /// per slot: each slot's suffix queries attend over its reused prefix
-    /// keys (read from the shared blocks) followed by its own suffix keys,
-    /// under the standard causal mask; with more than one slot on a
-    /// multi-core host, the per-slot attention runs on the engine's
-    /// persistent worker pool. Because prefill is causal and every shared
-    /// op is row-wise, each computed row is bit-identical to the same row
-    /// of a cold single-prompt [`InferenceEngine::prefill`] — reusing a
-    /// prefix, batching prompts, or pooling workers never changes any
-    /// output.
+    /// per (slot, head) tile: a head's suffix queries stream over the
+    /// slot's reused prefix keys (borrowed from the shared blocks) followed
+    /// by its own suffix keys, causally, through
+    /// [`cocktail_tensor::ops::causal_attention`] — no score, mask or
+    /// probability matrix exists. Each layer's tiles form one flat,
+    /// slot-major list. A lone slot's list runs on the process-wide kernel
+    /// pool when its visible-pair work clears
+    /// [`cocktail_quant::parallel::PARALLEL_THRESHOLD`] (under
+    /// `COCKTAIL_KERNEL_THREADS`); a batch of several slots, and anything
+    /// below the threshold, runs the same list inline. Because prefill is
+    /// causal and every shared op is row-wise, each computed row is
+    /// bit-identical to the same row of a cold single-prompt
+    /// [`InferenceEngine::prefill`] — reusing a prefix, batching prompts,
+    /// or changing the thread count never changes any output.
     ///
     /// # Errors
     ///
@@ -679,12 +551,16 @@ impl InferenceEngine {
             self.validate_prefill_slot(slot)?;
         }
 
-        // Row ranges of each slot's computed suffix within the stacked
-        // hidden matrix.
-        let mut offsets = Vec::with_capacity(slots.len());
+        // Each slot's computed suffix is a row range of the stacked hidden
+        // matrix.
+        let mut metas = Vec::with_capacity(slots.len());
         let mut total_rows = 0usize;
         for slot in slots {
-            offsets.push(total_rows);
+            metas.push(PrefillSlotMeta {
+                start: total_rows,
+                prompt_len: slot.tokens.len(),
+                prefix: slot.prefix.map(|kv| (kv.clone(), slot.prefix_len)),
+            });
             total_rows += slot.suffix_len();
         }
         let stacked: Vec<u32> = slots
@@ -692,49 +568,19 @@ impl InferenceEngine {
             .flat_map(|s| s.tokens[s.prefix_len..].iter().copied())
             .collect();
         let mut x = self.embed(&stacked)?;
-        let metas: Vec<PrefillSlotMeta> = slots
-            .iter()
-            .map(|slot| PrefillSlotMeta {
-                prompt_len: slot.tokens.len(),
-                prefix: slot.prefix.map(|kv| (kv.clone(), slot.prefix_len)),
-            })
-            .collect();
         let mut kv_per_slot: Vec<Vec<Vec<RawKv>>> = slots
             .iter()
             .map(|_| Vec::with_capacity(self.shared.config.n_layers))
             .collect();
 
-        let workers = self.pool_workers().min(slots.len());
         for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
             let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, &x)?;
-            let per_slot = if workers > 1 {
-                self.prefill_layer_pooled(
-                    layer_idx, &metas, &offsets, &q_all, &k_all, &v_all, workers,
-                )?
-            } else {
-                // Inline path (single slot, or a single-core engine pool):
-                // per-slot attention may fork head blocks onto the shared
-                // kernel pool when the slot is large enough.
-                metas
-                    .iter()
-                    .enumerate()
-                    .map(|(si, meta)| {
-                        let (start, len) = (offsets[si], meta.prompt_len - meta.prefix_len());
-                        self.shared.prefill_slot_attention_dispatch(
-                            layer_idx,
-                            meta.prompt_len,
-                            meta.prefix_ref(),
-                            &q_all.slice_rows(start, start + len),
-                            &k_all.slice_rows(start, start + len),
-                            &v_all.slice_rows(start, start + len),
-                        )
-                    })
-                    .collect::<Result<Vec<_>, ModelError>>()?
-            };
+            let per_slot =
+                self.prefill_layer_attention(layer_idx, &metas, &q_all, &k_all, &v_all)?;
             let mut attn_rows = Vec::with_capacity(slots.len());
-            for (si, (attn, layer_kv)) in per_slot.into_iter().enumerate() {
+            for (suffix_kv, (attn, layer_kv)) in kv_per_slot.iter_mut().zip(per_slot) {
                 attn_rows.push(attn);
-                kv_per_slot[si].push(layer_kv);
+                suffix_kv.push(layer_kv);
             }
             self.shared.finish_layer(layer, &mut x, attn_rows)?;
         }
@@ -744,17 +590,16 @@ impl InferenceEngine {
             &self.shared.weights.final_norm,
             self.shared.config.rms_eps,
         );
-        slots
+        metas
             .iter()
-            .enumerate()
             .zip(kv_per_slot)
-            .map(|((si, slot), suffix_kv)| {
-                let rows = offsets[si]..offsets[si] + slot.suffix_len();
+            .map(|(meta, suffix_kv)| {
+                let rows = meta.rows();
                 let hidden = x.slice_rows(rows.start, rows.end);
                 let last_hidden = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
                 let logits = last_hidden.matmul(&self.shared.weights.lm_head)?;
                 Ok(BatchPrefill {
-                    prefix_len: slot.prefix_len,
+                    prefix_len: meta.prefix_len(),
                     suffix_kv,
                     last_logits: logits.row(0).to_vec(),
                     hidden,
@@ -763,75 +608,93 @@ impl InferenceEngine {
             .collect()
     }
 
-    /// Distributes one prefill layer's per-slot attention over the
-    /// persistent pool: slots are split into contiguous chunks, worker `i`
-    /// always computes chunk `i`, and results are stitched back in slot
-    /// order — so the output is bit-identical to the inline loop.
-    #[allow(clippy::too_many_arguments)]
-    fn prefill_layer_pooled(
+    /// One prefill layer's attention for every slot: the slot's attention
+    /// rows (heads side by side) plus its per-KV-head suffix KV.
+    ///
+    /// The work is one flat, slot-major list of (slot, head) tiles, each
+    /// owning its head's suffix queries and sharing its slot's suffix KV.
+    /// A lone slot above the threshold hands the list to
+    /// [`kernel_parallel::run_jobs`] (job `i` on worker `i % workers`, so
+    /// its heads alternate between workers); every other batch runs the
+    /// same tiles inline in the same order. A tile's arithmetic does not
+    /// depend on where it runs, and tiles are stitched in list order, so
+    /// the output is bit-identical either way.
+    ///
+    /// Several slots arrive together when a scheduler admits a burst,
+    /// usually beside its running decode batch, and there the fork was
+    /// measured to cost more than it buys: on the 2-vCPU reference box two
+    /// computing threads each run about 1.3x slower, in regimes that last
+    /// seconds, so forking those batches made `admission_storm` a further
+    /// 1.3x faster per run but spread its runs from 3.5% to 8-12% of
+    /// `tok_s` (inter-quartile), wider than the benchmark's bound.
+    fn prefill_layer_attention(
         &self,
         layer_idx: usize,
         metas: &[PrefillSlotMeta],
-        offsets: &[usize],
         q_all: &Matrix,
         k_all: &Matrix,
         v_all: &Matrix,
-        workers: usize,
     ) -> Result<Vec<(Matrix, Vec<RawKv>)>, ModelError> {
-        let pool = self.pool();
-        let workers = workers.min(pool.workers()).max(1);
-        let n = metas.len();
-        let chunk_len = n.div_ceil(workers);
-        let mut receivers = Vec::new();
-        for (ci, chunk) in metas.chunks(chunk_len).enumerate() {
-            // Each job owns its slots' metadata and suffix Q/K/V rows.
-            let jobs: Vec<(PrefillSlotMeta, Matrix, Matrix, Matrix)> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, meta)| {
-                    let si = ci * chunk_len + i;
-                    let (start, len) = (offsets[si], meta.prompt_len - meta.prefix_len());
-                    (
-                        meta.clone(),
-                        q_all.slice_rows(start, start + len),
-                        k_all.slice_rows(start, start + len),
-                        v_all.slice_rows(start, start + len),
-                    )
-                })
-                .collect();
-            let shared = Arc::clone(&self.shared);
-            let (tx, rx) = mpsc::channel();
-            receivers.push(rx);
-            pool.run_on(
-                ci,
-                Box::new(move || {
-                    let results: Vec<Result<(Matrix, Vec<RawKv>), ModelError>> = jobs
-                        .into_iter()
-                        .map(|(meta, q_s, k_s, v_s)| {
-                            shared.prefill_slot_attention(
-                                layer_idx,
-                                meta.prompt_len,
-                                meta.prefix_ref(),
-                                &q_s,
-                                &k_s,
-                                &v_s,
-                            )
-                        })
-                        .collect();
-                    let _ = tx.send(results);
-                }),
-            );
-        }
-        let mut per_slot = Vec::with_capacity(n);
-        for (ci, rx) in receivers.into_iter().enumerate() {
-            let results = rx
-                .recv()
-                .map_err(|_| ModelError::Numeric(format!("prefill pool worker {ci} panicked")))?;
-            for result in results {
-                per_slot.push(result?);
+        let config = &self.shared.config;
+        let head = config.head_dim();
+        let gqa = config.gqa_group_size();
+
+        // Per-KV-head suffix K/V of every slot, RoPE'd at the suffix
+        // positions.
+        let layer_kv: Vec<Arc<Vec<RawKv>>> = metas
+            .iter()
+            .map(|meta| {
+                let rows = meta.rows();
+                let k_s = k_all.slice_rows(rows.start, rows.end);
+                let v_s = v_all.slice_rows(rows.start, rows.end);
+                let heads = (0..config.n_kv_heads).map(|j| {
+                    let mut k_j = k_s.slice_cols(j * head, (j + 1) * head);
+                    rope_rows(&mut k_j, meta.prefix_len(), config.rope_theta);
+                    RawKv {
+                        k: k_j,
+                        v: v_s.slice_cols(j * head, (j + 1) * head),
+                    }
+                });
+                Arc::new(heads.collect())
+            })
+            .collect();
+
+        let mut tiles = Vec::with_capacity(metas.len() * config.n_heads);
+        for (meta, kv) in metas.iter().zip(&layer_kv) {
+            let rows = meta.rows();
+            let q_s = q_all.slice_rows(rows.start, rows.end);
+            for h in 0..config.n_heads {
+                let q_h = q_s.slice_cols(h * head, (h + 1) * head);
+                let (shared, meta, kv) = (Arc::clone(&self.shared), meta.clone(), Arc::clone(kv));
+                tiles.push(move || {
+                    shared.prefill_tile(layer_idx, &meta, h / gqa, q_h, &kv[h / gqa])
+                });
             }
         }
-        Ok(per_slot)
+        let pairs: usize = metas.iter().map(PrefillSlotMeta::visible_pairs).sum();
+        let fork =
+            metas.len() == 1 && kernel_parallel::should_parallelize(pairs * config.hidden_dim);
+        let outputs = if fork {
+            kernel_parallel::run_jobs(tiles)
+        } else {
+            tiles.into_iter().map(|tile| tile()).collect()
+        };
+
+        let mut outputs = outputs.into_iter();
+        layer_kv
+            .into_iter()
+            .map(|kv| {
+                let heads = outputs
+                    .by_ref()
+                    .take(config.n_heads)
+                    .collect::<Result<Vec<Matrix>, ModelError>>()?;
+                let head_refs: Vec<&Matrix> = heads.iter().collect();
+                let attn = Matrix::concat_cols(&head_refs)?;
+                // Every tile has finished and dropped its handle.
+                let kv = Arc::try_unwrap(kv).unwrap_or_else(|shared| (*shared).clone());
+                Ok((attn, kv))
+            })
+            .collect()
     }
 
     /// Segments the prefill KV tensors into a [`ChunkedKvCache`] with the
@@ -1143,11 +1006,107 @@ mod tests {
         engine.tokenizer().encode(&text.join(" "))
     }
 
+    /// A one-layer model that admits 2048-token prompts, small enough that
+    /// the materialised reference stays affordable in a debug build.
+    fn long_context_engine() -> InferenceEngine {
+        let config = ModelConfig::new("long-tiny", 32, 1, 2, 2, 64, 512, 2048).unwrap();
+        InferenceEngine::from_config(config, 0x10A6).unwrap()
+    }
+
+    fn cyclic_prompt(engine: &InferenceEngine, tokens: usize, salt: u32) -> Vec<u32> {
+        let vocab = engine.config().vocab_size as u32;
+        (0..tokens as u32)
+            .map(|i| (i * 31 + salt * 17 + 7) % vocab)
+            .collect()
+    }
+
+    /// The prefill attention this engine ran before the streaming kernel,
+    /// kept as the reference: per slot it copies `[prefix ++ suffix]` K/V,
+    /// and per head it materialises the causal mask, the score matrix and
+    /// the probability matrix.
+    fn materialised_slot_attention(
+        shared: &EngineShared,
+        layer_idx: usize,
+        meta: &PrefillSlotMeta,
+        q_s: &Matrix,
+        k_s: &Matrix,
+        v_s: &Matrix,
+    ) -> (Matrix, Vec<RawKv>) {
+        let head = shared.config.head_dim();
+        let prefix_len = meta.prefix_len();
+        let mut layer_kv = Vec::new();
+        let mut full = Vec::new();
+        for j in 0..shared.config.n_kv_heads {
+            let mut k_j = k_s.slice_cols(j * head, (j + 1) * head);
+            rope_rows(&mut k_j, prefix_len, shared.config.rope_theta);
+            let v_j = v_s.slice_cols(j * head, (j + 1) * head);
+            full.push(match &meta.prefix {
+                Some((kv, len)) => {
+                    let block = kv.block(layer_idx, j);
+                    (
+                        Matrix::concat_rows(&[&block.k().slice_rows(0, *len), &k_j]).unwrap(),
+                        Matrix::concat_rows(&[&block.v().slice_rows(0, *len), &v_j]).unwrap(),
+                    )
+                }
+                None => (k_j.clone(), v_j.clone()),
+            });
+            layer_kv.push(RawKv { k: k_j, v: v_j });
+        }
+        let mask = cocktail_tensor::ops::causal_mask(meta.rows().len(), meta.prompt_len);
+        let mut head_outputs = Vec::new();
+        for h in 0..shared.config.n_heads {
+            let mut q_h = q_s.slice_cols(h * head, (h + 1) * head);
+            rope_rows(&mut q_h, prefix_len, shared.config.rope_theta);
+            let (k_ref, v_ref) = &full[h / shared.config.gqa_group_size()];
+            let mut scores = q_h.matmul_transposed(k_ref).unwrap();
+            scores.scale_in_place(shared.attention_scale());
+            let probs = scores.masked_softmax(&mask).unwrap();
+            head_outputs.push(probs.matmul(v_ref).unwrap());
+        }
+        let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
+        (Matrix::concat_cols(&head_refs).unwrap(), layer_kv)
+    }
+
+    /// A whole single-slot prefill through [`materialised_slot_attention`].
+    fn materialised_prefill(engine: &InferenceEngine, slot: &PrefillSlot<'_>) -> BatchPrefill {
+        let shared = &engine.shared;
+        let meta = PrefillSlotMeta {
+            start: 0,
+            prompt_len: slot.tokens.len(),
+            prefix: slot.prefix.map(|kv| (kv.clone(), slot.prefix_len)),
+        };
+        let mut x = engine.embed(&slot.tokens[slot.prefix_len..]).unwrap();
+        let mut suffix_kv = Vec::new();
+        for (layer_idx, layer) in shared.weights.layers.iter().enumerate() {
+            let (q, k, v) = shared.layer_qkv(layer, &x).unwrap();
+            let (attn, layer_kv) =
+                materialised_slot_attention(shared, layer_idx, &meta, &q, &k, &v);
+            suffix_kv.push(layer_kv);
+            shared.finish_layer(layer, &mut x, vec![attn]).unwrap();
+        }
+        rms_norm_rows(&mut x, &shared.weights.final_norm, shared.config.rms_eps);
+        let last = x.slice_rows(x.rows() - 1, x.rows());
+        BatchPrefill {
+            prefix_len: slot.prefix_len,
+            suffix_kv,
+            last_logits: last
+                .matmul(&shared.weights.lm_head)
+                .unwrap()
+                .row(0)
+                .to_vec(),
+            hidden: x,
+        }
+    }
+
+    fn prefill_one(engine: &InferenceEngine, slot: PrefillSlot<'_>) -> BatchPrefill {
+        engine.prefill_batch(&[slot]).unwrap().pop().unwrap()
+    }
+
     #[test]
-    fn head_parallel_prefill_is_bit_identical_to_scalar_prefill() {
-        // A prompt large enough that the dispatch gate sends head blocks to
-        // the kernel pool (96² tokens × hidden 32 ≫ the threshold), run
-        // under kernel-thread overrides of 1 (scalar) and 4 (parallel).
+    fn tiled_prefill_is_bit_identical_to_inline_prefill() {
+        // A prompt large enough that the dispatch gate sends the tiles to
+        // the kernel pool (96·97/2 pairs × hidden 32 ≫ the threshold), run
+        // under kernel-thread overrides of 1 (inline) and 4 (pool).
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 96);
         kernel_parallel::set_kernel_thread_override(Some(1));
@@ -1156,6 +1115,110 @@ mod tests {
         let parallel = engine.prefill(&prompt).unwrap();
         kernel_parallel::set_kernel_thread_override(None);
         assert_eq!(scalar, parallel);
+    }
+
+    #[test]
+    fn long_cold_prefill_equals_the_materialised_reference() {
+        let engine = long_context_engine();
+        let prompt = cyclic_prompt(&engine, 2048, 0);
+        let streamed = prefill_one(&engine, PrefillSlot::cold(&prompt));
+        let reference = materialised_prefill(&engine, &PrefillSlot::cold(&prompt));
+        assert_eq!(streamed, reference);
+    }
+
+    #[test]
+    fn resumed_long_prefill_equals_cold_at_every_split_kind() {
+        let engine = long_context_engine();
+        let prompt = cyclic_prompt(&engine, 640, 1);
+        let cold = engine.prefill(&prompt).unwrap();
+        // One token, one 32-token chunk, and everything but the last token.
+        for prefix_len in [1usize, 32, prompt.len() - 1] {
+            let shared = prefix_blocks_from_prefill(&engine, &cold, prefix_len);
+            let slot = PrefillSlot::with_prefix(&prompt, &shared, prefix_len);
+            let warm = prefill_one(&engine, slot.clone());
+            assert_eq!(warm, materialised_prefill(&engine, &slot));
+            assert_eq!(cold.last_logits, warm.last_logits, "prefix {prefix_len}");
+            assert_eq!(
+                cold.hidden.slice_rows(prefix_len, prompt.len()),
+                warm.hidden
+            );
+            for (cold_raw, warm_raw) in cold.kv[0].iter().zip(&warm.suffix_kv[0]) {
+                assert_eq!(cold_raw.k.slice_rows(prefix_len, prompt.len()), warm_raw.k);
+                assert_eq!(cold_raw.v.slice_rows(prefix_len, prompt.len()), warm_raw.v);
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_long_and_short_batch_equals_singles_at_every_thread_count() {
+        let engine = long_context_engine();
+        let prompts: Vec<Vec<u32>> = [2048usize, 256, 256, 256]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| cyclic_prompt(&engine, n, i as u32))
+            .collect();
+        // Cold: every slot whole. Warm: every slot resumes from the first
+        // half of its own prompt.
+        let prefixes: Vec<SharedPrefixKv> = prompts
+            .iter()
+            .map(|p| {
+                let half = engine.prefill(&p[..p.len() / 2]).unwrap();
+                prefix_blocks_from_prefill(&engine, &half, p.len() / 2)
+            })
+            .collect();
+        let cold: Vec<PrefillSlot<'_>> = prompts.iter().map(|p| PrefillSlot::cold(p)).collect();
+        let warm: Vec<PrefillSlot<'_>> = prompts
+            .iter()
+            .zip(&prefixes)
+            .map(|(p, kv)| PrefillSlot::with_prefix(p, kv, p.len() / 2))
+            .collect();
+        assert_eq!(engine.pool_spawn_count(), 0);
+        let mut kernel_spawns = None;
+        for batch in [&cold, &warm] {
+            let singles: Vec<BatchPrefill> = batch
+                .iter()
+                .map(|slot| prefill_one(&engine, slot.clone()))
+                .collect();
+            for threads in [1usize, 2, 4] {
+                kernel_parallel::set_kernel_thread_override(Some(threads));
+                let batched = engine.prefill_batch(batch).unwrap();
+                kernel_parallel::set_kernel_thread_override(None);
+                assert_eq!(batched, singles, "threads {threads}");
+                if threads > 1 {
+                    // The kernel pool spawns on its first dispatch only.
+                    let spawned = kernel_parallel::pool_spawn_count();
+                    assert_eq!(*kernel_spawns.get_or_insert(spawned), spawned);
+                }
+            }
+        }
+        // Warm equals cold on the rows both computed.
+        let cold_long = prefill_one(&engine, cold[0].clone());
+        let warm_long = prefill_one(&engine, warm[0].clone());
+        assert_eq!(cold_long.last_logits, warm_long.last_logits);
+        assert_eq!(cold_long.hidden.slice_rows(1024, 2048), warm_long.hidden);
+        // Prefill never touches the engine's decode pool.
+        assert_eq!(engine.pool_spawn_count(), 0);
+    }
+
+    #[test]
+    fn gqa_prefill_tiles_read_their_own_kv_head() {
+        // 8 query heads over 2 KV heads: tile `h` must read KV head `h / 4`.
+        let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
+        assert_eq!(engine.config().gqa_group_size(), 4);
+        let prompt = cyclic_prompt(&engine, 160, 2);
+        let reference = materialised_prefill(&engine, &PrefillSlot::cold(&prompt));
+        for threads in [1usize, 4] {
+            kernel_parallel::set_kernel_thread_override(Some(threads));
+            let cold = prefill_one(&engine, PrefillSlot::cold(&prompt));
+            kernel_parallel::set_kernel_thread_override(None);
+            assert_eq!(cold, reference, "threads {threads}");
+        }
+        let cold = engine.prefill(&prompt).unwrap();
+        let shared = prefix_blocks_from_prefill(&engine, &cold, 100);
+        let slot = PrefillSlot::with_prefix(&prompt, &shared, 100);
+        let warm = prefill_one(&engine, slot.clone());
+        assert_eq!(warm, materialised_prefill(&engine, &slot));
+        assert_eq!(cold.last_logits, warm.last_logits);
     }
 
     #[test]
@@ -1341,33 +1404,31 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_spawns_once_per_engine_lifetime() {
+    fn decode_pool_spawns_once_per_engine_lifetime() {
         let engine = tiny_engine();
-        assert_eq!(
-            engine.pool_spawn_count(),
-            0,
-            "no pool before the first batched call"
-        );
         let prompts: Vec<Vec<u32>> = (0..4).map(|i| sample_prompt(&engine, 6 + 2 * i)).collect();
         let slots: Vec<PrefillSlot<'_>> = prompts.iter().map(|p| PrefillSlot::cold(p)).collect();
         let prefills = engine.prefill_batch(&slots).unwrap();
-        let after_prefill = engine.pool_spawn_count();
+        assert_eq!(
+            engine.pool_spawn_count(),
+            0,
+            "no pool before the first batched decode round"
+        );
 
         // Many decode rounds over the same engine: the pool must not grow.
-        let mut caches: Vec<ChunkedKvCache> = prompts
+        let mut caches: Vec<ChunkedKvCache> = prefills
             .iter()
-            .zip(&prefills)
-            .map(|(p, b)| {
+            .map(|b| {
                 let out = PrefillOutput {
                     kv: b.suffix_kv.clone(),
                     hidden: b.hidden.clone(),
                     last_logits: b.last_logits.clone(),
                 };
-                let _ = p;
                 engine.build_cache(&out, 4).unwrap()
             })
             .collect();
         let mut tokens: Vec<u32> = prefills.iter().map(BatchPrefill::next_token).collect();
+        let mut after_first_round = 0;
         for round in 0..5 {
             let mut decode_slots: Vec<DecodeSlot<'_>> = caches
                 .iter_mut()
@@ -1383,13 +1444,15 @@ mod tests {
             for (token, step) in tokens.iter_mut().zip(steps) {
                 *token = step.next_token;
             }
+            if round == 0 {
+                after_first_round = engine.pool_spawn_count();
+            }
         }
 
         let after_rounds = engine.pool_spawn_count();
         if engine.pool_workers() > 1 {
-            assert!(after_prefill > 0, "multi-core host must engage the pool");
             assert_eq!(
-                after_prefill, after_rounds,
+                after_first_round, after_rounds,
                 "the pool re-spawned workers between rounds"
             );
             assert_eq!(after_rounds, engine.pool_workers());

@@ -4,9 +4,10 @@
 //! one `thread::scope` + channel pool per decode *round*; this module
 //! removes the remaining per-round spawn cost. A [`WorkerPool`] is created
 //! once per [`InferenceEngine`](crate::InferenceEngine) lifetime (lazily,
-//! on the first batched call that can use it) and its threads then serve
-//! every decode round *and* every batched prefill until the engine is
-//! dropped.
+//! on the first batched decode round that can use it) and its threads
+//! then serve every decode round until the engine is dropped. Prefill
+//! does not use it: prefill attention is a list of (slot, head) tiles run
+//! on the process-wide kernel pool (one slot) or inline (several).
 //!
 //! The pool is deliberately simple and deterministic: each worker owns one
 //! job channel, callers assign work to workers by index (worker `i` always
@@ -29,9 +30,9 @@ pub(crate) type Job = cocktail_quant::parallel::Job;
 /// Since the kernel-parallelism PR this is a thin wrapper over the shared
 /// [`KernelPool`] primitive in `cocktail_quant::parallel` — one
 /// implementation of the per-worker-channel, never-respawn, deterministic-
-/// assignment pool serves both the engine's request-level parallelism
-/// (this type: one pool per engine) and the process-wide kernel
-/// dispatcher. Dropping the pool closes every job channel, which ends the
+/// assignment pool serves both the engine's request-level decode
+/// parallelism (this type: one pool per engine) and the process-wide
+/// kernel dispatcher. Dropping the pool closes every job channel, which ends the
 /// worker loops; the threads are then joined so no worker outlives the
 /// engine.
 pub struct WorkerPool {

@@ -430,6 +430,27 @@ impl Matrix {
         Ok(out)
     }
 
+    /// Appends one row in place. A matrix without rows takes its column
+    /// count from the first row pushed, like [`Matrix::concat_rows`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the matrix has rows and `row.len()`
+    /// differs from `cols()`.
+    pub fn push_row(&mut self, row: &[f32]) -> Result<(), ShapeError> {
+        if self.rows == 0 {
+            self.cols = row.len();
+        } else if row.len() != self.cols {
+            return Err(ShapeError::new(
+                "push_row",
+                format!("row of length {} onto {} columns", row.len(), self.cols),
+            ));
+        }
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+        Ok(())
+    }
+
     /// Returns the sub-matrix consisting of rows `start..end`.
     ///
     /// # Panics
@@ -736,6 +757,20 @@ mod tests {
         let c = Matrix::concat_rows(&[&a, &b]).unwrap();
         assert_eq!(c.shape(), (3, 2));
         assert_eq!(c.row(2), &[5.0, 6.0]);
+    }
+
+    #[test]
+    fn push_row_matches_concat_rows() {
+        let mut m = Matrix::zeros(0, 2);
+        let mut expected = Matrix::zeros(0, 2);
+        for row in [[1.0, 2.0], [3.0, 4.0]] {
+            m.push_row(&row).unwrap();
+            let new = Matrix::from_vec(1, 2, row.to_vec()).unwrap();
+            expected = Matrix::concat_rows(&[&expected, &new]).unwrap();
+            assert_eq!(m, expected);
+        }
+        assert!(m.push_row(&[5.0]).is_err());
+        assert_eq!(m.shape(), (2, 2));
     }
 
     #[test]

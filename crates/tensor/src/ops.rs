@@ -4,6 +4,7 @@
 //! block needs: RMS normalisation, rotary position embeddings (RoPE), the
 //! SiLU activation used by SwiGLU MLPs, and FP16 rounding helpers.
 
+use crate::error::ShapeError;
 use crate::f16::round_slice_to_f16;
 use crate::matrix::Matrix;
 
@@ -143,6 +144,202 @@ pub fn causal_mask(q_len: usize, kv_len: usize) -> Matrix {
         }
     }
     mask
+}
+
+/// Borrowed key and value rows of one segment of an attention context:
+/// row-major, `rows × head_dim` values each.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KvRows<'a> {
+    /// Key rows.
+    pub k: &'a [f32],
+    /// Value rows.
+    pub v: &'a [f32],
+}
+
+impl<'a> KvRows<'a> {
+    /// All rows of a key and a value matrix.
+    pub fn of(k: &'a Matrix, v: &'a Matrix) -> Self {
+        Self {
+            k: k.as_slice(),
+            v: v.as_slice(),
+        }
+    }
+
+    /// The leading `rows` rows of a key and a value matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either matrix has fewer than `rows` rows.
+    pub fn leading(k: &'a Matrix, v: &'a Matrix, rows: usize) -> Self {
+        Self {
+            k: &k.as_slice()[..rows * k.cols()],
+            v: &v.as_slice()[..rows * v.cols()],
+        }
+    }
+}
+
+/// Keys per block of the score loop in [`causal_attention`]: a block's
+/// per-key accumulators are one fixed-size array the compiler keeps in
+/// vector registers (8 measured slower; 32 and 64 no faster).
+const KEY_LANES: usize = 16;
+
+/// Streaming causal attention of a query block over a two-segment context:
+/// `softmax(scale · Q·Kᵀ + causal_mask) · V` with `K`/`V` the rows of
+/// `context[0]` followed by the rows of `context[1]`, computed one query
+/// row at a time without ever holding a score, mask or probability matrix.
+///
+/// Query row `i` sits at absolute position `kv_len - q.rows() + i` (the
+/// convention of [`causal_mask`]) and reads keys `0..=` that position only.
+/// Apart from a key copy laid out dimension-major (`kv_len × head_dim`),
+/// the working set is one score row that stays in L1.
+///
+/// # Bit-identity with the materialised path
+///
+/// For finite inputs the output equals, bit for bit,
+/// `q.matmul_transposed(k)` → `scale_in_place(scale)` →
+/// `masked_softmax(&causal_mask(q.rows(), kv_len))` → `matmul(v)`. That
+/// path gives a masked entry the probability `exp(-inf) = 0.0`, which adds
+/// nothing to the row sum and is skipped by `matmul`'s `a == 0.0` test, so
+/// leaving masked keys out changes no bit — provided every visible key
+/// goes through the same operations in the same order, which is this
+/// sequence per query row:
+///
+/// 1. `acc = 0.0; acc += q[c] * k[j][c]` for `c` ascending — one
+///    sequential chain per key, no reassociation, no fused multiply-add.
+///    (The key copy is dimension-major so the loop vectorises *across*
+///    keys; each key's own chain keeps its order.)
+/// 2. `s = acc * scale`, then `s + 0.0` — the visible mask entry, which
+///    turns `-0.0` into `+0.0`.
+/// 3. `max` folded from `-inf` with `f32::max` over ascending keys; a row
+///    whose max is `-inf` yields zeros.
+/// 4. `p = exp(s - max)` and `sum += p`, left to right from `0.0`.
+/// 5. `p /= sum` if `sum > 0.0`.
+/// 6. `out += p * v[j]` over ascending keys, skipping `p == 0.0`.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if a segment's key and value lengths differ or
+/// are not a multiple of `q.cols()`, or if the context holds fewer rows
+/// than `q`.
+///
+/// # Example
+///
+/// ```
+/// use cocktail_tensor::ops::{causal_attention, causal_mask, KvRows};
+/// use cocktail_tensor::rng::gaussian_matrix;
+///
+/// # fn main() -> Result<(), cocktail_tensor::ShapeError> {
+/// let (q, k, v) = (
+///     gaussian_matrix(5, 8, 1.0, 1),
+///     gaussian_matrix(5, 8, 1.0, 2),
+///     gaussian_matrix(5, 8, 1.0, 3),
+/// );
+/// let streamed = causal_attention(&q, [KvRows::default(), KvRows::of(&k, &v)], 0.5)?;
+/// let mut scores = q.matmul_transposed(&k)?;
+/// scores.scale_in_place(0.5);
+/// let materialised = scores.masked_softmax(&causal_mask(5, 5))?.matmul(&v)?;
+/// assert_eq!(streamed, materialised);
+/// # Ok(())
+/// # }
+/// ```
+pub fn causal_attention(
+    q: &Matrix,
+    context: [KvRows<'_>; 2],
+    scale: f32,
+) -> Result<Matrix, ShapeError> {
+    let (q_len, head_dim) = q.shape();
+    let mut out = Matrix::zeros(q_len, head_dim);
+    if q.is_empty() {
+        return Ok(out);
+    }
+    for segment in &context {
+        if segment.k.len() != segment.v.len() || segment.k.len() % head_dim != 0 {
+            return Err(ShapeError::new(
+                "causal_attention",
+                format!(
+                    "segment of {} key and {} value elements for head dim {head_dim}",
+                    segment.k.len(),
+                    segment.v.len()
+                ),
+            ));
+        }
+    }
+    let first_rows = context[0].k.len() / head_dim;
+    let kv_len = first_rows + context[1].k.len() / head_dim;
+    if kv_len < q_len {
+        return Err(ShapeError::new(
+            "causal_attention",
+            format!("{q_len} query rows over a context of {kv_len} rows"),
+        ));
+    }
+    let offset = kv_len - q_len;
+
+    // Dimension-major keys, zero-padded to whole blocks so the score loop
+    // never needs a tail case (scores past the visible range are ignored).
+    let stride = kv_len.next_multiple_of(KEY_LANES);
+    let mut keys_t = vec![0.0f32; head_dim * stride];
+    let key_rows = context[0]
+        .k
+        .chunks_exact(head_dim)
+        .chain(context[1].k.chunks_exact(head_dim));
+    for (j, key) in key_rows.enumerate() {
+        for (c, &x) in key.iter().enumerate() {
+            keys_t[c * stride + j] = x;
+        }
+    }
+
+    let mut scores = vec![0.0f32; stride];
+    for i in 0..q_len {
+        let visible = offset + i + 1;
+        let q_row = q.row(i);
+        for j0 in (0..visible).step_by(KEY_LANES) {
+            let mut acc = [0.0f32; KEY_LANES];
+            for (c, &qc) in q_row.iter().enumerate() {
+                let keys = &keys_t[c * stride + j0..c * stride + j0 + KEY_LANES];
+                for (a, &k) in acc.iter_mut().zip(keys) {
+                    *a += qc * k;
+                }
+            }
+            scores[j0..j0 + KEY_LANES].copy_from_slice(&acc);
+        }
+        let row = &mut scores[..visible];
+        let mut max = f32::NEG_INFINITY;
+        for s in row.iter_mut() {
+            *s = *s * scale + 0.0;
+            max = max.max(*s);
+        }
+        if max == f32::NEG_INFINITY {
+            continue;
+        }
+        let mut sum = 0.0f32;
+        for s in row.iter_mut() {
+            *s = (*s - max).exp();
+            sum += *s;
+        }
+        if sum > 0.0 {
+            for s in row.iter_mut() {
+                *s /= sum;
+            }
+        }
+        let (first, second) = row.split_at(visible.min(first_rows));
+        let out_row = out.row_mut(i);
+        accumulate_weighted_rows(out_row, first, context[0].v);
+        accumulate_weighted_rows(out_row, second, context[1].v);
+    }
+    Ok(out)
+}
+
+/// `out += w · row` for each weight and its row of `rows`, in order,
+/// skipping exact-zero weights (step 6 of [`causal_attention`]).
+fn accumulate_weighted_rows(out: &mut [f32], weights: &[f32], rows: &[f32]) {
+    for (&w, row) in weights.iter().zip(rows.chunks_exact(out.len())) {
+        if w == 0.0 {
+            continue;
+        }
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o += w * x;
+        }
+    }
 }
 
 /// Permutes the columns of an additive attention mask.
@@ -324,6 +521,112 @@ mod tests {
         assert_eq!(mask.get(1, 2), f32::NEG_INFINITY);
     }
 
+    /// Attention inputs for the bit-identity tests. Mode 0 is plain
+    /// gaussian; mode 1 scales Q and K up until most visible
+    /// probabilities underflow to exactly `0.0`; mode 2 zeroes some query
+    /// and key rows under a negative scale, so their scores are `-0.0`.
+    fn attention_inputs(
+        q_len: usize,
+        kv_len: usize,
+        head_dim: usize,
+        mode: usize,
+        seed: u64,
+    ) -> (Matrix, Matrix, Matrix, f32) {
+        let std = if mode == 1 { 40.0 } else { 1.0 };
+        let mut q = crate::rng::gaussian_matrix(q_len, head_dim, std, seed);
+        let mut k = crate::rng::gaussian_matrix(kv_len, head_dim, std, seed + 1);
+        let v = crate::rng::gaussian_matrix(kv_len, head_dim, 1.0, seed + 2);
+        let mut scale = 1.0 / (head_dim as f32).sqrt();
+        if mode == 2 {
+            scale = -scale;
+            for r in (0..q_len).step_by(3) {
+                q.row_mut(r).fill(0.0);
+            }
+            for r in (1..kv_len).step_by(4) {
+                k.row_mut(r).fill(0.0);
+            }
+        }
+        (q, k, v, scale)
+    }
+
+    /// The materialised path [`causal_attention`] must reproduce, with its
+    /// scaled scores and probabilities.
+    fn materialised_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        scale: f32,
+    ) -> (Matrix, Matrix, Matrix) {
+        let mut scores = q.matmul_transposed(k).unwrap();
+        scores.scale_in_place(scale);
+        let probs = scores
+            .masked_softmax(&causal_mask(q.rows(), k.rows()))
+            .unwrap();
+        let out = probs.matmul(v).unwrap();
+        (scores, probs, out)
+    }
+
+    fn split_context<'a>(k: &'a Matrix, v: &'a Matrix, boundary: usize) -> [KvRows<'a>; 2] {
+        let at = boundary * k.cols();
+        [
+            KvRows {
+                k: &k.as_slice()[..at],
+                v: &v.as_slice()[..at],
+            },
+            KvRows {
+                k: &k.as_slice()[at..],
+                v: &v.as_slice()[at..],
+            },
+        ]
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn causal_attention_inputs_reach_negative_zero_scores_and_zero_probabilities() {
+        let (q, k, v, scale) = attention_inputs(24, 40, 16, 1, 7);
+        let (_, probs, out) = materialised_attention(&q, &k, &v, scale);
+        let offset = k.rows() - q.rows();
+        let visible_zeros = (0..q.rows())
+            .flat_map(|i| probs.row(i)[..=offset + i].to_vec())
+            .filter(|&p| p == 0.0)
+            .count();
+        assert!(visible_zeros > 0, "mode 1 must underflow visible entries");
+        let streamed = causal_attention(&q, split_context(&k, &v, offset), scale).unwrap();
+        assert_eq!(bits(&streamed), bits(&out));
+
+        let (q, k, v, scale) = attention_inputs(24, 40, 16, 2, 8);
+        let (scores, _, out) = materialised_attention(&q, &k, &v, scale);
+        assert!(scores
+            .as_slice()
+            .iter()
+            .any(|s| s.to_bits() == (-0.0f32).to_bits()));
+        let streamed = causal_attention(&q, split_context(&k, &v, offset), scale).unwrap();
+        assert_eq!(bits(&streamed), bits(&out));
+    }
+
+    #[test]
+    fn causal_attention_rejects_bad_shapes() {
+        let q = Matrix::zeros(3, 4);
+        let k = Matrix::zeros(2, 4);
+        // Fewer context rows than query rows.
+        assert!(causal_attention(&q, [KvRows::default(), KvRows::of(&k, &k)], 1.0).is_err());
+        // Key and value lengths differ.
+        let v = Matrix::zeros(3, 4);
+        assert!(causal_attention(&q, [KvRows::of(&k, &v), KvRows::of(&v, &v)], 1.0).is_err());
+        // Segment length not a multiple of the head dimension.
+        let ragged = KvRows {
+            k: &v.as_slice()[..6],
+            v: &v.as_slice()[..6],
+        };
+        assert!(causal_attention(&q, [ragged, KvRows::of(&v, &v)], 1.0).is_err());
+        // No queries: an empty result, whatever the context.
+        let none = causal_attention(&Matrix::zeros(0, 4), [KvRows::default(); 2], 1.0).unwrap();
+        assert_eq!(none.shape(), (0, 4));
+    }
+
     #[test]
     fn permute_mask_columns_moves_blocks() {
         let mask = causal_mask(2, 4);
@@ -381,6 +684,29 @@ mod tests {
             let w = vec![1.0f32; v.len()];
             rms_norm(&mut v, &w, 1e-6);
             prop_assert!(v.iter().all(|x| x.is_finite()));
+        }
+
+        // The streaming kernel against the materialised path, bit for bit:
+        // every head dimension the profiles use, cold and resumed shapes,
+        // the three input modes, and the context split at every row
+        // boundary (0 is the cold all-suffix split, `prefix_len` the
+        // engine's resumed one).
+        #[test]
+        fn causal_attention_is_bit_identical_to_the_materialised_path(
+            suffix_len in 1usize..96,
+            prefix_len in 0usize..96,
+            dim_pick in 0usize..4,
+            mode in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let head_dim = [2usize, 8, 16, 64][dim_pick];
+            let kv_len = prefix_len + suffix_len;
+            let (q, k, v, scale) = attention_inputs(suffix_len, kv_len, head_dim, mode, seed);
+            let expected = bits(&materialised_attention(&q, &k, &v, scale).2);
+            for boundary in 0..=kv_len {
+                let streamed = causal_attention(&q, split_context(&k, &v, boundary), scale).unwrap();
+                prop_assert_eq!(&bits(&streamed), &expected, "boundary {}", boundary);
+            }
         }
 
         #[test]
