@@ -9,7 +9,11 @@
 //!    attention (`cocktail_tensor::ops::causal_attention`) against the
 //!    materialised score/mask/probability path, inline and as the
 //!    engine's (slot, head) tiles. A single differing bit aborts the
-//!    binary.
+//!    binary. The streaming decode attention
+//!    (`ChunkedLayerCache::attend`) is checked against dense
+//!    `softmax(q·Kᵀ)·V` to FP tolerance — its bit-exact reference is a
+//!    unit-test fixture of `cocktail_kvcache` — and its bits are pinned by
+//!    the committed fingerprint.
 //! 2. **Wall-clock sanity bands.** Timing on shared CI runners is too
 //!    noisy to gate tightly, so the parallel path is only required to stay
 //!    within a generous multiple of the scalar path (see
@@ -27,7 +31,7 @@
 //!    out of the record: they would differ on every host.
 
 use cocktail_bench::{write_record, ExperimentRecord};
-use cocktail_kvcache::{PrefixKvBlock, SharedPrefixKv};
+use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache, PrefixKvBlock, SharedPrefixKv};
 use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 use cocktail_quant::{gemm, parallel, Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
 use cocktail_tensor::ops::{causal_attention, causal_mask, KvRows};
@@ -105,6 +109,28 @@ struct AttentionRow {
     engine_fingerprint: i64,
 }
 
+/// The decode-attention kernel in the deterministic record.
+#[derive(Debug, Serialize)]
+struct DecodeRow {
+    /// Kernel name.
+    kernel: String,
+    /// Query block, `rows x head_dim`.
+    query_shape: String,
+    /// Cached tokens: chunks, FP16 remainder and decode tail.
+    cache_tokens: usize,
+    /// Tokens per chunk.
+    chunk_size: usize,
+    /// Tokens in the INT2 run.
+    int2_tokens: usize,
+    /// Tokens in the INT4 run.
+    int4_tokens: usize,
+    /// Tokens in the FP16 run, the remainder and the decode tail.
+    fp16_tokens: usize,
+    /// Bit-fingerprint of the kernel output (asserted close to dense
+    /// attention over the dequantized cache; the bits are pinned here).
+    fingerprint: i64,
+}
+
 /// Payload of `results/kernels.json`.
 #[derive(Debug, Serialize)]
 struct KernelRecord {
@@ -114,6 +140,8 @@ struct KernelRecord {
     kernels: Vec<KernelRow>,
     /// The streaming prefill-attention kernel and its tile dispatch.
     prefill_attention: AttentionRow,
+    /// The streaming mixed-precision decode-attention kernel.
+    decode_attention: DecodeRow,
 }
 
 /// Order-sensitive bit-fingerprint of a matrix: any single-bit difference
@@ -345,6 +373,75 @@ fn assert_prefill_attention_identity() -> AttentionRow {
     }
 }
 
+/// Shape of the decode-attention fixture: 15 chunks of 32 tokens laid out
+/// as Module II leaves them — six INT2, six INT4, three FP16 — then a
+/// 20-token remainder and a 3-token decode tail.
+const DECODE_CONTEXT: usize = 500;
+const DECODE_CHUNK: usize = 32;
+const DECODE_HEAD_DIM: usize = 64;
+const DECODE_TAIL: usize = 3;
+const DECODE_QUERIES: usize = 2;
+
+/// Runs the decode attention over a mixed-precision cache, asserts it close
+/// to dense attention over the dequantized cache, and returns the record
+/// row.
+fn assert_decode_attention() -> DecodeRow {
+    let k = rng::gaussian_matrix(DECODE_CONTEXT, DECODE_HEAD_DIM, 1.0, 19);
+    let v = rng::gaussian_matrix(DECODE_CONTEXT, DECODE_HEAD_DIM, 1.0, 20);
+    let segmentation = ChunkSegmentation::new(DECODE_CONTEXT, DECODE_CHUNK).expect("chunk size");
+    let mut cache = ChunkedLayerCache::from_prefill(&k, &v, &segmentation).expect("cache");
+    for (chunk, bitwidth) in [(0..6, Bitwidth::Int2), (6..12, Bitwidth::Int4)] {
+        for physical in chunk {
+            cache
+                .quantize_chunk(physical, bitwidth, 32)
+                .expect("quantize chunk");
+        }
+    }
+    let tail = rng::gaussian_matrix(2 * DECODE_TAIL, DECODE_HEAD_DIM, 1.0, 21);
+    for t in 0..DECODE_TAIL {
+        cache
+            .append_decode_token(tail.row(2 * t), tail.row(2 * t + 1))
+            .expect("tail row");
+    }
+
+    let q = rng::gaussian_matrix(DECODE_QUERIES, DECODE_HEAD_DIM, 1.0, 22);
+    let scale = 1.0 / (DECODE_HEAD_DIM as f32).sqrt();
+    let streamed = cache.attend(&q, scale).expect("decode attention");
+    let mut scores = q
+        .matmul_transposed(&cache.full_key_matrix())
+        .expect("score gemm");
+    scores.scale_in_place(scale);
+    scores.softmax_rows();
+    let dense = scores
+        .matmul(&cache.full_value_matrix())
+        .expect("value gemm");
+    let gap = streamed.max_abs_diff(&dense).expect("same shape");
+    assert!(
+        gap < 1e-4,
+        "decode attention is {gap} away from dense attention over the dequantized cache"
+    );
+    println!("decode attention: streaming kernel within {gap:.1e} of dense softmax(q·Kᵀ)·V");
+
+    let tokens_at = |bitwidth: Bitwidth| -> usize {
+        cache
+            .chunks()
+            .iter()
+            .filter(|c| c.bitwidth() == bitwidth)
+            .map(|c| c.token_len())
+            .sum()
+    };
+    DecodeRow {
+        kernel: "decode_attention".to_string(),
+        query_shape: format!("{DECODE_QUERIES}x{DECODE_HEAD_DIM}"),
+        cache_tokens: cache.total_tokens(),
+        chunk_size: DECODE_CHUNK,
+        int2_tokens: tokens_at(Bitwidth::Int2),
+        int4_tokens: tokens_at(Bitwidth::Int4),
+        fp16_tokens: tokens_at(Bitwidth::Fp16) + cache.remainder_len() + cache.tail_len(),
+        fingerprint: fingerprint(&streamed),
+    }
+}
+
 /// One timed closure (the operands are owned clones, so scalar and
 /// parallel runs never contend on borrows).
 type BenchFn = Box<dyn FnMut()>;
@@ -445,6 +542,7 @@ fn write_deterministic_record(
     f: &Fixtures,
     outputs: &(QuantizedMatrix, Matrix, Matrix, Matrix),
     prefill_attention: AttentionRow,
+    decode_attention: DecodeRow,
 ) {
     let (quantized, dequantized, scores, av) = outputs;
     let row = |kernel: &str,
@@ -518,6 +616,7 @@ fn write_deterministic_record(
             parallel_threshold: parallel::PARALLEL_THRESHOLD,
             kernels,
             prefill_attention,
+            decode_attention,
         },
     });
     println!("wrote {}", path.display());
@@ -527,7 +626,8 @@ fn main() {
     let f = fixtures();
     let outputs = assert_bit_identity(&f);
     let prefill_attention = assert_prefill_attention_identity();
+    let decode_attention = assert_decode_attention();
     let mut criterion = Criterion::default();
     bands_and_display(&mut criterion, &f);
-    write_deterministic_record(&f, &outputs, prefill_attention);
+    write_deterministic_record(&f, &outputs, prefill_attention, decode_attention);
 }

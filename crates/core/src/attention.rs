@@ -1,184 +1,42 @@
 //! Module II (part 2): block-wise mixed-precision decode attention
 //! (Algorithm 1 of the paper).
 //!
-//! After reordering, the cached context keys form three contiguous blocks —
-//! INT2, INT4 and FP16 — so the decode-phase attention can be computed as
-//! one fused quantized GEMM per block plus one FP16 GEMM, concatenated,
-//! softmaxed and recombined. The output is identical to ordinary attention
-//! over the unpermuted cache because softmax and the weighted sum are
-//! invariant to a permutation of the token axis (the paper's Eq. 4/5); the
-//! property tests at the bottom of this module verify that equivalence
-//! numerically.
+//! After reordering, the cached keys form contiguous INT2, INT4 and FP16
+//! runs, so one kernel — [`ChunkedLayerCache::attend`], the one every
+//! decoded token goes through — walks the runs instead of dispatching per
+//! chunk. Softmax and the weighted sum are invariant to a permutation of
+//! the token axis (the paper's Eq. 4/5), so the output equals attention
+//! over the unpermuted cache; the tests below verify that numerically.
 
 use crate::error::CocktailError;
-use cocktail_kvcache::{ChunkStorage, ChunkedLayerCache};
-use cocktail_quant::{gemm, Bitwidth};
+use cocktail_kvcache::ChunkedLayerCache;
 use cocktail_tensor::Matrix;
 
-/// Result of the block-wise mixed-precision attention pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedAttention {
-    /// Attention output, shape `(queries, head_dim)`.
-    pub output: Matrix,
-    /// Attention probabilities over the cache's physical token order.
-    pub probabilities: Matrix,
-    /// Tokens per precision block, in the order the blocks were processed:
-    /// `[int2, int4, int8, fp16]` (INT8 is unused by the paper's
-    /// configuration but supported for ablations; the FP16 block includes
-    /// the remainder and the decode tail).
-    pub block_tokens: [usize; 4],
-}
-
-impl GroupedAttention {
-    /// Total number of cached tokens attended over.
-    pub fn total_tokens(&self) -> usize {
-        self.block_tokens.iter().sum()
-    }
-}
-
-fn block_index(bitwidth: Bitwidth) -> usize {
-    match bitwidth {
-        Bitwidth::Int2 => 0,
-        Bitwidth::Int4 => 1,
-        Bitwidth::Int8 => 2,
-        Bitwidth::Fp16 => 3,
-    }
-}
-
-/// Computes decode-phase attention over a chunked (and typically reordered)
-/// cache using the block-wise scheme of Algorithm 1.
-///
-/// The chunks are processed grouped by bitwidth — all INT2 chunks first,
-/// then INT4, then INT8, then FP16 together with the FP16 remainder and the
-/// decode tail — regardless of their physical order, so the function is
-/// correct on unreordered caches too (reordering only matters for the
-/// hardware model). Scores are scaled by `scale` before the softmax; no
-/// causal mask is needed because during decode the query attends to every
-/// cached token.
+/// Decode-phase attention over a chunked (and typically reordered) cache:
+/// the Module II name for [`ChunkedLayerCache::attend`], to which it
+/// delegates. Correct on unreordered caches too — reordering only makes
+/// the same-bitwidth runs longer.
 ///
 /// # Errors
 ///
-/// Returns [`CocktailError::InvalidInput`] if the query head dimension does
-/// not match the cache.
-///
-/// # Example
+/// Fails if the query head dimension does not match the cache.
 ///
 /// ```
-/// use cocktail_core::attention::grouped_attend;
-/// use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache};
-/// use cocktail_quant::Bitwidth;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let k = cocktail_tensor::rng::gaussian_matrix(64, 16, 1.0, 1);
-/// let v = cocktail_tensor::rng::gaussian_matrix(64, 16, 1.0, 2);
-/// let seg = ChunkSegmentation::new(64, 16)?;
-/// let mut cache = ChunkedLayerCache::from_prefill(&k, &v, &seg)?;
-/// cache.quantize_chunk(0, Bitwidth::Int2, 16)?;
+/// # use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache};
+/// let kv = cocktail_tensor::rng::gaussian_matrix(64, 16, 1.0, 1);
+/// let seg = ChunkSegmentation::new(64, 16).unwrap();
+/// let mut cache = ChunkedLayerCache::from_prefill(&kv, &kv, &seg).unwrap();
+/// cache.quantize_chunk(0, cocktail_quant::Bitwidth::Int2, 16).unwrap();
 /// let q = cocktail_tensor::rng::gaussian_matrix(1, 16, 1.0, 3);
-/// let result = grouped_attend(&cache, &q, 0.25)?;
-/// assert_eq!(result.output.shape(), (1, 16));
-/// assert_eq!(result.total_tokens(), 64);
-/// # Ok(())
-/// # }
+/// let output = cocktail_core::attention::grouped_attend(&cache, &q, 0.25).unwrap();
+/// assert_eq!(output.shape(), (1, 16));
 /// ```
 pub fn grouped_attend(
     cache: &ChunkedLayerCache,
     queries: &Matrix,
     scale: f32,
-) -> Result<GroupedAttention, CocktailError> {
-    if queries.cols() != cache.head_dim() {
-        return Err(CocktailError::InvalidInput(format!(
-            "query head dim {} does not match cache head dim {}",
-            queries.cols(),
-            cache.head_dim()
-        )));
-    }
-
-    // Group chunk indices by bitwidth, preserving physical order inside each
-    // group. This mirrors the contiguous layout produced by the reordering
-    // step; on an unreordered cache it simply gathers the same blocks
-    // logically.
-    let mut groups: [Vec<usize>; 4] = Default::default();
-    for (i, chunk) in cache.chunks().iter().enumerate() {
-        groups[block_index(chunk.bitwidth())].push(i);
-    }
-
-    // Phase 1 of Algorithm 1: per-block attention scores, concatenated along
-    // the token axis (`att = cat(att, fqm(Q, K_b^T), -1)`).
-    let mut score_blocks: Vec<Matrix> = Vec::new();
-    let mut block_tokens = [0usize; 4];
-    // Order of processed segments so phase 2 can walk the same layout.
-    let mut processed: Vec<(usize, usize)> = Vec::new(); // (block, chunk physical index)
-
-    for (block, members) in groups.iter().enumerate() {
-        for &idx in members {
-            let chunk = &cache.chunks()[idx];
-            let scores = if chunk.outlier_count() > 0 {
-                queries.matmul_transposed(&chunk.key_matrix())?
-            } else {
-                match chunk.storage() {
-                    ChunkStorage::Fp16 { k, .. } => queries.matmul_transposed(k)?,
-                    ChunkStorage::Quantized { k, .. } => {
-                        gemm::fp_matmul_quant_transposed(queries, k)?
-                    }
-                }
-            };
-            block_tokens[block] += chunk.token_len();
-            processed.push((block, idx));
-            score_blocks.push(scores);
-        }
-    }
-    // The FP16 remainder and decode tail belong to the FP16 block. Only
-    // these few rows are copied; the chunks are never dequantized here.
-    let (remainder_k, remainder_v) = cache.remainder();
-    let (tail_k, tail_v) = cache.tail();
-    let fp16_extra = remainder_k.rows() + tail_k.rows();
-    if fp16_extra > 0 {
-        let extra_k = Matrix::concat_rows(&[remainder_k, tail_k])?;
-        score_blocks.push(queries.matmul_transposed(&extra_k)?);
-        block_tokens[3] += fp16_extra;
-    }
-
-    let refs: Vec<&Matrix> = score_blocks.iter().collect();
-    let mut att = Matrix::concat_cols(&refs)?;
-    att.scale_in_place(scale);
-    // Decode-phase mask is all zeros, so `softmax(att + mask)` is just the
-    // softmax.
-    att.softmax_rows();
-
-    // Phase 2: per-block partial outputs, summed
-    // (`output += fqm(att[block], V_b)`).
-    let mut output = Matrix::zeros(queries.rows(), cache.head_dim());
-    let mut col = 0usize;
-    for &(_, idx) in &processed {
-        let chunk = &cache.chunks()[idx];
-        let len = chunk.token_len();
-        if len == 0 {
-            continue;
-        }
-        let probs = att.slice_cols(col, col + len);
-        let partial = if chunk.outlier_count() > 0 {
-            probs.matmul(&chunk.value_matrix())?
-        } else {
-            match chunk.storage() {
-                ChunkStorage::Fp16 { v, .. } => probs.matmul(v)?,
-                ChunkStorage::Quantized { v, .. } => gemm::fp_matmul_quant(&probs, v)?,
-            }
-        };
-        output.add_assign(&partial)?;
-        col += len;
-    }
-    if fp16_extra > 0 {
-        let extra_v = Matrix::concat_rows(&[remainder_v, tail_v])?;
-        let probs = att.slice_cols(col, col + fp16_extra);
-        output.add_assign(&probs.matmul(&extra_v)?)?;
-    }
-
-    Ok(GroupedAttention {
-        output,
-        probabilities: att,
-        block_tokens,
-    })
+) -> Result<Matrix, CocktailError> {
+    Ok(cache.attend(queries, scale)?)
 }
 
 #[cfg(test)]
@@ -188,6 +46,7 @@ mod tests {
     use crate::reorder::apply_plan;
     use crate::search::ChunkQuantSearch;
     use cocktail_kvcache::ChunkSegmentation;
+    use cocktail_quant::Bitwidth;
     use cocktail_tensor::rng;
     use proptest::prelude::*;
 
@@ -204,6 +63,15 @@ mod tests {
             .unwrap()
     }
 
+    /// Generic attention: dense `softmax(scale · Q·Kᵀ) · V` over the
+    /// dequantized cache in its physical order.
+    fn generic_attend(cache: &ChunkedLayerCache, q: &Matrix, scale: f32) -> Matrix {
+        let mut scores = q.matmul_transposed(&cache.full_key_matrix()).unwrap();
+        scores.scale_in_place(scale);
+        scores.softmax_rows();
+        scores.matmul(&cache.full_value_matrix()).unwrap()
+    }
+
     #[test]
     fn grouped_attention_matches_generic_attention() {
         let mut cache = build_cache(130, 32, 1); // 4 chunks + remainder of 2
@@ -212,15 +80,24 @@ mod tests {
         let plan = plan_from(&[0.05, 0.9, 0.6, 0.1]);
         apply_plan(&mut cache, &plan, 32, true).unwrap();
         cache.append_decode_token(&[0.1; 16], &[0.2; 16]).unwrap();
+        // Reordered into Algorithm 1's runs: two INT2 chunks, INT4, FP16.
+        let runs: Vec<Bitwidth> = cache.chunks().iter().map(|c| c.bitwidth()).collect();
+        assert_eq!(
+            runs,
+            [
+                Bitwidth::Int2,
+                Bitwidth::Int2,
+                Bitwidth::Int4,
+                Bitwidth::Fp16
+            ]
+        );
+        assert_eq!(cache.total_tokens(), 131);
 
         let q = rng::gaussian_matrix(1, 16, 1.0, 9);
         let scale = 0.25;
         let grouped = grouped_attend(&cache, &q, scale).unwrap();
-        let generic = cache.attend(&q, scale).unwrap();
-        assert!(grouped.output.max_abs_diff(&generic.output).unwrap() < 1e-4);
-        assert_eq!(grouped.total_tokens(), 131);
-        assert_eq!(grouped.block_tokens[0], 64); // two INT2 chunks
-        assert_eq!(grouped.block_tokens[3], 32 + 2 + 1); // FP16 chunk + remainder + tail
+        let generic = generic_attend(&cache, &q, scale);
+        assert!(grouped.max_abs_diff(&generic).unwrap() < 1e-4);
     }
 
     #[test]
@@ -240,13 +117,7 @@ mod tests {
         apply_plan(&mut in_place, &plan, 32, false).unwrap();
         let out_in_place = grouped_attend(&in_place, &q, scale).unwrap();
 
-        assert!(
-            out_reordered
-                .output
-                .max_abs_diff(&out_in_place.output)
-                .unwrap()
-                < 1e-4
-        );
+        assert!(out_reordered.max_abs_diff(&out_in_place).unwrap() < 1e-4);
     }
 
     #[test]
@@ -255,26 +126,24 @@ mod tests {
         let q = rng::gaussian_matrix(2, 16, 1.0, 13);
         let scale = 0.3;
         let grouped = grouped_attend(&cache, &q, scale).unwrap();
-
-        let k = cache.full_key_matrix();
-        let v = cache.full_value_matrix();
-        let mut scores = q.matmul_transposed(&k).unwrap();
-        scores.scale_in_place(scale);
-        scores.softmax_rows();
-        let reference = scores.matmul(&v).unwrap();
-        assert!(grouped.output.max_abs_diff(&reference).unwrap() < 1e-4);
-        assert_eq!(grouped.block_tokens, [0, 0, 0, 96]);
+        assert!(cache.chunks().iter().all(|c| c.bitwidth().is_float()));
+        let reference = generic_attend(&cache, &q, scale);
+        assert!(grouped.max_abs_diff(&reference).unwrap() < 1e-4);
     }
 
     #[test]
     fn probabilities_sum_to_one() {
-        let mut cache = build_cache(64, 16, 17);
+        // The kernel returns no probabilities; over all-ones values (exact
+        // at every bitwidth) each output element is their sum.
+        let k = rng::gaussian_matrix(67, 16, 1.0, 17);
+        let v = Matrix::filled(67, 16, 1.0);
+        let seg = ChunkSegmentation::new(67, 16).unwrap();
+        let mut cache = ChunkedLayerCache::from_prefill(&k, &v, &seg).unwrap();
         let plan = plan_from(&[0.1, 0.9, 0.5, 0.2]);
         apply_plan(&mut cache, &plan, 16, true).unwrap();
         let q = rng::gaussian_matrix(3, 16, 1.0, 19);
         let grouped = grouped_attend(&cache, &q, 0.25).unwrap();
-        for r in 0..3 {
-            let sum: f32 = grouped.probabilities.row(r).iter().sum();
+        for sum in grouped.as_slice() {
             assert!((sum - 1.0).abs() < 1e-4);
         }
     }
@@ -309,8 +178,7 @@ mod tests {
         let reference = ChunkedLayerCache::from_prefill(&k, &v, &seg)
             .unwrap()
             .attend(&q, scale)
-            .unwrap()
-            .output;
+            .unwrap();
 
         // Case A: quantize everything except chunk 1 to INT2.
         let mut keep_relevant = ChunkedLayerCache::from_prefill(&k, &v, &seg).unwrap();
@@ -319,7 +187,6 @@ mod tests {
         }
         let err_keep = grouped_attend(&keep_relevant, &q, scale)
             .unwrap()
-            .output
             .max_abs_diff(&reference)
             .unwrap();
 
@@ -328,7 +195,6 @@ mod tests {
         drop_relevant.quantize_chunk(1, Bitwidth::Int2, 32).unwrap();
         let err_drop = grouped_attend(&drop_relevant, &q, scale)
             .unwrap()
-            .output
             .max_abs_diff(&reference)
             .unwrap();
 
@@ -353,8 +219,8 @@ mod tests {
             apply_plan(&mut cache, &plan, 16, true).unwrap();
             let q = rng::gaussian_matrix(1, 16, 1.0, seed + 100);
             let grouped = grouped_attend(&cache, &q, 0.25).unwrap();
-            let generic = cache.attend(&q, 0.25).unwrap();
-            prop_assert!(grouped.output.max_abs_diff(&generic.output).unwrap() < 1e-3);
+            let generic = generic_attend(&cache, &q, 0.25);
+            prop_assert!(grouped.max_abs_diff(&generic).unwrap() < 1e-3);
         }
     }
 }

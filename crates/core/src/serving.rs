@@ -79,8 +79,7 @@ use std::time::Instant;
 /// ```
 ///
 /// [`ServeRequest::new`] remains the shorthand for a default-policy
-/// request; the scattered `with_*` constructors are deprecated in favor of
-/// the builder.
+/// request.
 pub struct ServeRequest {
     /// The long context to answer from.
     pub context: String,
@@ -117,31 +116,6 @@ impl ServeRequest {
     /// zero token budget.
     pub fn builder() -> ServeRequestBuilder {
         ServeRequestBuilder::default()
-    }
-
-    /// Returns a copy of this request served with an explicit cache policy
-    /// instead of the engine default.
-    #[deprecated(since = "0.1.0", note = "use ServeRequest::builder().policy(..)")]
-    pub fn with_policy(mut self, policy: Box<dyn CachePolicy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Adds a stop sequence: generation ends (with
-    /// [`FinishReason::Stop`]) as soon as the streamed answer text
-    /// contains `stop`. The matched text is kept in the answer, so the
-    /// streamed pieces still concatenate to the collected outcome
-    /// byte-for-byte. Empty sequences are ignored.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ServeRequest::builder().stop_sequence(..)"
-    )]
-    pub fn with_stop_sequence(mut self, stop: impl Into<String>) -> Self {
-        let stop = stop.into();
-        if !stop.is_empty() {
-            self.stop_sequences.push(stop);
-        }
-        self
     }
 }
 
@@ -2961,28 +2935,6 @@ mod tests {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("cocktail_serving_{}_{tag}_{n}", std::process::id()))
-    }
-
-    #[test]
-    fn serve_request_builder_matches_the_legacy_constructors() {
-        let request = ServeRequest::builder()
-            .context("ctx")
-            .query("q")
-            .max_new_tokens(7)
-            .stop_sequence("done")
-            .prefix_reuse(false)
-            .build();
-        assert_eq!(request.context, "ctx");
-        assert_eq!(request.query, "q");
-        assert_eq!(request.max_new_tokens, 7);
-        assert_eq!(request.stop_sequences, vec!["done".to_string()]);
-        assert!(!request.prefix_reuse);
-
-        #[allow(deprecated)]
-        let legacy = ServeRequest::new("ctx", "q", 7).with_stop_sequence("done");
-        assert_eq!(legacy.context, request.context);
-        assert_eq!(legacy.stop_sequences, request.stop_sequences);
-        assert!(legacy.prefix_reuse, "legacy constructor defaults to reuse");
     }
 
     #[test]

@@ -1,50 +1,16 @@
-//! Per-layer and whole-model chunked KV caches, with a generic decode-time
-//! attention kernel over mixed-precision chunks.
+//! Per-layer and whole-model chunked KV caches, with the streaming
+//! decode-time attention kernel over mixed-precision chunks (the paper's
+//! Algorithm 1).
 
-use crate::chunk::{ChunkStorage, KvChunk};
+use crate::chunk::{KvChunk, Rows};
 use crate::error::KvCacheError;
 use crate::permutation::ChunkPermutation;
 use crate::segmentation::ChunkSegmentation;
-use cocktail_quant::{parallel, Bitwidth, QuantAxis};
+use cocktail_quant::{gemm, Bitwidth, QuantAxis};
+use cocktail_tensor::ops::softmax_in_place;
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-
-/// Result of a decode-phase attention pass over a chunked cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodeAttention {
-    /// Attention output, shape `(queries, head_dim)`.
-    pub output: Matrix,
-    /// Attention probabilities in the cache's *physical* token order,
-    /// shape `(queries, total_tokens)`.
-    pub probabilities: Matrix,
-    /// Token count of each physical segment, in order: one entry per chunk,
-    /// then the FP16 remainder, then the decode tail.
-    pub segment_lengths: Vec<usize>,
-}
-
-impl DecodeAttention {
-    /// Total attention probability mass falling on each physical segment
-    /// (averaged over query rows). Useful for diagnosing which chunks a
-    /// query actually reads.
-    pub fn segment_mass(&self) -> Vec<f32> {
-        let mut mass = vec![0.0f32; self.segment_lengths.len()];
-        if self.probabilities.rows() == 0 {
-            return mass;
-        }
-        for r in 0..self.probabilities.rows() {
-            let mut col = 0;
-            for (seg, &len) in self.segment_lengths.iter().enumerate() {
-                let sum: f32 = self.probabilities.row(r)[col..col + len].iter().sum();
-                mass[seg] += sum;
-                col += len;
-            }
-        }
-        for m in &mut mass {
-            *m /= self.probabilities.rows() as f32;
-        }
-        mass
-    }
-}
+use std::borrow::Cow;
 
 /// The KV cache of a single (layer, KV-head) pair, segmented into context
 /// chunks plus an FP16 remainder and an FP16 decode tail.
@@ -167,16 +133,6 @@ impl ChunkedLayerCache {
     /// chunk).
     pub fn remainder_len(&self) -> usize {
         self.remainder_k.rows()
-    }
-
-    /// The FP16 remainder rows as `(keys, values)`.
-    pub fn remainder(&self) -> (&Matrix, &Matrix) {
-        (&self.remainder_k, &self.remainder_v)
-    }
-
-    /// The FP16 decode-tail rows as `(keys, values)`.
-    pub fn tail(&self) -> (&Matrix, &Matrix) {
-        (&self.tail_k, &self.tail_v)
     }
 
     /// Total number of cached tokens (chunks + remainder + decode tail).
@@ -384,18 +340,64 @@ impl ChunkedLayerCache {
         Matrix::concat_rows(&parts).expect("head dims are identical")
     }
 
+    /// One side (keys or values) of the cache's segments in physical order:
+    /// every chunk, then the FP16 remainder, then the decode tail.
+    fn segments<'a>(
+        &'a self,
+        chunk_rows: fn(&'a KvChunk) -> Rows<'a>,
+        remainder: &'a Matrix,
+        tail: &'a Matrix,
+    ) -> impl Iterator<Item = Rows<'a>> {
+        self.chunks
+            .iter()
+            .map(chunk_rows)
+            .chain([remainder, tail].map(|m| Rows::Dense(Cow::Borrowed(m))))
+    }
+
     /// Decode-phase attention of `queries` (shape `(m, head_dim)`) over the
-    /// whole cache, chunk by chunk, using the fused quantized GEMM kernels
-    /// for quantized chunks.
+    /// whole cache: `softmax(scale · Q·Kᵀ) · V` in the cache's physical
+    /// token order. No causal mask is applied: during decode every cached
+    /// token is visible to the query, exactly as in Algorithm 1 of the
+    /// paper.
     ///
-    /// Scores are scaled by `scale` (usually `1/sqrt(head_dim)`) before the
-    /// softmax. No causal mask is applied: during decode every cached token
-    /// is visible to the query, exactly as in Algorithm 1 of the paper.
+    /// This is the paper's block-wise kernel and the only decode attention
+    /// in the workspace. It streams: the segments are walked in physical
+    /// order (after Module II's reorder the chunks are Algorithm 1's at most
+    /// three same-bitwidth runs; the FP16 remainder and the decode tail
+    /// follow), a quantized row is reconstructed into one reusable
+    /// `head_dim` buffer and an FP16 row is read where it lies. The call
+    /// allocates that buffer, one `(m, tokens)` score block, one
+    /// `(m, head_dim)` partial and the output — nothing per chunk, and no
+    /// score, probability or dequantized matrix. Only an outlier-patched
+    /// chunk (the KVQuant baseline) is first copied out dense.
+    ///
+    /// # Operation order
+    ///
+    /// Every output bit equals that of the materialised path it replaced
+    /// (per segment `matmul_transposed` / `fp_matmul_quant_transposed`,
+    /// `concat_cols`, `scale_in_place`, `softmax_rows`, then per segment
+    /// `slice_cols` + `matmul` / `fp_matmul_quant` + `add_assign`), kept as
+    /// the test reference of this module, because each element goes through
+    /// the same `f32` operations in the same order:
+    ///
+    /// 1. `s[j] = dot(q, k[j]) * scale` for every key row `j` in physical
+    ///    order, [`gemm::dot`] being one sequential chain from `0.0` over
+    ///    ascending dimensions;
+    /// 2. `max` folded from `-inf` with `f32::max` over ascending `j`;
+    ///    `p[j] = exp(s[j] - max)` and `sum += p[j]` left to right from
+    ///    `0.0`; `p[j] /= sum` if `sum > 0.0` ([`softmax_in_place`]);
+    /// 3. per non-empty segment a partial starts at `0.0` and takes
+    ///    [`gemm::axpy`]`(partial, p[j], v[j])` over the segment's ascending
+    ///    `j`, skipping `p[j] == 0.0`; then `out += partial`, segments in
+    ///    physical order.
+    ///
+    /// Query rows are independent; a key or value row is reconstructed once
+    /// and used for all of them.
     ///
     /// # Errors
     ///
     /// Returns an error if the query head dimension does not match.
-    pub fn attend(&self, queries: &Matrix, scale: f32) -> Result<DecodeAttention, KvCacheError> {
+    pub fn attend(&self, queries: &Matrix, scale: f32) -> Result<Matrix, KvCacheError> {
         if queries.cols() != self.head_dim {
             return Err(KvCacheError::ShapeMismatch(format!(
                 "query dim {} vs head_dim {}",
@@ -403,74 +405,52 @@ impl ChunkedLayerCache {
                 self.head_dim
             )));
         }
-        // 1. Per-segment attention scores, concatenated along the token axis.
-        let mut score_blocks: Vec<Matrix> = Vec::with_capacity(self.chunks.len() + 2);
-        let mut segment_lengths = Vec::with_capacity(self.chunks.len() + 2);
-        for chunk in &self.chunks {
-            let scores = if chunk.outlier_count() > 0 {
-                // Outlier-patched chunks (KVQuant-style) need the patched
-                // dense keys, so take the dense path.
-                queries.matmul_transposed(&chunk.key_matrix())?
-            } else {
-                match chunk.storage() {
-                    ChunkStorage::Fp16 { k, .. } => queries.matmul_transposed(k)?,
-                    ChunkStorage::Quantized { k, .. } => {
-                        // Threshold-gated: single-token decode against a
-                        // normal chunk stays on the scalar fused kernel;
-                        // only long-context batched products fork tiles.
-                        parallel::fp_matmul_quant_transposed(queries, k)?
-                    }
-                }
-            };
-            segment_lengths.push(chunk.token_len());
-            score_blocks.push(scores);
+        let (m, dim) = queries.shape();
+        let tokens = self.total_tokens();
+        let mut output = Matrix::zeros(m, dim);
+        if tokens == 0 {
+            return Ok(output);
         }
-        score_blocks.push(queries.matmul_transposed(&self.remainder_k)?);
-        segment_lengths.push(self.remainder_len());
-        score_blocks.push(queries.matmul_transposed(&self.tail_k)?);
-        segment_lengths.push(self.tail_len());
+        let mut row_buf = vec![0.0f32; dim];
+        let mut scores = vec![0.0f32; m * tokens];
 
-        let refs: Vec<&Matrix> = score_blocks.iter().collect();
-        let mut scores = Matrix::concat_cols(&refs)?;
-        scores.scale_in_place(scale);
-        scores.softmax_rows();
+        let mut col = 0;
+        for keys in self.segments(KvChunk::key_rows, &self.remainder_k, &self.tail_k) {
+            for r in 0..keys.len() {
+                let key = keys.row(r, &mut row_buf);
+                for i in 0..m {
+                    scores[i * tokens + col] = gemm::dot(queries.row(i), key) * scale;
+                }
+                col += 1;
+            }
+        }
+        debug_assert_eq!(col, tokens, "segments cover total_tokens()");
+        for row in scores.chunks_exact_mut(tokens) {
+            softmax_in_place(row);
+        }
 
-        // 2. Split the probabilities back into segments and accumulate the
-        //    weighted values.
-        let mut output = Matrix::zeros(queries.rows(), self.head_dim);
-        let mut col = 0usize;
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            let len = segment_lengths[i];
-            if len == 0 {
+        let mut partial = vec![0.0f32; m * dim];
+        let mut col = 0;
+        for values in self.segments(KvChunk::value_rows, &self.remainder_v, &self.tail_v) {
+            if values.len() == 0 {
                 continue;
             }
-            let probs = scores.slice_cols(col, col + len);
-            let partial = if chunk.outlier_count() > 0 {
-                probs.matmul(&chunk.value_matrix())?
-            } else {
-                match chunk.storage() {
-                    ChunkStorage::Fp16 { v, .. } => probs.matmul(v)?,
-                    ChunkStorage::Quantized { v, .. } => parallel::fp_matmul_quant(&probs, v)?,
+            partial.fill(0.0);
+            for r in 0..values.len() {
+                let value = values.row(r, &mut row_buf);
+                for i in 0..m {
+                    let weight = scores[i * tokens + col];
+                    if weight != 0.0 {
+                        gemm::axpy(&mut partial[i * dim..(i + 1) * dim], weight, value);
+                    }
                 }
-            };
-            output.add_assign(&partial)?;
-            col += len;
+                col += 1;
+            }
+            for (out, part) in output.as_mut_slice().iter_mut().zip(&partial) {
+                *out += part;
+            }
         }
-        if self.remainder_len() > 0 {
-            let probs = scores.slice_cols(col, col + self.remainder_len());
-            output.add_assign(&probs.matmul(&self.remainder_v)?)?;
-            col += self.remainder_len();
-        }
-        if self.tail_len() > 0 {
-            let probs = scores.slice_cols(col, col + self.tail_len());
-            output.add_assign(&probs.matmul(&self.tail_v)?)?;
-        }
-
-        Ok(DecodeAttention {
-            output,
-            probabilities: scores,
-            segment_lengths,
-        })
+        Ok(output)
     }
 }
 
@@ -606,7 +586,133 @@ impl ChunkedKvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkStorage;
+    use cocktail_quant::parallel;
     use cocktail_tensor::rng;
+    use proptest::prelude::*;
+
+    /// The materialised decode attention `attend` replaced, kept verbatim as
+    /// the bit-exact reference: a score matrix per segment, `concat_cols`,
+    /// `softmax_rows`, then per segment `slice_cols` + a GEMM into a fresh
+    /// partial + `add_assign`. Returns `(output, probabilities)`.
+    fn attend_materialised(
+        cache: &ChunkedLayerCache,
+        queries: &Matrix,
+        scale: f32,
+    ) -> (Matrix, Matrix) {
+        let mut score_blocks: Vec<Matrix> = Vec::with_capacity(cache.chunks.len() + 2);
+        let mut segment_lengths = Vec::with_capacity(cache.chunks.len() + 2);
+        for chunk in &cache.chunks {
+            let scores = if chunk.outlier_count() > 0 {
+                queries.matmul_transposed(&chunk.key_matrix()).unwrap()
+            } else {
+                match chunk.storage() {
+                    ChunkStorage::Fp16 { k, .. } => queries.matmul_transposed(k).unwrap(),
+                    ChunkStorage::Quantized { k, .. } => {
+                        parallel::fp_matmul_quant_transposed(queries, k).unwrap()
+                    }
+                }
+            };
+            segment_lengths.push(chunk.token_len());
+            score_blocks.push(scores);
+        }
+        score_blocks.push(queries.matmul_transposed(&cache.remainder_k).unwrap());
+        segment_lengths.push(cache.remainder_len());
+        score_blocks.push(queries.matmul_transposed(&cache.tail_k).unwrap());
+        segment_lengths.push(cache.tail_len());
+
+        let refs: Vec<&Matrix> = score_blocks.iter().collect();
+        let mut scores = Matrix::concat_cols(&refs).unwrap();
+        scores.scale_in_place(scale);
+        scores.softmax_rows();
+
+        let mut output = Matrix::zeros(queries.rows(), cache.head_dim);
+        let mut col = 0usize;
+        for (i, chunk) in cache.chunks.iter().enumerate() {
+            let len = segment_lengths[i];
+            if len == 0 {
+                continue;
+            }
+            let probs = scores.slice_cols(col, col + len);
+            let partial = if chunk.outlier_count() > 0 {
+                probs.matmul(&chunk.value_matrix()).unwrap()
+            } else {
+                match chunk.storage() {
+                    ChunkStorage::Fp16 { v, .. } => probs.matmul(v).unwrap(),
+                    ChunkStorage::Quantized { v, .. } => {
+                        parallel::fp_matmul_quant(&probs, v).unwrap()
+                    }
+                }
+            };
+            output.add_assign(&partial).unwrap();
+            col += len;
+        }
+        if cache.remainder_len() > 0 {
+            let probs = scores.slice_cols(col, col + cache.remainder_len());
+            output
+                .add_assign(&probs.matmul(&cache.remainder_v).unwrap())
+                .unwrap();
+            col += cache.remainder_len();
+        }
+        if cache.tail_len() > 0 {
+            let probs = scores.slice_cols(col, col + cache.tail_len());
+            output
+                .add_assign(&probs.matmul(&cache.tail_v).unwrap())
+                .unwrap();
+        }
+        (output, scores)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Rewrites `cache` into storage mix `mix`: 0 all-FP16; 1–3 uniform
+    /// INT8 / INT4 / INT2 per token; 4 keys per channel, values per token
+    /// (KIVI); 5 bitwidths interleaved chunk by chunk; 6 the same grouped
+    /// into runs by a reorder; 7 INT2 with an FP16 outlier patch per chunk.
+    fn apply_mix(cache: &mut ChunkedLayerCache, mix: usize, group: usize) {
+        const CYCLE: [Bitwidth; 4] = [
+            Bitwidth::Int2,
+            Bitwidth::Fp16,
+            Bitwidth::Int4,
+            Bitwidth::Int8,
+        ];
+        let per_token = QuantAxis::PerToken;
+        match mix {
+            0 => {}
+            1..=3 => {
+                let bitwidth = [Bitwidth::Int8, Bitwidth::Int4, Bitwidth::Int2][mix - 1];
+                cache
+                    .quantize_all(bitwidth, per_token, per_token, group)
+                    .unwrap();
+            }
+            4 => cache
+                .quantize_all(Bitwidth::Int4, QuantAxis::PerChannel, per_token, group)
+                .unwrap(),
+            5 | 6 => {
+                let widths: Vec<Bitwidth> =
+                    (0..cache.chunk_count()).map(|i| CYCLE[i % 4]).collect();
+                for (i, &bitwidth) in widths.iter().enumerate() {
+                    cache.quantize_chunk(i, bitwidth, group).unwrap();
+                }
+                if mix == 6 {
+                    let keys: Vec<u32> = widths.iter().map(|b| b.bits()).collect();
+                    cache
+                        .reorder(&ChunkPermutation::stable_sort_by_key(&keys))
+                        .unwrap();
+                }
+            }
+            _ => {
+                let last = cache.segmentation.chunk_size() - 1;
+                for i in 0..cache.chunk_count() {
+                    cache
+                        .quantize_chunk_with_outliers(i, Bitwidth::Int2, group, &[1, last])
+                        .unwrap();
+                }
+            }
+        }
+    }
 
     fn build_cache(tokens: usize, dim: usize, chunk: usize, seed: u64) -> ChunkedLayerCache {
         let k = rng::gaussian_matrix(tokens, dim, 1.0, seed);
@@ -648,37 +754,28 @@ mod tests {
 
     #[test]
     fn quantize_and_attend_are_bit_identical_across_kernel_thread_counts() {
-        // A context large enough that the dispatcher's threshold trips
-        // (512-token chunks × 128 dims), quantized and attended under
-        // kernel-thread overrides of 1 (scalar) and 4 (tiled): every bit
-        // of storage and attention output must match.
+        // A context large enough that the quantize dispatcher's threshold
+        // trips (512-token chunks × 128 dims), quantized under kernel-thread
+        // overrides of 1 (scalar) and 4 (tiled): every stored bit must
+        // match. `attend` never forks, so equal storage is equal attention.
         let build = || {
             let mut cache = build_cache(1100, 128, 512, 21);
             cache.quantize_chunk(0, Bitwidth::Int4, 32).unwrap();
             cache.quantize_chunk(1, Bitwidth::Int2, 32).unwrap();
             cache
         };
+        parallel::set_kernel_thread_override(Some(1));
+        let scalar_cache = build();
+        parallel::set_kernel_thread_override(Some(4));
+        let tiled_cache = build();
+        parallel::set_kernel_thread_override(None);
+
+        assert_eq!(scalar_cache, tiled_cache);
         let q = rng::gaussian_matrix(4, 128, 1.0, 77);
         let scale = 1.0 / (128f32).sqrt();
-
-        cocktail_quant::parallel::set_kernel_thread_override(Some(1));
-        let scalar_cache = build();
-        let scalar_out = scalar_cache.attend(&q, scale).unwrap();
-
-        cocktail_quant::parallel::set_kernel_thread_override(Some(4));
-        let tiled_cache = build();
-        let tiled_out = tiled_cache.attend(&q, scale).unwrap();
-        cocktail_quant::parallel::set_kernel_thread_override(None);
-
-        assert_eq!(scalar_cache.storage_bytes(), tiled_cache.storage_bytes());
         assert_eq!(
-            scalar_out.output.as_slice(),
-            tiled_out.output.as_slice(),
-            "attention outputs must be bit-identical across thread counts"
-        );
-        assert_eq!(
-            scalar_out.probabilities.as_slice(),
-            tiled_out.probabilities.as_slice()
+            bits(&scalar_cache.attend(&q, scale).unwrap()),
+            bits(&tiled_cache.attend(&q, scale).unwrap())
         );
     }
 
@@ -745,7 +842,7 @@ mod tests {
             let mut rounded = Matrix::from_vec(1, 4, row.to_vec()).unwrap();
             rounded.round_to_f16();
             expected = Matrix::concat_rows(&[&expected, &rounded]).unwrap();
-            assert_eq!(cache.tail(), (&expected, &expected));
+            assert_eq!((&cache.tail_k, &cache.tail_v), (&expected, &expected));
         }
     }
 
@@ -755,8 +852,8 @@ mod tests {
         cache.quantize_chunk(1, Bitwidth::Int4, 8).unwrap();
         cache.append_decode_token(&[0.25; 8], &[0.5; 8]).unwrap();
         let chunk_tokens = 64;
-        let (rem_k, rem_v) = cache.remainder();
-        let (tail_k, tail_v) = cache.tail();
+        let (rem_k, rem_v) = (&cache.remainder_k, &cache.remainder_v);
+        let (tail_k, tail_v) = (&cache.tail_k, &cache.tail_v);
         let full_k = cache.full_key_matrix();
         let full_v = cache.full_value_matrix();
         assert_eq!(
@@ -783,7 +880,7 @@ mod tests {
         scores.scale_in_place(scale);
         scores.softmax_rows();
         let reference = scores.matmul(&v).unwrap();
-        assert!(result.output.max_abs_diff(&reference).unwrap() < 1e-4);
+        assert!(result.max_abs_diff(&reference).unwrap() < 1e-4);
     }
 
     #[test]
@@ -796,7 +893,7 @@ mod tests {
             .reorder(&ChunkPermutation::new(vec![3, 1, 0, 2]).unwrap())
             .unwrap();
         let after = cache.attend(&q, scale).unwrap();
-        assert!(before.output.max_abs_diff(&after.output).unwrap() < 1e-5);
+        assert!(before.max_abs_diff(&after).unwrap() < 1e-5);
     }
 
     #[test]
@@ -809,7 +906,7 @@ mod tests {
             .quantize_all(Bitwidth::Int8, QuantAxis::PerToken, QuantAxis::PerToken, 16)
             .unwrap();
         let quantized = cache.attend(&q, scale).unwrap();
-        let err = fp16.output.max_abs_diff(&quantized.output).unwrap();
+        let err = fp16.max_abs_diff(&quantized).unwrap();
         assert!(err < 0.05, "int8 attention error too large: {err}");
     }
 
@@ -821,13 +918,68 @@ mod tests {
     }
 
     #[test]
-    fn segment_mass_sums_to_one() {
-        let cache = build_cache(50, 8, 16, 11);
-        let q = rng::gaussian_matrix(1, 8, 1.0, 5);
-        let result = cache.attend(&q, 0.35).unwrap();
-        let mass: f32 = result.segment_mass().iter().sum();
-        assert!((mass - 1.0).abs() < 1e-4);
-        assert_eq!(result.segment_lengths.len(), cache.chunk_count() + 2);
+    fn attend_skips_probabilities_that_underflow_to_zero() {
+        // A query far along one key: every other key's probability
+        // underflows to exactly 0.0 and is skipped, as `matmul` skips it.
+        let mut cache = build_cache(70, 8, 16, 11);
+        apply_mix(&mut cache, 5, 8);
+        cache.append_decode_token(&[0.5; 8], &[0.25; 8]).unwrap();
+        let mut q = Matrix::zeros(2, 8);
+        q.row_mut(0)
+            .copy_from_slice(cache.full_key_matrix().row(40));
+        q.row_mut(1).copy_from_slice(cache.full_key_matrix().row(3));
+        q.scale_in_place(200.0);
+        let (reference, probabilities) = attend_materialised(&cache, &q, 1.0);
+        assert!(probabilities.as_slice().contains(&0.0));
+        assert!(probabilities.as_slice().iter().any(|&p| p > 0.5));
+        assert_eq!(bits(&cache.attend(&q, 1.0).unwrap()), bits(&reference));
+    }
+
+    #[test]
+    fn attend_over_an_empty_cache_is_zero() {
+        let cache = build_cache(0, 8, 16, 12);
+        let q = rng::gaussian_matrix(2, 8, 1.0, 5);
+        assert_eq!(cache.attend(&q, 0.35).unwrap(), Matrix::zeros(2, 8));
+        assert_eq!(attend_materialised(&cache, &q, 0.35).0, Matrix::zeros(2, 8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // The kernel's contract: every output bit equals the materialised
+        // path's, for every storage mix, with and without chunks (a context
+        // shorter than one chunk has none), remainder and decode tail, and
+        // for a query sharp enough to zero some probabilities.
+        #[test]
+        fn streaming_attend_is_bit_identical_to_the_materialised_reference(
+            tokens in 0usize..300,
+            dim_pick in 0usize..4,
+            chunk_pick in 0usize..3,
+            queries in 1usize..5,
+            mix in 0usize..8,
+            group_pick in 0usize..3,
+            tail in 0usize..3,
+            sharp in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let dim = [2usize, 8, 16, 64][dim_pick];
+            let chunk = [8usize, 16, 32][chunk_pick];
+            let mut cache = build_cache(tokens, dim, chunk, seed);
+            apply_mix(&mut cache, mix, [4usize, 8, 32][group_pick]);
+            for t in 0..tail {
+                let row = rng::gaussian_matrix(2, dim, 1.0, seed + 7 + t as u64);
+                cache.append_decode_token(row.row(0), row.row(1)).unwrap();
+            }
+            let mut q = rng::gaussian_matrix(queries, dim, 1.0, seed + 3);
+            if sharp == 1 {
+                q.scale_in_place(150.0);
+            }
+            let scale = 1.0 / (dim as f32).sqrt();
+            let (reference, _) = attend_materialised(&cache, &q, scale);
+            let streamed = cache.attend(&q, scale).unwrap();
+            prop_assert_eq!(streamed.shape(), (queries, dim));
+            prop_assert_eq!(bits(&streamed), bits(&reference));
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::KvCacheError;
 use cocktail_quant::{Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Physical storage of a chunk's key and value tensors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,6 +24,36 @@ pub enum ChunkStorage {
         /// Quantized value tensor.
         v: QuantizedMatrix,
     },
+}
+
+/// The key or the value rows of one cache segment as the decode attention
+/// kernel reads them: one row at a time, a quantized row reconstructed into
+/// the caller's buffer, a dense row borrowed where it lies.
+pub(crate) enum Rows<'a> {
+    /// FP16 storage, or the patched dense copy of an outlier-carrying chunk.
+    Dense(Cow<'a, Matrix>),
+    /// Quantized storage without outliers.
+    Quantized(&'a QuantizedMatrix),
+}
+
+impl Rows<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Rows::Dense(m) => m.rows(),
+            Rows::Quantized(q) => q.rows(),
+        }
+    }
+
+    /// Row `r`; `buf` (`head_dim` long) is used only by quantized storage.
+    pub(crate) fn row<'b>(&'b self, r: usize, buf: &'b mut [f32]) -> &'b [f32] {
+        match self {
+            Rows::Dense(m) => m.row(r),
+            Rows::Quantized(q) => {
+                q.dequantize_row_into(r, buf);
+                buf
+            }
+        }
+    }
 }
 
 /// FP16 copies of a few "outlier" token rows kept alongside a quantized
@@ -267,6 +298,25 @@ impl KvChunk {
             }
         }
         v
+    }
+
+    /// The key rows for the attention kernel: borrowed, except that an
+    /// outlier patch forces the patched dense copy.
+    pub(crate) fn key_rows(&self) -> Rows<'_> {
+        match &self.storage {
+            _ if self.outliers.is_some() => Rows::Dense(Cow::Owned(self.key_matrix())),
+            ChunkStorage::Fp16 { k, .. } => Rows::Dense(Cow::Borrowed(k)),
+            ChunkStorage::Quantized { k, .. } => Rows::Quantized(k),
+        }
+    }
+
+    /// The value rows for the attention kernel, as [`KvChunk::key_rows`].
+    pub(crate) fn value_rows(&self) -> Rows<'_> {
+        match &self.storage {
+            _ if self.outliers.is_some() => Rows::Dense(Cow::Owned(self.value_matrix())),
+            ChunkStorage::Fp16 { v, .. } => Rows::Dense(Cow::Borrowed(v)),
+            ChunkStorage::Quantized { v, .. } => Rows::Quantized(v),
+        }
     }
 
     fn dequantized_pair(&self) -> (Matrix, Matrix) {

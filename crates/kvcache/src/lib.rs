@@ -13,8 +13,8 @@
 //!   chunk-reordering module manipulates.
 //! * [`ChunkedLayerCache`] / [`ChunkedKvCache`] — the per-(layer, head) and
 //!   whole-model cache containers, including the FP16 decode tail for
-//!   output tokens and a generic decode-attention kernel over mixed-
-//!   precision chunks.
+//!   output tokens and [`ChunkedLayerCache::attend`], the one streaming
+//!   decode-attention kernel over mixed-precision chunks.
 //! * [`MemoryLayout`] — the physical byte layout of the chunks in a flat
 //!   arena, with the statistics (bitwidth transitions, cache-line waste)
 //!   that the hardware model in `cocktail-hwsim` consumes.
@@ -60,7 +60,7 @@ mod shared;
 mod snapshot;
 
 pub use arena::{LayoutRegion, LayoutStats, MemoryLayout};
-pub use cache::{ChunkedKvCache, ChunkedLayerCache, DecodeAttention};
+pub use cache::{ChunkedKvCache, ChunkedLayerCache};
 pub use chunk::{ChunkStorage, KvChunk, OutlierPatch};
 pub use error::KvCacheError;
 pub use permutation::ChunkPermutation;

@@ -2,12 +2,11 @@
 
 use crate::config::ModelConfig;
 use crate::error::ModelError;
-use crate::pool::WorkerPool;
 use crate::profile::ModelProfile;
 use crate::tokenizer::Tokenizer;
 use crate::weights::{LayerWeights, ModelWeights};
 use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
-use cocktail_quant::parallel as kernel_parallel;
+use cocktail_quant::parallel::{self as kernel_parallel, KernelPool};
 use cocktail_tensor::ops::{causal_attention, rms_norm_rows, rope_rows, silu, KvRows};
 use cocktail_tensor::Matrix;
 use std::sync::mpsc;
@@ -233,8 +232,7 @@ impl EngineShared {
                     "cache slot (layer {layer_idx}, head {kv_head}) is not populated"
                 ))
             })?;
-            let attn = entry.attend(&q_h, scale)?;
-            head_outputs.push(attn.output);
+            head_outputs.push(entry.attend(&q_h, scale)?);
         }
         let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
         Matrix::concat_cols(&head_refs).map_err(ModelError::from)
@@ -316,13 +314,14 @@ impl PrefillSlotMeta {
 /// [`InferenceEngine::generate_with_cache`] run decode-phase attention over
 /// the (possibly quantized, possibly reordered) cache.
 ///
-/// On multi-core hosts the engine owns a **persistent decode pool**
-/// ([`WorkerPool`]): the threads are spawned once, on the first batched
-/// decode round that can use them, and then serve every decode round for
-/// the engine's whole lifetime — [`InferenceEngine::pool_spawn_count`]
-/// stays at the worker count however many rounds run. Work is assigned to
-/// workers by contiguous chunk index and stitched back in order, so pooled
-/// outputs are bit-identical to the single-threaded loop. Prefill does not
+/// On multi-core hosts the engine owns a **persistent decode pool** (a
+/// [`KernelPool`] of its own): the threads are spawned once, on the first
+/// batched decode round that can use them, and then serve every decode
+/// round for the engine's whole lifetime —
+/// [`InferenceEngine::pool_spawn_count`] stays at the worker count however
+/// many rounds run. Work is assigned to workers by contiguous chunk index
+/// and stitched back in order, so pooled outputs are bit-identical to the
+/// single-threaded loop. Prefill does not
 /// use this pool: its attention is a list of (slot, head) tiles that a
 /// lone slot runs on the process-wide kernel pool of
 /// `cocktail_quant::parallel` (following `COCKTAIL_KERNEL_THREADS`) and a
@@ -348,7 +347,7 @@ pub struct InferenceEngine {
     shared: Arc<EngineShared>,
     tokenizer: Tokenizer,
     seed: u64,
-    pool: OnceLock<WorkerPool>,
+    pool: OnceLock<KernelPool>,
 }
 
 impl InferenceEngine {
@@ -419,13 +418,13 @@ impl InferenceEngine {
     /// across decode rounds instead of re-spawning per round. Prefill never
     /// touches it.
     pub fn pool_spawn_count(&self) -> usize {
-        self.pool.get().map_or(0, WorkerPool::spawn_count)
+        self.pool.get().map_or(0, KernelPool::spawn_count)
     }
 
     /// The persistent decode pool, spawned on first use.
-    fn pool(&self) -> &WorkerPool {
+    fn pool(&self) -> &KernelPool {
         self.pool
-            .get_or_init(|| WorkerPool::new(self.pool_workers()))
+            .get_or_init(|| KernelPool::new(self.pool_workers()))
     }
 
     fn embed(&self, tokens: &[u32]) -> Result<Matrix, ModelError> {
@@ -875,7 +874,7 @@ impl InferenceEngine {
     /// *batch* rather than once per request. Attention stays per-request,
     /// since each request owns its cache, and RoPE is applied per row at
     /// each request's own position; on multi-core hosts the per-request
-    /// attention runs on the engine's persistent [`WorkerPool`], the
+    /// attention runs on the engine's persistent [`KernelPool`], the
     /// request-level parallelism that continuous batching exposes. Row `i`
     /// of the batch goes through exactly the same row-wise arithmetic as a
     /// lone [`InferenceEngine::decode_step`] call — requests never share

@@ -37,7 +37,6 @@
 mod config;
 mod engine;
 mod error;
-mod pool;
 mod profile;
 pub mod sample;
 mod tokenizer;
@@ -48,7 +47,6 @@ pub use engine::{
     BatchPrefill, DecodeSlot, DecodeStep, InferenceEngine, PrefillOutput, PrefillSlot, RawKv,
 };
 pub use error::ModelError;
-pub use pool::WorkerPool;
 pub use profile::ModelProfile;
 pub use sample::{SamplerChain, SamplingParams};
 pub use tokenizer::{Tokenizer, BOS_TOKEN, UNK_TOKEN};

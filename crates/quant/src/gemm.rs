@@ -18,10 +18,13 @@ use crate::config::QuantError;
 use crate::quantized::QuantizedMatrix;
 use cocktail_tensor::Matrix;
 
-/// Sequential dot product — the single accumulation order every score
-/// kernel in this module (fused, reference, tiled) shares.
+/// Sequential dot product (`acc = 0.0; acc += a[c] * b[c]`, `c` ascending,
+/// no reassociation) — the single accumulation order every score kernel
+/// shares: the fused, reference and tiled kernels of this module and the
+/// decode attention of `cocktail_kvcache`. It is also the per-element order
+/// of `Matrix::matmul_transposed`.
 #[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for (x, y) in a.iter().zip(b.iter()) {
         acc += x * y;
@@ -29,12 +32,13 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `out += weight * row`, skipped entirely for zero weights — the single
-/// accumulation step every value kernel in this module shares. The zero
-/// skip matters for attention probabilities, where masked positions are
-/// exactly 0.0.
+/// `out[c] += weight * row[c]` — the single accumulation step every value
+/// kernel shares (this module's and the decode attention of
+/// `cocktail_kvcache`), and the inner loop of `Matrix::matmul`. Callers
+/// skip the call for a weight of exactly 0.0, as `Matrix::matmul` does;
+/// attention probabilities that underflowed are exactly 0.0.
 #[inline]
-pub(crate) fn axpy(out: &mut [f32], weight: f32, row: &[f32]) {
+pub fn axpy(out: &mut [f32], weight: f32, row: &[f32]) {
     for (o, &v) in out.iter_mut().zip(row.iter()) {
         *o += weight * v;
     }

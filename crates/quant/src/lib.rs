@@ -16,8 +16,8 @@
 //!   threshold-gated data-parallel dispatchers over the kernels above:
 //!   large operands are tiled across pool workers and stitched in
 //!   deterministic tile order (bit-identical to the scalar paths at every
-//!   thread count), small operands stay scalar so single-token decode
-//!   pays no dispatch overhead.
+//!   thread count), small operands stay scalar and pay no dispatch
+//!   overhead.
 //! * [`error`] — quantization error metrics used by the evaluation harness.
 //!
 //! # Example

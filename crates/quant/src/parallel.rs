@@ -6,9 +6,10 @@
 //! Every dispatcher follows the same recipe:
 //!
 //! 1. **Threshold gate.** Small operands (anything below
-//!    [`PARALLEL_THRESHOLD`] multiply-adds / elements — e.g. every
-//!    single-token decode product) take the scalar fused kernel directly
-//!    and pay zero dispatch overhead. The scalar kernels are themselves
+//!    [`PARALLEL_THRESHOLD`] multiply-adds / elements) take the scalar
+//!    fused kernel directly and pay zero dispatch overhead. (Decode
+//!    attention is not a caller: `cocktail_kvcache`'s streaming kernel
+//!    reads quantized rows itself and never forks.) The scalar kernels are themselves
 //!    bit-identical to the `*_reference` paths, which therefore serve as
 //!    the documented fallback of the whole dispatcher stack.
 //! 2. **Deterministic tiling.** Large operands are cut into contiguous
@@ -44,9 +45,9 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Minimum amount of kernel work (multiply-adds for the GEMMs, elements
 /// for quantize/dequantize) before a dispatcher forks tiles onto the pool.
 ///
-/// Below this the scalar fused kernel wins outright: a single-token decode
-/// score product against a 256-token chunk is ~16k multiply-adds, well
-/// under the gate, so decode never pays dispatch overhead.
+/// Below this the scalar fused kernel wins outright: a single-query score
+/// product against a 256-token chunk is ~16k multiply-adds, well under
+/// the gate.
 pub const PARALLEL_THRESHOLD: usize = 64 * 1024;
 
 /// Environment variable that pins the kernel thread count (read once per
@@ -56,11 +57,11 @@ pub const KERNEL_THREADS_ENV: &str = "COCKTAIL_KERNEL_THREADS";
 
 /// A fixed set of persistent worker threads with per-worker job channels.
 ///
-/// The same deterministic design as the engine's `WorkerPool` (which is a
-/// thin wrapper over this type since the kernel-parallelism PR): each
-/// worker owns one job channel, callers assign work to workers by index,
-/// jobs never migrate, and dropping the pool closes the channels and joins
-/// every thread.
+/// One deterministic design serves both the process-wide kernel dispatcher
+/// below and the inference engine's request-level decode parallelism (one
+/// pool per engine): each worker owns one job channel, callers assign work
+/// to workers by index, jobs never migrate, and dropping the pool closes
+/// the channels and joins every thread.
 pub struct KernelPool {
     senders: Vec<mpsc::Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
@@ -447,6 +448,7 @@ mod tests {
     use crate::Bitwidth;
     use cocktail_tensor::rng;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn cfg(bw: Bitwidth, axis: QuantAxis, group: usize) -> QuantConfig {
         QuantConfig::new(bw, axis, group).expect("valid test config")
@@ -465,6 +467,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn jobs_run_on_their_assigned_worker_and_results_come_back() {
+        let pool = KernelPool::new(3);
+        assert_eq!(pool.workers(), 3);
+        assert_eq!(pool.spawn_count(), 3);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..3usize {
+            let tx = tx.clone();
+            pool.run_on(
+                i,
+                Box::new(move || {
+                    let worker = std::thread::current().id();
+                    tx.send((i, worker)).expect("receiver alive");
+                }),
+            );
+        }
+        drop(tx);
+        let (mut jobs, workers): (Vec<usize>, HashSet<_>) = rx.iter().unzip();
+        jobs.sort_unstable();
+        assert_eq!(jobs, vec![0, 1, 2]);
+        assert_eq!(workers.len(), 3, "one thread per worker index");
+    }
+
+    #[test]
+    fn spawn_count_is_stable_across_many_job_rounds() {
+        let pool = KernelPool::new(2);
+        for _ in 0..20 {
+            let (tx, rx) = mpsc::channel();
+            for i in 0..2usize {
+                let tx = tx.clone();
+                pool.run_on(i, Box::new(move || tx.send(i).expect("receiver alive")));
+            }
+            drop(tx);
+            assert_eq!(rx.iter().count(), 2);
+        }
+        assert_eq!(pool.spawn_count(), 2);
+    }
+
+    #[test]
+    fn zero_workers_is_clamped_to_one() {
+        let pool = KernelPool::new(0);
+        assert_eq!(pool.workers(), 1);
     }
 
     #[test]

@@ -35,13 +35,6 @@
 //! file, corrupt snapshot, or config mismatch reports
 //! `restored: false` with a reason while the replica keeps serving.
 //!
-//! The legacy unversioned paths still answer for one release, marked
-//! deprecated: `POST /api/generate` serves identically (plus
-//! `Deprecation` and `Link: </api/v1/generate>;
-//! rel="successor-version"` headers — a 308 would force clients to replay
-//! the body), and `GET /api/stats` answers `308 Permanent Redirect` to
-//! `/api/v1/stats`.
-//!
 //! Over-capacity submits answer `429` with the queue depth and an
 //! `X-Replica-Count` header; malformed HTTP answers the status from
 //! [`ParseError::status`](crate::http::ParseError) and closes.
@@ -351,33 +344,14 @@ fn write_parse_error(stream: &mut TcpStream, err: &ParseError) -> std::io::Resul
 }
 
 fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_json_with(stream, status, body, &[])
-}
-
-/// Like [`write_json`] but with extra response headers (the legacy-alias
-/// deprecation headers).
-fn write_json_with(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    extra: &[(&str, &str)],
-) -> std::io::Result<()> {
     let length = body.len().to_string();
-    let mut headers: Vec<(&str, &str)> = vec![
+    let headers = [
         ("Content-Type", "application/json"),
-        ("Content-Length", &length),
+        ("Content-Length", length.as_str()),
     ];
-    headers.extend_from_slice(extra);
     stream.write_all(&http::response_head(status, &headers))?;
     stream.write_all(body.as_bytes())
 }
-
-/// Headers stamped on every legacy `POST /api/generate` answer: the path
-/// still works for one release, but clients should move to the successor.
-const LEGACY_GENERATE_HEADERS: &[(&str, &str)] = &[
-    ("Deprecation", "true"),
-    ("Link", "</api/v1/generate>; rel=\"successor-version\""),
-];
 
 /// Every path the gateway serves (used to tell 405 from 404).
 const KNOWN_TARGETS: &[&str] = &[
@@ -386,8 +360,6 @@ const KNOWN_TARGETS: &[&str] = &[
     "/api/v1/version",
     "/api/v1/admin/snapshot",
     "/api/v1/admin/restore",
-    "/api/generate",
-    "/api/stats",
     "/healthz",
 ];
 
@@ -406,13 +378,7 @@ fn route(stream: &mut TcpStream, request: &Request, pool: &ReplicaPool) -> std::
         None => (request.target.as_str(), None),
     };
     match (request.method.as_str(), path) {
-        ("POST", "/api/v1/generate") => handle_generate(stream, request, pool, &[]),
-        // Legacy alias, deprecated: answers exactly like the v1 path (a
-        // 308 would force clients to replay the POST body) but flags the
-        // successor in its headers.
-        ("POST", "/api/generate") => {
-            handle_generate(stream, request, pool, LEGACY_GENERATE_HEADERS)
-        }
+        ("POST", "/api/v1/generate") => handle_generate(stream, request, pool),
         ("GET", "/api/v1/stats") => {
             let stats = pool.stats();
             write_json(
@@ -420,20 +386,6 @@ fn route(stream: &mut TcpStream, request: &Request, pool: &ReplicaPool) -> std::
                 200,
                 &serde_json::to_string(&stats).expect("stats serialize"),
             )?;
-            Ok(true)
-        }
-        // Legacy redirect, deprecated: GETs replay safely, so this one is
-        // a real 308.
-        ("GET", "/api/stats") => {
-            stream.write_all(&http::response_head(
-                308,
-                &[
-                    ("Location", "/api/v1/stats"),
-                    ("Deprecation", "true"),
-                    ("Link", "</api/v1/stats>; rel=\"successor-version\""),
-                    ("Content-Length", "0"),
-                ],
-            ))?;
             Ok(true)
         }
         ("GET", "/api/v1/version") => {
@@ -577,16 +529,14 @@ fn handle_generate(
     stream: &mut TcpStream,
     request: &Request,
     pool: &ReplicaPool,
-    extra: &[(&str, &str)],
 ) -> std::io::Result<bool> {
     let body = match std::str::from_utf8(&request.body) {
         Ok(body) => body,
         Err(_) => {
-            write_json_with(
+            write_json(
                 stream,
                 400,
                 &ErrorResponse::new("request body is not valid UTF-8").to_json(),
-                extra,
             )?;
             return Ok(true);
         }
@@ -594,7 +544,7 @@ fn handle_generate(
     let generate = match GenerateRequest::from_json(body) {
         Ok(generate) => generate,
         Err(message) => {
-            write_json_with(stream, 400, &ErrorResponse::new(message).to_json(), extra)?;
+            write_json(stream, 400, &ErrorResponse::new(message).to_json())?;
             return Ok(true);
         }
     };
@@ -617,11 +567,10 @@ fn handle_generate(
     drop(events_tx);
     let (replica, id, queue_position, wire_id) = match reply {
         PoolReply::Gone => {
-            write_json_with(
+            write_json(
                 stream,
                 500,
                 &ErrorResponse::new("engine driver is gone").to_json(),
-                extra,
             )?;
             return Ok(false);
         }
@@ -632,13 +581,12 @@ fn handle_generate(
             let body = ErrorResponse::backpressure(queued, queue_limit).to_json();
             let length = body.len().to_string();
             let replicas = pool.replicas().to_string();
-            let mut headers: Vec<(&str, &str)> = vec![
+            let headers = [
                 ("Content-Type", "application/json"),
-                ("Content-Length", &length),
+                ("Content-Length", length.as_str()),
                 ("Retry-After", "1"),
-                ("X-Replica-Count", &replicas),
+                ("X-Replica-Count", replicas.as_str()),
             ];
-            headers.extend_from_slice(extra);
             stream.write_all(&http::response_head(429, &headers))?;
             stream.write_all(body.as_bytes())?;
             return Ok(true);
@@ -655,21 +603,12 @@ fn handle_generate(
     // done with the request, however it ends.
     let _inflight = pool.inflight_guard(replica);
     if generate.stream {
-        stream_response(
-            stream,
-            wire_id,
-            queue_position,
-            events,
-            pool,
-            replica,
-            id,
-            extra,
-        )?;
+        stream_response(stream, wire_id, queue_position, events, pool, replica, id)?;
         // SSE streams are terminal for the connection: the client saw
         // `Connection: close` in the head.
         Ok(false)
     } else {
-        blocking_response(stream, wire_id, events, extra)?;
+        blocking_response(stream, wire_id, events)?;
         Ok(true)
     }
 }
@@ -680,7 +619,6 @@ fn blocking_response(
     stream: &mut TcpStream,
     id: String,
     events: Receiver<GatewayEvent>,
-    extra: &[(&str, &str)],
 ) -> std::io::Result<()> {
     loop {
         match events.recv() {
@@ -696,22 +634,20 @@ fn blocking_response(
                     generated_tokens,
                     finish: finish_str(finish).to_string(),
                 };
-                return write_json_with(
+                return write_json(
                     stream,
                     200,
                     &serde_json::to_string(&response).expect("response serialize"),
-                    extra,
                 );
             }
             Ok(GatewayEvent::Failed { message }) => {
-                return write_json_with(stream, 400, &ErrorResponse::new(message).to_json(), extra);
+                return write_json(stream, 400, &ErrorResponse::new(message).to_json());
             }
             Ok(GatewayEvent::Cancelled { .. }) | Err(_) => {
-                return write_json_with(
+                return write_json(
                     stream,
                     500,
                     &ErrorResponse::new("request was cancelled server-side").to_json(),
-                    extra,
                 );
             }
         }
@@ -720,7 +656,6 @@ fn blocking_response(
 
 /// Streaming generate: chunked SSE, one event per token, a probe for
 /// client disconnects between events, and a final `done` event.
-#[allow(clippy::too_many_arguments)]
 fn stream_response(
     stream: &mut TcpStream,
     id: String,
@@ -729,7 +664,6 @@ fn stream_response(
     pool: &ReplicaPool,
     replica: usize,
     request_id: cocktail_core::RequestId,
-    extra: &[(&str, &str)],
 ) -> std::io::Result<()> {
     // Clients see where they joined the admission queue before the first
     // token arrives (the streaming twin of the 429 body's queue depth).
@@ -743,7 +677,6 @@ fn stream_response(
     if let Some(position) = position.as_deref() {
         headers.push(("X-Queue-Position", position));
     }
-    headers.extend_from_slice(extra);
     stream.write_all(&http::response_head(200, &headers))?;
     let mut cancelled = false;
     loop {

@@ -306,7 +306,6 @@ fn body_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
 pub fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        308 => "Permanent Redirect",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",

@@ -8,10 +8,8 @@
 //! continuous-batching `step_events` loop out to connections over mpsc
 //! channels.
 //!
-//! What it serves (the versioned `/api/v1/` surface; the legacy
-//! unversioned paths still answer for one release, marked deprecated —
-//! `POST /api/generate` aliases with `Deprecation`/`Link` headers,
-//! `GET /api/stats` answers a `308` to its successor):
+//! What it serves (the versioned `/api/v1/` surface; the unversioned
+//! `/api/generate` and `/api/stats` of the first release answer `404`):
 //!
 //! * `POST /api/v1/generate` — JSON in, either one JSON answer or (with
 //!   `"stream": true`) a chunked Server-Sent-Events stream delivering

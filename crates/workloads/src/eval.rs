@@ -207,7 +207,7 @@ impl Evaluator {
             let q = Matrix::from_vec(1, self.config.embed_dim, self.word_embedding(&prev))
                 .expect("embedding length matches dim");
             let attention = cache.attend(&q, self.config.sharpness)?;
-            let output = attention.output.row(0);
+            let output = attention.row(0);
             let output_norm = cocktail_tensor::l2_norm(output).max(1e-6);
             let mut best_word = "";
             let mut best_score = f32::NEG_INFINITY;

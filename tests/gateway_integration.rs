@@ -206,18 +206,18 @@ fn malformed_requests_get_4xx_not_a_hung_connection() {
     let cases: Vec<(&str, Vec<u8>, u16)> = vec![
         (
             "bad json",
-            b"POST /api/generate HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json".to_vec(),
+            b"POST /api/v1/generate HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json".to_vec(),
             400,
         ),
         (
             "missing fields",
-            b"POST /api/generate HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}".to_vec(),
+            b"POST /api/v1/generate HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}".to_vec(),
             400,
         ),
         (
             "zero token budget",
             format!(
-                "POST /api/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+                "POST /api/v1/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
                 "{\"context\":\"c\",\"query\":\"q\",\"max_new_tokens\":0}".len(),
                 "{\"context\":\"c\",\"query\":\"q\",\"max_new_tokens\":0}"
             )
@@ -226,17 +226,17 @@ fn malformed_requests_get_4xx_not_a_hung_connection() {
         ),
         (
             "unsupported version",
-            b"GET /api/stats HTTP/2.0\r\n\r\n".to_vec(),
+            b"GET /api/v1/stats HTTP/2.0\r\n\r\n".to_vec(),
             505,
         ),
         (
             "chunked request body",
-            b"POST /api/generate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+            b"POST /api/v1/generate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
             501,
         ),
         (
             "header with no colon",
-            b"GET /api/stats HTTP/1.1\r\nBroken Header\r\n\r\n".to_vec(),
+            b"GET /api/v1/stats HTTP/1.1\r\nBroken Header\r\n\r\n".to_vec(),
             400,
         ),
         (
@@ -246,17 +246,17 @@ fn malformed_requests_get_4xx_not_a_hung_connection() {
         ),
         (
             "wrong method on a known path",
-            b"GET /api/generate HTTP/1.1\r\n\r\n".to_vec(),
+            b"GET /api/v1/generate HTTP/1.1\r\n\r\n".to_vec(),
             405,
         ),
         (
             "unimplemented method",
-            b"DELETE /api/generate HTTP/1.1\r\n\r\n".to_vec(),
+            b"DELETE /api/v1/generate HTTP/1.1\r\n\r\n".to_vec(),
             501,
         ),
         (
             "oversized declared body",
-            b"POST /api/generate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n".to_vec(),
+            b"POST /api/v1/generate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n".to_vec(),
             413,
         ),
     ];
@@ -265,7 +265,7 @@ fn malformed_requests_get_4xx_not_a_hung_connection() {
         assert_eq!(response.status, status, "{what}: {}", response.body_str());
     }
     // An oversized head (431) needs a header bigger than the cap.
-    let mut huge = b"GET /api/stats HTTP/1.1\r\nX-Padding: ".to_vec();
+    let mut huge = b"GET /api/v1/stats HTTP/1.1\r\nX-Padding: ".to_vec();
     huge.extend_from_slice(&vec![b'a'; 20 * 1024]);
     huge.extend_from_slice(b"\r\n\r\n");
     let response = client.send_raw(&huge).expect("server answers");
@@ -613,7 +613,7 @@ fn fleet_429_only_when_all_replicas_are_saturated() {
     let body =
         format!("{{\"context\":\"{long_context}\",\"query\":\"one more\",\"max_new_tokens\":4}}");
     let raw = format!(
-        "POST /api/generate HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "POST /api/v1/generate HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     let response = client.send_raw(raw.as_bytes()).expect("server answers");
@@ -658,7 +658,7 @@ fn temp_snapshot_path(tag: &str) -> String {
 }
 
 #[test]
-fn versioned_surface_answers_and_legacy_paths_stay_deprecated() {
+fn versioned_surface_answers_and_old_paths_answer_404() {
     let (server, client) = start_server(tiny_settings(), GatewayConfig::default());
 
     // The version endpoint names the API and the snapshot wire format.
@@ -667,45 +667,23 @@ fn versioned_surface_answers_and_legacy_paths_stay_deprecated() {
     assert_eq!(version.snapshot_format, SNAPSHOT_FORMAT_VERSION as usize);
     assert!(!version.crate_version.is_empty());
 
-    // Legacy GET /api/stats answers a real 308 to its successor.
-    let response = client
-        .send_raw(b"GET /api/stats HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .expect("server answers");
-    assert_eq!(response.status, 308, "{}", response.body_str());
-    assert_eq!(
-        header(&response, "location").as_deref(),
-        Some("/api/v1/stats")
-    );
-    assert_eq!(header(&response, "deprecation").as_deref(), Some("true"));
-
-    // Legacy POST /api/generate still serves identically (a 308 would
-    // force a body replay) but flags its successor in the headers.
+    // The unversioned paths of the first release are gone, not redirected.
     let request = &traffic(1, 0xB007)[0];
     let body =
         GenerateRequest::new(request.task.context.clone(), request.task.query.clone(), 6).to_json();
-    let raw = format!(
+    let old_generate = format!(
         "POST /api/generate HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let response = client.send_raw(raw.as_bytes()).expect("server answers");
-    assert_eq!(response.status, 200, "{}", response.body_str());
-    assert_eq!(header(&response, "deprecation").as_deref(), Some("true"));
-    let link = header(&response, "link").expect("legacy answers carry a Link header");
-    assert!(link.contains("/api/v1/generate") && link.contains("successor-version"));
-    let legacy = GenerateResponse::from_json(&response.body_str()).expect("legacy body parses");
-
-    // The same request on the v1 path answers byte-identically: both
-    // paths feed the same deterministic engine, and with no prefix cache
-    // configured a repeat serve replays the same computation.
-    let v1 = client
-        .generate(&GenerateRequest::new(
-            request.task.context.clone(),
-            request.task.query.clone(),
-            6,
-        ))
-        .expect("v1 serve");
-    assert_eq!(v1.answer, legacy.answer);
-    server.shutdown();
+    let old_stats = "GET /api/stats HTTP/1.1\r\nConnection: close\r\n\r\n".to_string();
+    for raw in [old_generate, old_stats] {
+        let response = client.send_raw(raw.as_bytes()).expect("server answers");
+        assert_eq!(response.status, 404, "{}", response.body_str());
+        assert!(header(&response, "deprecation").is_none());
+        assert!(header(&response, "location").is_none());
+    }
+    let last = server.shutdown();
+    assert_eq!(last.completed, 0, "a 404 never reaches an engine");
 }
 
 #[test]
