@@ -29,8 +29,15 @@
 //!    to kernel semantics, tiling layout or quantized storage must ship
 //!    with a refreshed baseline. Wall-clock numbers are deliberately kept
 //!    out of the record: they would differ on every host.
+//!
+//! A fourth, display-only group times the paper's search-cost argument:
+//! Cocktail's chunk-level threshold assignment against KVQuant's
+//! token-level outlier scan. Every other quantity the old criterion benches
+//! timed is a named per-layer metric of `benchmark/src/probes.rs`.
 
-use cocktail_bench::{write_record, ExperimentRecord};
+use cocktail_baselines::{CachePolicy, KvQuantPolicy, PolicyContext};
+use cocktail_bench::{record_json, write_record};
+use cocktail_core::{ChunkQuantSearch, CocktailConfig};
 use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache, PrefixKvBlock, SharedPrefixKv};
 use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 use cocktail_quant::{gemm, parallel, Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
@@ -538,6 +545,35 @@ fn bands_and_display(c: &mut Criterion, f: &Fixtures) {
     group.finish();
 }
 
+/// Timing display of the paper's search-cost argument: the chunk-level
+/// threshold assignment over 256 chunk scores against KVQuant's per-token
+/// outlier scan over a 1024-token single-head cache — the cost Cocktail's
+/// chunk-level search avoids.
+fn search_cost_display(c: &mut Criterion) {
+    let search = ChunkQuantSearch::new(CocktailConfig::default());
+    let scores: Vec<f32> = (0..256).map(|i| (i % 17) as f32 / 17.0).collect();
+    c.bench_function("threshold_assignment_256_chunks", |b| {
+        b.iter(|| search.plan_from_scores(black_box(&scores)).expect("plan"));
+    });
+
+    let k = rng::gaussian_matrix(1024, 64, 1.0, 21);
+    let v = rng::gaussian_matrix(1024, 64, 1.0, 22);
+    let segmentation = ChunkSegmentation::new(1024, 32).expect("chunk size");
+    let cache = ChunkedLayerCache::from_prefill(&k, &v, &segmentation).expect("cache");
+    let policy = KvQuantPolicy::default();
+    c.bench_function("kvquant_token_level_search_1024_tokens", |b| {
+        b.iter_batched(
+            || cache.clone(),
+            |mut cache| {
+                policy
+                    .apply_layer(&mut cache, &PolicyContext::empty())
+                    .expect("token-level search")
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+}
+
 fn write_deterministic_record(
     f: &Fixtures,
     outputs: &(QuantizedMatrix, Matrix, Matrix, Matrix),
@@ -600,26 +636,28 @@ fn write_deterministic_record(
             fingerprint(av),
         ),
     ];
-    let path = write_record(&ExperimentRecord {
-        id: "kernels".to_string(),
-        title: "Hot-kernel shapes, tile layouts and output fingerprints".to_string(),
-        note: format!(
-            "Deterministic on every host: shapes, dispatcher work metrics, packed byte counts, \
-             tile counts at 2/4 threads and output bit-fingerprints — no wall-clock numbers. \
-             Wall-clock is enforced in-binary ({MAX_PARALLEL_OVER_SCALAR}x band) and displayed \
-             by the criterion output. Threshold = {} work units; {} env var overrides the \
-             thread count.",
-            parallel::PARALLEL_THRESHOLD,
-            parallel::KERNEL_THREADS_ENV
-        ),
-        rows: KernelRecord {
-            parallel_threshold: parallel::PARALLEL_THRESHOLD,
-            kernels,
-            prefill_attention,
-            decode_attention,
-        },
-    });
-    println!("wrote {}", path.display());
+    let note = format!(
+        "Deterministic on every host: shapes, dispatcher work metrics, packed byte counts, \
+         tile counts at 2/4 threads and output bit-fingerprints — no wall-clock numbers. \
+         Wall-clock is enforced in-binary ({MAX_PARALLEL_OVER_SCALAR}x band) and displayed \
+         by the criterion output. Threshold = {} work units; {} env var overrides the \
+         thread count.",
+        parallel::PARALLEL_THRESHOLD,
+        parallel::KERNEL_THREADS_ENV
+    );
+    let rows = KernelRecord {
+        parallel_threshold: parallel::PARALLEL_THRESHOLD,
+        kernels,
+        prefill_attention,
+        decode_attention,
+    };
+    let json = record_json(
+        "kernels",
+        "Hot-kernel shapes, tile layouts and output fingerprints",
+        &note,
+        &rows,
+    );
+    println!("wrote {}", write_record("kernels", &json).display());
 }
 
 fn main() {
@@ -629,5 +667,6 @@ fn main() {
     let decode_attention = assert_decode_attention();
     let mut criterion = Criterion::default();
     bands_and_display(&mut criterion, &f);
+    search_cost_display(&mut criterion);
     write_deterministic_record(&f, &outputs, prefill_attention, decode_attention);
 }

@@ -1,9 +1,10 @@
-//! Shared harness code for the experiment binaries.
+//! The experiment harness.
 //!
-//! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/`; this library holds the pieces they share: the method suite,
-//! the accuracy-evaluation loop, table formatting and machine-readable
-//! result output (JSON files under `results/`).
+//! Every table and figure of the paper, and every serving experiment, is
+//! one entry of [`experiments::EXPERIMENTS`], run by the `experiment`
+//! binary. This library holds the registry and the pieces its entries
+//! share: the method suite, the accuracy-evaluation loop, table formatting
+//! and the machine-readable records (JSON files under `results/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +19,7 @@ use cocktail_model::ModelProfile;
 use cocktail_workloads::eval::{EvalConfig, Evaluator};
 use cocktail_workloads::{TaskGenerator, TaskKind, WorkloadConfig};
 use serde::Serialize;
+use serde_json::Value;
 use std::fs;
 use std::path::PathBuf;
 
@@ -116,29 +118,44 @@ pub fn search_kind(method: &str) -> SearchKind {
 }
 
 /// One machine-readable experiment record written to `results/`.
-#[derive(Debug, Serialize)]
-pub struct ExperimentRecord<T: Serialize> {
-    /// Experiment identifier (e.g. `"table2"`).
-    pub id: String,
+#[derive(Serialize)]
+struct ExperimentRecord<'a, T: Serialize + ?Sized> {
+    /// Experiment identifier (e.g. `"table2_accuracy"`).
+    id: &'a str,
     /// Human-readable title.
-    pub title: String,
+    title: &'a str,
     /// Free-form note about parameters and substitutions.
-    pub note: String,
+    note: &'a str,
     /// The measured rows.
-    pub rows: T,
+    rows: &'a T,
 }
 
-/// Writes an experiment record as JSON under `results/<id>.json` (relative
-/// to the workspace root) and returns the path.
+/// Renders an experiment record — `{id, title, note, rows}` — as the pretty
+/// JSON that is written under `results/`.
+///
+/// # Panics
+///
+/// Panics if the rows cannot be serialized.
+pub fn record_json<T: Serialize + ?Sized>(id: &str, title: &str, note: &str, rows: &T) -> String {
+    let record = ExperimentRecord {
+        id,
+        title,
+        note,
+        rows,
+    };
+    serde_json::to_string_pretty(&record).expect("serialize experiment record")
+}
+
+/// Writes a rendered record to `results/<id>.json` (relative to the
+/// workspace root) and returns the path.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn write_record<T: Serialize>(record: &ExperimentRecord<T>) -> PathBuf {
+pub fn write_record(id: &str, json: &str) -> PathBuf {
     let dir = results_dir();
     fs::create_dir_all(&dir).expect("create results directory");
-    let path = dir.join(format!("{}.json", record.id));
-    let json = serde_json::to_string_pretty(record).expect("serialize experiment record");
+    let path = dir.join(format!("{id}.json"));
     fs::write(&path, json).expect("write experiment record");
     path
 }
@@ -179,6 +196,57 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect();
         println!("{}", line.join("  "));
     }
+}
+
+/// The scalar fields of a serialized struct as `(name, cell)` pairs, nested
+/// structs flattened to `outer.inner`: floats at two decimals, `null` as
+/// `-`, arrays left to the JSON record.
+fn scalar_cells<T: Serialize>(value: &T) -> Vec<(String, String)> {
+    fn flatten(prefix: &str, value: Value, cells: &mut Vec<(String, String)>) {
+        let cell = match value {
+            Value::Object(fields) => {
+                for (name, value) in fields {
+                    flatten(&format!("{prefix}{name}."), value, cells);
+                }
+                return;
+            }
+            Value::Array(_) => return,
+            Value::Null => "-".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) => format!("{f:.2}"),
+            Value::String(s) => s,
+        };
+        cells.push((prefix.trim_end_matches('.').to_string(), cell));
+    }
+    let mut cells = Vec::new();
+    let value = serde_json::to_value(value).expect("serialize table rows");
+    flatten("", value, &mut cells);
+    cells
+}
+
+/// Renders the rows of a record as a table with one column per scalar
+/// field, headed by the field's name in the JSON record.
+pub(crate) fn print_rows<T: Serialize>(title: &str, rows: &[T]) {
+    let cells: Vec<_> = rows.iter().map(scalar_cells).collect();
+    let headers: Vec<&str> = cells
+        .first()
+        .map(|row| row.iter().map(|(name, _)| name.as_str()).collect())
+        .unwrap_or_default();
+    let table: Vec<Vec<String>> = cells
+        .iter()
+        .map(|row| row.iter().map(|(_, cell)| cell.clone()).collect())
+        .collect();
+    print_table(title, &headers, &table);
+}
+
+/// Renders the scalar fields of a report as a two-column table.
+pub(crate) fn print_fields<T: Serialize>(title: &str, report: &T) {
+    let table: Vec<Vec<String>> = scalar_cells(report)
+        .into_iter()
+        .map(|(name, cell)| vec![name, cell])
+        .collect();
+    print_table(title, &["field", "value"], &table);
 }
 
 #[cfg(test)]
