@@ -1,5 +1,6 @@
-//! The experiment registry: every table and figure of the paper and every
-//! serving experiment is one [`Experiment`] entry of [`EXPERIMENTS`].
+//! The experiment registry: every table and figure of the paper, the kernel
+//! record and every serving experiment is one [`Experiment`] entry of
+//! [`EXPERIMENTS`].
 //!
 //! An experiment is two functions kept side by side in one of the family
 //! modules: `x(repetitions) -> (note, Report)` measures, prints a
@@ -12,6 +13,7 @@
 //! `check` the binary reports from.
 
 mod fleet;
+mod kernels;
 mod paper;
 mod serving;
 
@@ -33,14 +35,15 @@ pub enum Kind {
     /// byte identity, leak and reuse counters, analytic orderings. Reported
     /// as `FAIL`; the tier-1 tests assert there is none.
     Deterministic,
-    /// A wall-clock criterion whose margin is wide enough to enforce in a
-    /// release build (gateway >= 0.9x in-process, warm < cold TTFT, the
-    /// fleet scaling band). Reported as `FAIL` by the runner; the debug
-    /// tier-1 tests do not assert it.
+    /// A wall-clock bound whose margin is wide enough to enforce in a
+    /// release build (warm < cold TTFT, the fleet scaling band, the
+    /// kernels' parallel-vs-scalar band). Reported as `FAIL` by the runner;
+    /// the debug tier-1 tests do not assert it.
     WallClock,
     /// An ordering of two single-run timings at the noise floor. Still
-    /// measured, printed and recorded, but reported as `WARN` and never
-    /// fails a run: the benchmark's paired rule is its judge.
+    /// measured and printed, but reported as `WARN` and never fails a run:
+    /// each `check` names the benchmark metric that judges it under the
+    /// paired rule, or says that none does.
     Warn,
 }
 
@@ -114,16 +117,15 @@ pub struct Experiment {
     pub title: &'static str,
     /// Whether the record is committed and gated. `true` means its bytes
     /// are the same on every host and run (analytic hardware model, seeded
-    /// encoders and tasks), so `results/<id>.json` and
-    /// `results/baseline/<id>.json` are in git, CI's stale guard fails when
-    /// a rerun changes them and `bench-diff` gates them against the
-    /// baseline. `false` keeps the record out of git and out of the
-    /// baseline: timing-based records carry machine-dependent absolute
-    /// numbers, and the two timing-free serving records
-    /// (`prefix_trie_dedup`, `chat_multiturn`) carry absolute byte and token
-    /// counts that follow the model profile and the traffic shape. For
-    /// those the relative claims are what matter, and `check` enforces them
-    /// on every run instead.
+    /// encoders and tasks, kernel output fingerprints), so
+    /// `results/<id>.json` is in git — the committed record is the
+    /// reference — and CI's stale guard fails when a rerun changes a byte
+    /// of it. `false` keeps the record out of git: timing-based records
+    /// carry machine-dependent absolute numbers, and the two timing-free
+    /// serving records (`prefix_trie_dedup`, `chat_multiturn`) carry
+    /// absolute byte and token counts that follow the model profile and
+    /// the traffic shape. For those the relative claims are what matter,
+    /// and `check` enforces them on every run instead.
     pub deterministic: bool,
     /// Timing repetitions the runner passes to `run` (best-of-N); 1 for
     /// experiments that time nothing.
@@ -153,7 +155,8 @@ macro_rules! experiment {
 }
 
 /// Every experiment, in the order `experiment --all` runs them: the
-/// paper's figures and tables first, then the serving experiments.
+/// paper's figures and tables first, then the kernel record, then the
+/// serving experiments.
 pub const EXPERIMENTS: &[Experiment] = &[
     experiment!(
         "fig1_heatmap",
@@ -226,6 +229,14 @@ pub const EXPERIMENTS: &[Experiment] = &[
         1,
         paper::fig7_alpha_beta,
         paper::check_fig7_alpha_beta
+    ),
+    experiment!(
+        "kernels",
+        "Hot-kernel shapes, tile layouts and output fingerprints",
+        true,
+        5,
+        kernels::kernels,
+        kernels::check_kernels
     ),
     experiment!(
         "serving_throughput",
@@ -457,6 +468,7 @@ mod tests {
     use super::*;
     use crate::results_dir;
     use std::collections::HashSet;
+    use std::fs;
 
     /// Runs an experiment body (nothing is written: only the `experiment`
     /// binary writes records) and asserts that its `check` reports no
@@ -508,14 +520,62 @@ mod tests {
         assert!(find("no_such_experiment").is_none());
     }
 
+    /// The committed record is the baseline: every deterministic id has
+    /// one, and `.gitignore` lets exactly those records into git — so a
+    /// record left behind after its experiment stops writing it fails here,
+    /// where CI's stale guard cannot see it.
     #[test]
     fn deterministic_records_are_committed_with_a_baseline() {
-        for e in EXPERIMENTS.iter().filter(|e| e.deterministic) {
-            for dir in [results_dir(), results_dir().join("baseline")] {
-                let path = dir.join(format!("{}.json", e.id));
-                assert!(path.is_file(), "{} is missing", path.display());
-            }
+        let records: HashSet<String> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.deterministic)
+            .map(|e| format!("{}.json", e.id))
+            .collect();
+        for record in &records {
+            let path = results_dir().join(record);
+            assert!(path.is_file(), "{} is missing", path.display());
         }
+        let gitignore = results_dir().with_file_name(".gitignore");
+        let gitignore = fs::read_to_string(gitignore).expect(".gitignore is readable");
+        let committed: HashSet<String> = gitignore
+            .lines()
+            .filter_map(|line| line.strip_prefix("!/results/"))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(
+            committed, records,
+            "the `!/results/...` lines of .gitignore must name exactly the deterministic records"
+        );
+    }
+
+    #[test]
+    fn kernels_record_matches_the_committed_one() {
+        let entry = find("kernels").expect("kernels is registered");
+        let outcome = (entry.run)(1);
+        let committed = fs::read_to_string(results_dir().join("kernels.json"))
+            .expect("results/kernels.json is committed");
+        assert!(
+            outcome.record == committed,
+            "the kernel record drifted from results/kernels.json: rerun `experiment kernels`, \
+             inspect the diff, commit it"
+        );
+        let broken: Vec<String> = outcome
+            .findings
+            .iter()
+            .filter(|f| f.kind == Kind::Deterministic)
+            .map(Finding::to_string)
+            .collect();
+        assert!(broken.is_empty(), "{}", broken.join("\n"));
+
+        let report = kernels::KernelsReport {
+            parallel_threshold: 65_536,
+            engine_slot_work: vec![65_536, 65_535],
+            ..Default::default()
+        };
+        caught(
+            &kernels::check_kernels(&report),
+            "slot 1 does 65535 work units",
+        );
     }
 
     #[test]

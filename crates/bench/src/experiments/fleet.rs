@@ -391,6 +391,11 @@ pub(super) fn gateway_saturation(repetitions: usize) -> (String, GatewaySaturati
 
 /// Gateway saturation's invariants: byte identity over sockets, the 0.9x
 /// overhead budget, and a disconnect storm that leaks nothing.
+///
+/// "Gateway >= 0.9x in-process" compares two single-run rates that read
+/// 0.79–0.97x on a 2-vCPU box, so it is a `WARN`. The benchmark's
+/// `server.gateway_overhead_us_per_req` metric and its `short_burst`
+/// workload judge the gateway's overhead under the paired rule.
 pub(super) fn check_gateway_saturation(report: &GatewaySaturationReport) -> Vec<Finding> {
     let mut findings = Findings::default();
     findings.deterministic(
@@ -414,7 +419,7 @@ pub(super) fn check_gateway_saturation(report: &GatewaySaturationReport) -> Vec<
             format!("request {} never streamed a token", row.request),
         );
     }
-    findings.wall_clock(
+    findings.warn(
         report.relative_throughput >= 0.9,
         format!(
             "gateway throughput {:.1} tok/s is below 0.9x the in-process {:.1} tok/s ({:.2}x)",
@@ -536,7 +541,7 @@ pub(super) struct ReplicaAffinityReport {
 ///
 /// # Panics
 ///
-/// Panics if serving fails or a client hits an I/O error; criterion
+/// Panics if serving fails or a client hits an I/O error; invariant
 /// violations (byte divergence, leaks, lost reuse) are *recorded*, so the
 /// check can report exactly what broke.
 pub(super) fn replica_affinity(repetitions: usize) -> (String, ReplicaAffinityReport) {
@@ -708,6 +713,10 @@ pub(super) fn replica_affinity(repetitions: usize) -> (String, ReplicaAffinityRe
 
 /// Replica affinity's invariants: per-replica byte identity, the reuse win
 /// of affinity routing, the fleet-scaling band and a leak-free storm.
+///
+/// "Affinity >= 0.9x round-robin" compares two single-run rates, so it is a
+/// `WARN`. No benchmark workload runs a fleet: the rate is informational,
+/// and the `prefix_reused_tokens` win below is the claim.
 pub(super) fn check_replica_affinity(report: &ReplicaAffinityReport) -> Vec<Finding> {
     let mut findings = Findings::default();
     findings.deterministic(
@@ -725,7 +734,7 @@ pub(super) fn check_replica_affinity(report: &ReplicaAffinityReport) -> Vec<Find
             report.affinity_reused_tokens, report.round_robin_reused_tokens
         ),
     );
-    findings.wall_clock(
+    findings.warn(
         report.affinity_tokens_per_s >= 0.9 * report.round_robin_tokens_per_s,
         format!(
             "affinity routing served {:.1} tok/s, below 0.9x round-robin's {:.1} tok/s",

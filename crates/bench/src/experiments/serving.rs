@@ -990,7 +990,7 @@ pub(super) struct KernelScalingReport {
     pub parallel_threads: usize,
     /// Physical parallelism the host actually offers. Pinning
     /// `COCKTAIL_KERNEL_THREADS` above this adds threads but no cores, so
-    /// the throughput criterion is only enforced when this is at least 2.
+    /// the throughput ordering is only checked when this is at least 2.
     pub host_cores: usize,
     /// Best-of tokens/s of prefill with the kernels pinned to one thread.
     pub scalar_tokens_per_s: f64,
@@ -1086,7 +1086,7 @@ pub(super) fn kernel_scaling(repetitions: usize) -> (String, KernelScalingReport
     );
     let note = format!(
         "Tiny profile, {prompt_tokens}-token prompt, best of {repetitions} runs per \
-         configuration; timing-based, so the record stays out of results/baseline/. \
+         configuration; timing-based, so the record stays out of git. \
          Byte-identity and flat pool spawn counters are asserted on every run."
     );
     (note, report)

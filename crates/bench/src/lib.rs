@@ -1,15 +1,14 @@
 //! The experiment harness.
 //!
-//! Every table and figure of the paper, and every serving experiment, is
-//! one entry of [`experiments::EXPERIMENTS`], run by the `experiment`
-//! binary. This library holds the registry and the pieces its entries
+//! Every table and figure of the paper, the kernel record and every
+//! serving experiment is one entry of [`experiments::EXPERIMENTS`], run by
+//! the `experiment` binary. This library holds the registry and the pieces its entries
 //! share: the method suite, the accuracy-evaluation loop, table formatting
 //! and the machine-readable records (JSON files under `results/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod experiments;
 
 use cocktail_baselines::{AtomPolicy, CachePolicy, Fp16Policy, KiviPolicy, KvQuantPolicy};

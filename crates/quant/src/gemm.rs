@@ -6,7 +6,8 @@
 //! row of the quantized operand at a time into a scratch buffer rather than
 //! materialising the whole block in FP32.
 //!
-//! All four public kernels (fused and `*_reference`) are built from the
+//! The two fused kernels and their `*_reference` oracles (compiled for
+//! tests, and for docs so the links to them resolve) are built from the
 //! same two accumulation helpers — a sequential dot product and a
 //! zero-skipping axpy — so they are bit-identical to one another by
 //! construction, and the tile kernels used by [`crate::parallel`] restrict
@@ -160,13 +161,14 @@ pub fn fp_matmul_quant(a: &Matrix, bq: &QuantizedMatrix) -> Result<Matrix, Quant
 
 /// Reference (non-fused) implementation: dequantize the whole operand,
 /// then run the same `dot` accumulation as the fused kernel over the
-/// materialised rows. The documented fallback of the
-/// [`crate::parallel`] dispatcher stack — fused, tiled and reference
-/// paths all produce the same bits.
+/// materialised rows. The test oracle of the [`crate::parallel`]
+/// dispatcher stack — fused, tiled and reference paths all produce the
+/// same bits.
 ///
 /// # Errors
 ///
 /// Returns [`QuantError::Incompatible`] if the inner dimensions differ.
+#[cfg(any(test, doc))]
 pub fn fp_matmul_quant_transposed_reference(
     a: &Matrix,
     bq: &QuantizedMatrix,
@@ -190,6 +192,7 @@ pub fn fp_matmul_quant_transposed_reference(
 /// # Errors
 ///
 /// Returns [`QuantError::Incompatible`] if the inner dimensions differ.
+#[cfg(any(test, doc))]
 pub fn fp_matmul_quant_reference(a: &Matrix, bq: &QuantizedMatrix) -> Result<Matrix, QuantError> {
     check_shapes(a, bq)?;
     let dense = bq.dequantize();

@@ -57,7 +57,7 @@ impl EvalConfig {
     /// The default evaluator configuration used by the experiment
     /// harnesses: chunk size 32 (the paper's default), 16-dimensional
     /// embeddings, a softmax sharpness of 20 and a decoding-confidence
-    /// threshold of 0.85.
+    /// threshold of 0.93.
     ///
     /// The confidence threshold is what makes the harness sensitive to KV
     /// quantization: when the answer-bearing chunk's keys/values are

@@ -4,10 +4,10 @@
 //! The serialization half — [`to_string`], [`to_string_pretty`], and the
 //! [`Value`] re-export — covers the experiment harness writing JSON records
 //! under `results/`. A small recursive-descent parser ([`from_str`])
-//! covers reading those records back (used by the `bench-diff` comparison
-//! tool). The parser handles the full JSON grammar the writer emits:
-//! objects, arrays, strings with escapes, integers, floats, booleans and
-//! null.
+//! covers reading JSON back (used by the HTTP gateway's request bodies and
+//! by the benchmark). The parser handles the full JSON grammar the writer
+//! emits: objects, arrays, strings with escapes, integers, floats, booleans
+//! and null.
 
 pub use serde::json::Value;
 
