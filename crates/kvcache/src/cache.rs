@@ -10,7 +10,10 @@ use cocktail_quant::{gemm, Bitwidth, QuantAxis};
 use cocktail_tensor::ops::softmax_in_place;
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
+
+/// Rows of a segment that [`ChunkedLayerCache::attend`] reconstructs (or
+/// borrows) and consumes at a time.
+const BLOCK_ROWS: usize = 32;
 
 /// The KV cache of a single (layer, KV-head) pair, segmented into context
 /// chunks plus an FP16 remainder and an FP16 decode tail.
@@ -351,7 +354,7 @@ impl ChunkedLayerCache {
         self.chunks
             .iter()
             .map(chunk_rows)
-            .chain([remainder, tail].map(|m| Rows::Dense(Cow::Borrowed(m))))
+            .chain([remainder, tail].map(Rows::Dense))
     }
 
     /// Decode-phase attention of `queries` (shape `(m, head_dim)`) over the
@@ -364,12 +367,15 @@ impl ChunkedLayerCache {
     /// in the workspace. It streams: the segments are walked in physical
     /// order (after Module II's reorder the chunks are Algorithm 1's at most
     /// three same-bitwidth runs; the FP16 remainder and the decode tail
-    /// follow), a quantized row is reconstructed into one reusable
-    /// `head_dim` buffer and an FP16 row is read where it lies. The call
-    /// allocates that buffer, one `(m, tokens)` score block, one
-    /// `(m, head_dim)` partial and the output — nothing per chunk, and no
-    /// score, probability or dequantized matrix. Only an outlier-patched
-    /// chunk (the KVQuant baseline) is first copied out dense.
+    /// follow), in blocks of up to 32 whole rows. A quantized block is
+    /// reconstructed by one
+    /// [`dequantize_rows_into`](cocktail_quant::QuantizedMatrix::dequantize_rows_into)
+    /// call into one reusable `32 × head_dim` buffer, an outlier patch's
+    /// FP16 rows (the KVQuant baseline) are written over it, and an FP16
+    /// block is read where it lies. The call allocates that buffer, one
+    /// `(m, tokens)` score block, one `(m, head_dim)` partial and the
+    /// output — nothing per chunk or per block, and no score, probability
+    /// or dequantized matrix.
     ///
     /// # Operation order
     ///
@@ -391,8 +397,11 @@ impl ChunkedLayerCache {
     ///    `j`, skipping `p[j] == 0.0`; then `out += partial`, segments in
     ///    physical order.
     ///
-    /// Query rows are independent; a key or value row is reconstructed once
-    /// and used for all of them.
+    /// Query rows are independent (a grouped-query caller passes all the
+    /// query heads sharing this KV head as one block); a key or value row
+    /// is reconstructed once per call and used for all of them. Blocking
+    /// only changes when a row is reconstructed, never the order of any
+    /// element's operations.
     ///
     /// # Errors
     ///
@@ -408,20 +417,24 @@ impl ChunkedLayerCache {
         let (m, dim) = queries.shape();
         let tokens = self.total_tokens();
         let mut output = Matrix::zeros(m, dim);
-        if tokens == 0 {
+        if tokens == 0 || dim == 0 {
             return Ok(output);
         }
-        let mut row_buf = vec![0.0f32; dim];
+        let mut block_buf = vec![0.0f32; BLOCK_ROWS * dim];
         let mut scores = vec![0.0f32; m * tokens];
 
         let mut col = 0;
         for keys in self.segments(KvChunk::key_rows, &self.remainder_k, &self.tail_k) {
-            for r in 0..keys.len() {
-                let key = keys.row(r, &mut row_buf);
-                for i in 0..m {
-                    scores[i * tokens + col] = gemm::dot(queries.row(i), key) * scale;
+            for r0 in (0..keys.len()).step_by(BLOCK_ROWS) {
+                let n = BLOCK_ROWS.min(keys.len() - r0);
+                let block = keys.block(r0, &mut block_buf[..n * dim]);
+                for (i, query) in queries.as_slice().chunks_exact(dim).enumerate() {
+                    let row_scores = &mut scores[i * tokens + col..][..n];
+                    for (s, key) in row_scores.iter_mut().zip(block.chunks_exact(dim)) {
+                        *s = gemm::dot(query, key) * scale;
+                    }
                 }
-                col += 1;
+                col += n;
             }
         }
         debug_assert_eq!(col, tokens, "segments cover total_tokens()");
@@ -436,15 +449,18 @@ impl ChunkedLayerCache {
                 continue;
             }
             partial.fill(0.0);
-            for r in 0..values.len() {
-                let value = values.row(r, &mut row_buf);
-                for i in 0..m {
-                    let weight = scores[i * tokens + col];
-                    if weight != 0.0 {
-                        gemm::axpy(&mut partial[i * dim..(i + 1) * dim], weight, value);
+            for r0 in (0..values.len()).step_by(BLOCK_ROWS) {
+                let n = BLOCK_ROWS.min(values.len() - r0);
+                let block = values.block(r0, &mut block_buf[..n * dim]);
+                for (i, acc) in partial.chunks_exact_mut(dim).enumerate() {
+                    let weights = &scores[i * tokens + col..][..n];
+                    for (&weight, value) in weights.iter().zip(block.chunks_exact(dim)) {
+                        if weight != 0.0 {
+                            gemm::axpy(acc, weight, value);
+                        }
                     }
                 }
-                col += 1;
+                col += n;
             }
             for (out, part) in output.as_mut_slice().iter_mut().zip(&partial) {
                 *out += part;
@@ -704,10 +720,13 @@ mod tests {
                 }
             }
             _ => {
-                let last = cache.segmentation.chunk_size() - 1;
+                // The first, middle and last rows: in a 64-token chunk the
+                // middle row opens the second row block of `attend`.
+                let size = cache.segmentation.chunk_size();
+                let outliers = [0, size / 2, size - 1];
                 for i in 0..cache.chunk_count() {
                     cache
-                        .quantize_chunk_with_outliers(i, Bitwidth::Int2, group, &[1, last])
+                        .quantize_chunk_with_outliers(i, Bitwidth::Int2, group, &outliers)
                         .unwrap();
                 }
             }
@@ -948,22 +967,24 @@ mod tests {
 
         // The kernel's contract: every output bit equals the materialised
         // path's, for every storage mix, with and without chunks (a context
-        // shorter than one chunk has none), remainder and decode tail, and
+        // shorter than one chunk has none), remainder and decode tail (long
+        // enough to span several row blocks and end mid-block; so is a
+        // 64-token chunk, whose outlier rows then sit in either block), and
         // for a query sharp enough to zero some probabilities.
         #[test]
         fn streaming_attend_is_bit_identical_to_the_materialised_reference(
             tokens in 0usize..300,
             dim_pick in 0usize..4,
-            chunk_pick in 0usize..3,
+            chunk_pick in 0usize..4,
             queries in 1usize..5,
             mix in 0usize..8,
             group_pick in 0usize..3,
-            tail in 0usize..3,
+            tail in 0usize..70,
             sharp in 0usize..2,
             seed in 0u64..1000,
         ) {
             let dim = [2usize, 8, 16, 64][dim_pick];
-            let chunk = [8usize, 16, 32][chunk_pick];
+            let chunk = [8usize, 16, 32, 64][chunk_pick];
             let mut cache = build_cache(tokens, dim, chunk, seed);
             apply_mix(&mut cache, mix, [4usize, 8, 32][group_pick]);
             for t in 0..tail {

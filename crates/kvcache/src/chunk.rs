@@ -5,7 +5,6 @@ use crate::error::KvCacheError;
 use cocktail_quant::{Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Physical storage of a chunk's key and value tensors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,29 +26,42 @@ pub enum ChunkStorage {
 }
 
 /// The key or the value rows of one cache segment as the decode attention
-/// kernel reads them: one row at a time, a quantized row reconstructed into
-/// the caller's buffer, a dense row borrowed where it lies.
+/// kernel reads them: a block of whole rows at a time, quantized rows
+/// reconstructed into the caller's buffer, dense rows borrowed where they
+/// lie.
 pub(crate) enum Rows<'a> {
-    /// FP16 storage, or the patched dense copy of an outlier-carrying chunk.
-    Dense(Cow<'a, Matrix>),
-    /// Quantized storage without outliers.
-    Quantized(&'a QuantizedMatrix),
+    /// FP16 storage.
+    Dense(&'a Matrix),
+    /// Quantized storage, plus the rows of an outlier patch (KVQuant) as
+    /// `(row indices, FP16 rows)`, written over the reconstructed rows.
+    Quantized(&'a QuantizedMatrix, Option<(&'a [usize], &'a Matrix)>),
 }
 
 impl Rows<'_> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Rows::Dense(m) => m.rows(),
-            Rows::Quantized(q) => q.rows(),
+            Rows::Quantized(q, _) => q.rows(),
         }
     }
 
-    /// Row `r`; `buf` (`head_dim` long) is used only by quantized storage.
-    pub(crate) fn row<'b>(&'b self, r: usize, buf: &'b mut [f32]) -> &'b [f32] {
+    /// Rows `[r0, r0 + buf.len() / head_dim)`, row-major; `buf` is written
+    /// only by quantized storage. Each row is exactly the row of
+    /// [`KvChunk::key_matrix`] / [`KvChunk::value_matrix`].
+    pub(crate) fn block<'b>(&'b self, r0: usize, buf: &'b mut [f32]) -> &'b [f32] {
         match self {
-            Rows::Dense(m) => m.row(r),
-            Rows::Quantized(q) => {
-                q.dequantize_row_into(r, buf);
+            Rows::Dense(m) => &m.as_slice()[r0 * m.cols()..][..buf.len()],
+            Rows::Quantized(q, patch) => {
+                q.dequantize_rows_into(r0, buf);
+                if let Some((rows, dense)) = patch {
+                    let dim = dense.cols();
+                    let block = r0..r0 + buf.len() / dim;
+                    for (slot, &row) in rows.iter().enumerate() {
+                        if block.contains(&row) {
+                            buf[(row - r0) * dim..][..dim].copy_from_slice(dense.row(slot));
+                        }
+                    }
+                }
                 buf
             }
         }
@@ -300,22 +312,25 @@ impl KvChunk {
         v
     }
 
-    /// The key rows for the attention kernel: borrowed, except that an
-    /// outlier patch forces the patched dense copy.
+    /// The key rows for the attention kernel, borrowed. An outlier patch
+    /// only ever rides on quantized storage
+    /// ([`KvChunk::quantized_with_outliers`]).
     pub(crate) fn key_rows(&self) -> Rows<'_> {
         match &self.storage {
-            _ if self.outliers.is_some() => Rows::Dense(Cow::Owned(self.key_matrix())),
-            ChunkStorage::Fp16 { k, .. } => Rows::Dense(Cow::Borrowed(k)),
-            ChunkStorage::Quantized { k, .. } => Rows::Quantized(k),
+            ChunkStorage::Fp16 { k, .. } => Rows::Dense(k),
+            ChunkStorage::Quantized { k, .. } => {
+                Rows::Quantized(k, self.outliers.as_ref().map(|p| (&p.rows[..], &p.k_rows)))
+            }
         }
     }
 
     /// The value rows for the attention kernel, as [`KvChunk::key_rows`].
     pub(crate) fn value_rows(&self) -> Rows<'_> {
         match &self.storage {
-            _ if self.outliers.is_some() => Rows::Dense(Cow::Owned(self.value_matrix())),
-            ChunkStorage::Fp16 { v, .. } => Rows::Dense(Cow::Borrowed(v)),
-            ChunkStorage::Quantized { v, .. } => Rows::Quantized(v),
+            ChunkStorage::Fp16 { v, .. } => Rows::Dense(v),
+            ChunkStorage::Quantized { v, .. } => {
+                Rows::Quantized(v, self.outliers.as_ref().map(|p| (&p.rows[..], &p.v_rows)))
+            }
         }
     }
 

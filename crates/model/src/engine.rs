@@ -7,7 +7,9 @@ use crate::tokenizer::Tokenizer;
 use crate::weights::{LayerWeights, ModelWeights};
 use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
 use cocktail_quant::parallel::{self as kernel_parallel, KernelPool};
-use cocktail_tensor::ops::{causal_attention, rms_norm_rows, rope_rows, silu, KvRows};
+use cocktail_tensor::ops::{
+    causal_attention, rms_norm_rows, rope_in_place, rope_rows, silu, KvRows,
+};
 use cocktail_tensor::Matrix;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -198,6 +200,12 @@ impl EngineShared {
     /// of a batched decode step. The arithmetic is exactly the single-
     /// request [`InferenceEngine::decode_step`] path, so results never
     /// depend on the batch composition — or on which pool worker ran it.
+    ///
+    /// The query heads sharing a KV head go to its cache as one
+    /// `(gqa_group_size, head_dim)` block, so each cached row is
+    /// reconstructed once per group rather than once per head; query rows
+    /// are independent in `attend`, so every output bit is the per-head
+    /// result.
     fn token_attention(
         &self,
         layer_idx: usize,
@@ -222,20 +230,24 @@ impl EngineShared {
             })?;
             entry.append_decode_token(k_j.row(0), v_j.row(0))?;
         }
-        let mut head_outputs = Vec::with_capacity(self.config.n_heads);
+        // The token's query row as one `(n_heads, head_dim)` matrix, each
+        // head rotated at `pos`; its rows are the heads in order.
+        let mut q_heads = Matrix::from_vec(self.config.n_heads, head, q_row.row(0).to_vec())?;
         for h in 0..self.config.n_heads {
-            let mut q_h = q_row.slice_cols(h * head, (h + 1) * head);
-            rope_rows(&mut q_h, pos, self.config.rope_theta);
-            let kv_head = h / self.config.gqa_group_size();
+            rope_in_place(q_heads.row_mut(h), pos, self.config.rope_theta);
+        }
+        let group = self.config.gqa_group_size();
+        let mut out = Vec::with_capacity(self.config.n_heads * head);
+        for kv_head in 0..self.config.n_kv_heads {
             let entry = cache.get(layer_idx, kv_head).ok_or_else(|| {
                 ModelError::CacheMismatch(format!(
                     "cache slot (layer {layer_idx}, head {kv_head}) is not populated"
                 ))
             })?;
-            head_outputs.push(entry.attend(&q_h, scale)?);
+            let q_group = q_heads.slice_rows(kv_head * group, (kv_head + 1) * group);
+            out.extend_from_slice(entry.attend(&q_group, scale)?.as_slice());
         }
-        let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
-        Matrix::concat_cols(&head_refs).map_err(ModelError::from)
+        Matrix::from_vec(1, out.len(), out).map_err(ModelError::from)
     }
 
     /// One (slot, head) tile of a prefill layer: RoPE the head's suffix
@@ -994,6 +1006,7 @@ fn argmax(values: &[f32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocktail_kvcache::ChunkPermutation;
     use cocktail_quant::{Bitwidth, QuantAxis};
 
     fn tiny_engine() -> InferenceEngine {
@@ -1601,6 +1614,91 @@ mod tests {
     fn empty_decode_batch_is_a_no_op() {
         let engine = tiny_engine();
         assert!(engine.decode_step_batch(&mut []).unwrap().is_empty());
+    }
+
+    /// The decode attention before the query heads of a KV head were
+    /// grouped, kept as the reference: one `attend` call per query head.
+    fn per_head_token_attention(
+        shared: &EngineShared,
+        layer_idx: usize,
+        cache: &mut ChunkedKvCache,
+        pos: usize,
+        (q_row, k_row, v_row): (&Matrix, &Matrix, &Matrix),
+    ) -> Matrix {
+        let head = shared.config.head_dim();
+        for j in 0..shared.config.n_kv_heads {
+            let mut k_j = k_row.slice_cols(j * head, (j + 1) * head);
+            rope_rows(&mut k_j, pos, shared.config.rope_theta);
+            let v_j = v_row.slice_cols(j * head, (j + 1) * head);
+            let entry = cache.get_mut(layer_idx, j).unwrap();
+            entry.append_decode_token(k_j.row(0), v_j.row(0)).unwrap();
+        }
+        let head_outputs: Vec<Matrix> = (0..shared.config.n_heads)
+            .map(|h| {
+                let mut q_h = q_row.slice_cols(h * head, (h + 1) * head);
+                rope_rows(&mut q_h, pos, shared.config.rope_theta);
+                let entry = cache.get(layer_idx, h / shared.config.gqa_group_size());
+                entry
+                    .unwrap()
+                    .attend(&q_h, shared.attention_scale())
+                    .unwrap()
+            })
+            .collect();
+        let head_refs: Vec<&Matrix> = head_outputs.iter().collect();
+        Matrix::concat_cols(&head_refs).unwrap()
+    }
+
+    /// One single-request decode step through [`per_head_token_attention`];
+    /// returns the logits.
+    fn per_head_decode_step(
+        engine: &InferenceEngine,
+        token: u32,
+        pos: usize,
+        cache: &mut ChunkedKvCache,
+    ) -> Vec<f32> {
+        let shared = &engine.shared;
+        let mut x = engine.embed(&[token]).unwrap();
+        for (layer_idx, layer) in shared.weights.layers.iter().enumerate() {
+            let (q, k, v) = shared.layer_qkv(layer, &x).unwrap();
+            let attn = per_head_token_attention(shared, layer_idx, cache, pos, (&q, &k, &v));
+            shared.finish_layer(layer, &mut x, vec![attn]).unwrap();
+        }
+        rms_norm_rows(&mut x, &shared.weights.final_norm, shared.config.rms_eps);
+        x.matmul(&shared.weights.lm_head).unwrap().row(0).to_vec()
+    }
+
+    #[test]
+    fn grouped_decode_attention_equals_the_per_head_reference() {
+        // 8 query heads over 2 KV heads, decoding over a cache quantized to
+        // mixed bitwidths and reordered into same-bitwidth runs.
+        let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
+        assert_eq!(engine.config().gqa_group_size(), 4);
+        let prompt = cyclic_prompt(&engine, 160, 3);
+        let prefill = engine.prefill(&prompt).unwrap();
+        let mut cache = engine.build_cache(&prefill, 16).unwrap();
+        const WIDTHS: [Bitwidth; 3] = [Bitwidth::Int2, Bitwidth::Fp16, Bitwidth::Int4];
+        cache
+            .try_for_each_mut(|_, _, layer| {
+                let widths: Vec<Bitwidth> =
+                    (0..layer.chunk_count()).map(|i| WIDTHS[i % 3]).collect();
+                for (i, &bitwidth) in widths.iter().enumerate() {
+                    layer.quantize_chunk(i, bitwidth, 16)?;
+                }
+                let keys: Vec<u32> = widths.iter().map(|b| b.bits()).collect();
+                layer.reorder(&ChunkPermutation::stable_sort_by_key(&keys))
+            })
+            .unwrap();
+        let mut reference_cache = cache.clone();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut token = prefill.next_token();
+        for step in 0..4 {
+            let pos = prompt.len() + step;
+            let grouped = engine.decode_step(token, pos, &mut cache).unwrap();
+            let reference = per_head_decode_step(&engine, token, pos, &mut reference_cache);
+            assert_eq!(bits(&grouped.logits), bits(&reference), "step {step}");
+            assert_eq!(cache, reference_cache, "step {step}");
+            token = grouped.next_token;
+        }
     }
 
     #[test]

@@ -277,6 +277,65 @@ impl QuantizedMatrix {
         }
     }
 
+    /// Reconstructs `out.len() / cols()` whole rows starting at `row_start`,
+    /// row-major, into `out` — the block primitive of the decode attention
+    /// kernel in `cocktail_kvcache` and of [`QuantizedMatrix::dequantize`].
+    ///
+    /// The rows' codes are contiguous, so they are unpacked in one bulk
+    /// call; then each group's affine step runs with that group's scale and
+    /// zero-point loaded once. Every element is still exactly
+    /// `code * scale + zero`, so the output is bit-identical to
+    /// [`QuantizedMatrix::dequantize_row_into`] row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a whole number of rows or the rows run
+    /// past `rows()`.
+    pub fn dequantize_rows_into(&self, row_start: usize, out: &mut [f32]) {
+        if out.is_empty() {
+            return;
+        }
+        assert!(
+            self.cols > 0 && out.len() % self.cols == 0,
+            "output buffer is not a whole number of rows"
+        );
+        let rows = out.len() / self.cols;
+        assert!(row_start + rows <= self.rows, "row range out of bounds");
+        self.codes.unpack_f32_into(row_start * self.cols, out);
+        let group = self.config.group_size();
+        match self.config.axis() {
+            QuantAxis::PerToken => {
+                // A row's groups are contiguous slices of it, and the
+                // block's groups are contiguous in the parameter arrays.
+                let per_row = self.cols.div_ceil(group);
+                let params = row_start * per_row..(row_start + rows) * per_row;
+                let scales = self.scales[params.clone()].chunks_exact(per_row);
+                let zeros = self.zeros[params].chunks_exact(per_row);
+                for ((row, scales), zeros) in out.chunks_exact_mut(self.cols).zip(scales).zip(zeros)
+                {
+                    for ((chunk, &scale), &zero) in row.chunks_mut(group).zip(scales).zip(zeros) {
+                        for v in chunk {
+                            *v = *v * scale + zero;
+                        }
+                    }
+                }
+            }
+            QuantAxis::PerChannel => {
+                // Column `c`'s parameters for row group `g` sit at
+                // `c * per_col + g`: one strided walk per row.
+                let per_col = self.rows.div_ceil(group);
+                for (i, row) in out.chunks_exact_mut(self.cols).enumerate() {
+                    let row_group = (row_start + i) / group;
+                    let scales = self.scales[row_group..].iter().step_by(per_col);
+                    let zeros = self.zeros[row_group..].iter().step_by(per_col);
+                    for ((v, &scale), &zero) in row.iter_mut().zip(scales).zip(zeros) {
+                        *v = *v * scale + zero;
+                    }
+                }
+            }
+        }
+    }
+
     /// Reconstructs the full matrix.
     pub fn dequantize(&self) -> Matrix {
         self.dequantize_rows(0, self.rows)
@@ -287,9 +346,7 @@ impl QuantizedMatrix {
     /// [`crate::parallel`].
     pub(crate) fn dequantize_rows(&self, row_start: usize, row_end: usize) -> Matrix {
         let mut out = Matrix::zeros(row_end - row_start, self.cols);
-        for r in row_start..row_end {
-            self.dequantize_row_range_into(r, 0, out.row_mut(r - row_start));
-        }
+        self.dequantize_rows_into(row_start, out.as_mut_slice());
         out
     }
 
@@ -604,6 +661,41 @@ mod tests {
             let hi = m.as_slice().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             for v in d.as_slice() {
                 prop_assert!(*v >= lo - 0.05 && *v <= hi + 0.05, "v={v} lo={lo} hi={hi}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The block dequantizer against the per-row one, bit for bit, over
+        // ranges that start and end mid-byte and mid-group.
+        #[test]
+        fn block_dequantize_is_bit_identical_to_per_row(
+            rows in 1usize..40,
+            cols in 1usize..24,
+            bw_pick in 0usize..3,
+            axis_pick in 0usize..2,
+            group_pick in 0usize..4,
+            start_pick in 0usize..40,
+            len_pick in 0usize..41,
+            seed in 0u64..500,
+        ) {
+            let bw = [Bitwidth::Int2, Bitwidth::Int4, Bitwidth::Int8][bw_pick];
+            let axis = [QuantAxis::PerToken, QuantAxis::PerChannel][axis_pick];
+            let group = [4usize, 8, 32, cols + 1][group_pick];
+            let m = rng::gaussian_matrix(rows, cols, 2.0, seed);
+            let q = QuantizedMatrix::quantize(&m, &cfg(bw, axis, group)).unwrap();
+            let row_start = start_pick % rows;
+            let n = len_pick % (rows - row_start + 1);
+            let mut block = vec![f32::NAN; n * cols];
+            q.dequantize_rows_into(row_start, &mut block);
+            let mut row = vec![f32::NAN; cols];
+            for (i, got) in block.chunks_exact(cols).enumerate() {
+                q.dequantize_row_into(row_start + i, &mut row);
+                let want: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want, "row {}", row_start + i);
             }
         }
     }
