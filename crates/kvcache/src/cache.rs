@@ -7,7 +7,7 @@ use crate::error::KvCacheError;
 use crate::permutation::ChunkPermutation;
 use crate::segmentation::ChunkSegmentation;
 use cocktail_quant::{gemm, Bitwidth, QuantAxis};
-use cocktail_tensor::ops::softmax_in_place;
+use cocktail_tensor::ops::{accumulate_weighted_rows, softmax_in_place};
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -389,12 +389,16 @@ impl ChunkedLayerCache {
     /// 1. `s[j] = dot(q, k[j]) * scale` for every key row `j` in physical
     ///    order, [`gemm::dot`] being one sequential chain from `0.0` over
     ///    ascending dimensions;
-    /// 2. `max` folded from `-inf` with `f32::max` over ascending `j`;
-    ///    `p[j] = exp(s[j] - max)` and `sum += p[j]` left to right from
-    ///    `0.0`; `p[j] /= sum` if `sum > 0.0` ([`softmax_in_place`]);
+    /// 2. [`softmax_in_place`] per query row: `max` under `f32::max` (folded
+    ///    in eight lanes, which its rustdoc shows changes no bit against the
+    ///    serial fold from `-inf`); `p[j] = exp(s[j] - max)` and
+    ///    `sum += p[j]` left to right from `0.0`; `p[j] /= sum` if
+    ///    `sum > 0.0`;
     /// 3. per non-empty segment a partial starts at `0.0` and takes
-    ///    [`gemm::axpy`]`(partial, p[j], v[j])` over the segment's ascending
-    ///    `j`, skipping `p[j] == 0.0`; then `out += partial`, segments in
+    ///    `partial += p[j] · v[j]` over the segment's ascending `j`,
+    ///    skipping `p[j] == 0.0` — one [`accumulate_weighted_rows`] call per
+    ///    query row per block, which keeps the partial row in registers
+    ///    across the block's rows; then `out += partial`, segments in
     ///    physical order.
     ///
     /// Query rows are independent (a grouped-query caller passes all the
@@ -453,12 +457,7 @@ impl ChunkedLayerCache {
                 let n = BLOCK_ROWS.min(values.len() - r0);
                 let block = values.block(r0, &mut block_buf[..n * dim]);
                 for (i, acc) in partial.chunks_exact_mut(dim).enumerate() {
-                    let weights = &scores[i * tokens + col..][..n];
-                    for (&weight, value) in weights.iter().zip(block.chunks_exact(dim)) {
-                        if weight != 0.0 {
-                            gemm::axpy(acc, weight, value);
-                        }
-                    }
+                    accumulate_weighted_rows(acc, &scores[i * tokens + col..][..n], block);
                 }
                 col += n;
             }
@@ -966,15 +965,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         // The kernel's contract: every output bit equals the materialised
-        // path's, for every storage mix, with and without chunks (a context
-        // shorter than one chunk has none), remainder and decode tail (long
-        // enough to span several row blocks and end mid-block; so is a
-        // 64-token chunk, whose outlier rows then sit in either block), and
-        // for a query sharp enough to zero some probabilities.
+        // path's, for head dimensions that take each value-accumulation
+        // path (16-wide blocks, 8-wide blocks, the plain loop), for every
+        // storage mix, with and without chunks (a context shorter than one
+        // chunk has none), remainder and decode tail (long enough to span
+        // several row blocks and end mid-block; so is a 64-token chunk,
+        // whose outlier rows then sit in either block), and for a query
+        // sharp enough to zero some probabilities.
         #[test]
         fn streaming_attend_is_bit_identical_to_the_materialised_reference(
             tokens in 0usize..300,
-            dim_pick in 0usize..4,
+            dim_pick in 0usize..6,
             chunk_pick in 0usize..4,
             queries in 1usize..5,
             mix in 0usize..8,
@@ -983,7 +984,7 @@ mod tests {
             sharp in 0usize..2,
             seed in 0u64..1000,
         ) {
-            let dim = [2usize, 8, 16, 64][dim_pick];
+            let dim = [2usize, 8, 12, 16, 24, 64][dim_pick];
             let chunk = [8usize, 16, 32, 64][chunk_pick];
             let mut cache = build_cache(tokens, dim, chunk, seed);
             apply_mix(&mut cache, mix, [4usize, 8, 32][group_pick]);

@@ -34,12 +34,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `out[c] += weight * row[c]` — the single accumulation step every value
-/// kernel shares (this module's and the decode attention of
-/// `cocktail_kvcache`), and the inner loop of `Matrix::matmul`. Callers
-/// skip the call for a weight of exactly 0.0, as `Matrix::matmul` does;
-/// attention probabilities that underflowed are exactly 0.0.
+/// kernel of this module shares, and the inner loop of `Matrix::matmul`.
+/// Callers skip the call for a weight of exactly 0.0, as `Matrix::matmul`
+/// does; attention probabilities that underflowed are exactly 0.0.
 #[inline]
-pub fn axpy(out: &mut [f32], weight: f32, row: &[f32]) {
+pub(crate) fn axpy(out: &mut [f32], weight: f32, row: &[f32]) {
     for (o, &v) in out.iter_mut().zip(row.iter()) {
         *o += weight * v;
     }

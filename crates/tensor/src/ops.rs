@@ -92,28 +92,41 @@ pub fn silu_in_place(xs: &mut [f32]) {
 /// assert_eq!(v, vec![1.0, 0.0]); // position 0 is a no-op rotation
 /// ```
 pub fn rope_in_place(x: &mut [f32], pos: usize, theta: f32) {
-    assert!(x.len() % 2 == 0, "RoPE requires an even head dimension");
     let dim = x.len();
-    for i in 0..dim / 2 {
-        let freq = 1.0 / theta.powf(2.0 * i as f32 / dim as f32);
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = x[2 * i];
-        let b = x[2 * i + 1];
-        x[2 * i] = a * cos - b * sin;
-        x[2 * i + 1] = a * sin + b * cos;
-    }
+    rope(x, dim, pos, theta);
 }
 
 /// Applies RoPE to every row of a matrix, where row `r` sits at absolute
-/// position `start_pos + r`.
+/// position `start_pos + r`. The `dim/2` frequencies are computed once per
+/// call, with the same `powf` as [`rope_in_place`], so every row is
+/// rotated bit for bit as a one-row call would rotate it.
 ///
 /// # Panics
 ///
 /// Panics if the column count is odd.
 pub fn rope_rows(m: &mut Matrix, start_pos: usize, theta: f32) {
-    for r in 0..m.rows() {
-        rope_in_place(m.row_mut(r), start_pos + r, theta);
+    let dim = m.cols();
+    rope(m.as_mut_slice(), dim, start_pos, theta);
+}
+
+/// Rotates each `dim`-wide row of `rows`, row `r` at position
+/// `start_pos + r` (the body of [`rope_in_place`] and [`rope_rows`]).
+fn rope(rows: &mut [f32], dim: usize, start_pos: usize, theta: f32) {
+    assert!(dim % 2 == 0, "RoPE requires an even head dimension");
+    if dim == 0 {
+        return;
+    }
+    let freqs: Vec<f32> = (0..dim / 2)
+        .map(|i| 1.0 / theta.powf(2.0 * i as f32 / dim as f32))
+        .collect();
+    for (r, row) in rows.chunks_exact_mut(dim).enumerate() {
+        let pos = (start_pos + r) as f32;
+        for (pair, &freq) in row.chunks_exact_mut(2).zip(&freqs) {
+            let (sin, cos) = (pos * freq).sin_cos();
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
+        }
     }
 }
 
@@ -210,11 +223,19 @@ const KEY_LANES: usize = 16;
 ///    keys; each key's own chain keeps its order.)
 /// 2. `s = acc * scale`, then `s + 0.0` — the visible mask entry, which
 ///    turns `-0.0` into `+0.0`.
-/// 3. `max` folded from `-inf` with `f32::max` over ascending keys; a row
-///    whose max is `-inf` yields zeros.
+/// 3. `max` of the row under `f32::max`, folded from `-inf` in eight lanes
+///    rather than one serial chain; a row whose max is `-inf` yields zeros.
+///    The fold order changes no bit: `f32::max` ignores NaN in any order;
+///    between finite values the order can change only the sign of a zero
+///    max, and `s - (±0.0)` then differs only for `s = -0.0`, whose
+///    `exp` is `1.0` either way; the `-inf` test is unaffected. Here the
+///    scores have had `+ 0.0` applied, so they hold no `-0.0` at all.
 /// 4. `p = exp(s - max)` and `sum += p`, left to right from `0.0`.
 /// 5. `p /= sum` if `sum > 0.0`.
-/// 6. `out += p * v[j]` over ascending keys, skipping `p == 0.0`.
+/// 6. `out += p * v[j]` over ascending keys, skipping `p == 0.0`, by
+///    [`accumulate_weighted_rows`]: each 16- or 8-column block of the
+///    output row stays in registers across all keys and is stored once,
+///    and every element still takes its `+=` chain in key order.
 ///
 /// # Errors
 ///
@@ -303,11 +324,10 @@ pub fn causal_attention(
             scores[j0..j0 + KEY_LANES].copy_from_slice(&acc);
         }
         let row = &mut scores[..visible];
-        let mut max = f32::NEG_INFINITY;
         for s in row.iter_mut() {
             *s = *s * scale + 0.0;
-            max = max.max(*s);
         }
+        let max = max_of(row);
         if max == f32::NEG_INFINITY {
             continue;
         }
@@ -329,16 +349,89 @@ pub fn causal_attention(
     Ok(out)
 }
 
-/// `out += w · row` for each weight and its row of `rows`, in order,
-/// skipping exact-zero weights (step 6 of [`causal_attention`]).
-fn accumulate_weighted_rows(out: &mut [f32], weights: &[f32], rows: &[f32]) {
-    for (&w, row) in weights.iter().zip(rows.chunks_exact(out.len())) {
-        if w == 0.0 {
-            continue;
+/// Lanes of [`max_of`].
+const MAX_LANES: usize = 8;
+
+/// The maximum of `xs` under `f32::max`, `-inf` for an empty slice: eight
+/// lane folds from `-inf` over whole groups of eight, a ninth over the
+/// remainder, then the lanes folded together. It differs from the
+/// sequential `fold(-inf, f32::max)` at most in the sign of a zero result,
+/// which neither caller ([`causal_attention`], [`softmax_in_place`]) can
+/// observe; their docs say why.
+fn max_of(xs: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; MAX_LANES];
+    let groups = xs.chunks_exact(MAX_LANES);
+    let rest = groups
+        .remainder()
+        .iter()
+        .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    for group in groups {
+        for (lane, &x) in lanes.iter_mut().zip(group) {
+            *lane = lane.max(x);
         }
-        for (o, &x) in out.iter_mut().zip(row) {
-            *o += w * x;
+    }
+    lanes.iter().fold(rest, |m, &lane| m.max(lane))
+}
+
+/// `out += w · row` for each weight and its row of `rows` (row-major,
+/// `out.len()` wide), weights in ascending order, skipping exact-zero
+/// weights — step 6 of [`causal_attention`] and the value step of decode
+/// attention.
+///
+/// When the width is a multiple of 16 (else of 8), each 16- (8-) column
+/// block of `out` is loaded once into a local array, takes every weighted
+/// row in order and is stored once, so the sums stay in registers instead
+/// of going through memory on every row; other widths run the plain loop.
+/// Either way each element starts from its current value and takes the
+/// same `+=` chain in the same order, so blocking changes no bit.
+///
+/// Both attention kernels start `out` at `+0.0`, and a sum of finite values
+/// from `+0.0` is never `-0.0`, so for finite values the zero skip changes
+/// no bit (and no test can catch its removal). It is kept so that `inf`
+/// and NaN rows behave as they do in `Matrix::matmul`, which skips the
+/// same weights.
+///
+/// # Example
+///
+/// ```
+/// let mut out = vec![1.0f32, 2.0];
+/// let rows = [10.0f32, 20.0, 30.0, 40.0];
+/// cocktail_tensor::ops::accumulate_weighted_rows(&mut out, &[0.5, 0.0], &rows);
+/// assert_eq!(out, vec![6.0, 12.0]);
+/// ```
+pub fn accumulate_weighted_rows(out: &mut [f32], weights: &[f32], rows: &[f32]) {
+    let width = out.len();
+    if width % 16 == 0 {
+        accumulate_weighted_blocks::<16>(out, weights, rows);
+    } else if width % 8 == 0 {
+        accumulate_weighted_blocks::<8>(out, weights, rows);
+    } else {
+        for (&w, row) in weights.iter().zip(rows.chunks_exact(width)) {
+            if w == 0.0 {
+                continue;
+            }
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o += w * x;
+            }
         }
+    }
+}
+
+/// [`accumulate_weighted_rows`] one `W`-column block of `out` at a time,
+/// the block held in a `[f32; W]` (`out.len()` a multiple of `W`).
+fn accumulate_weighted_blocks<const W: usize>(out: &mut [f32], weights: &[f32], rows: &[f32]) {
+    let width = out.len();
+    for (b, block) in out.chunks_exact_mut(W).enumerate() {
+        let mut acc: [f32; W] = block.try_into().expect("a whole block");
+        for (&w, row) in weights.iter().zip(rows.chunks_exact(width)) {
+            if w == 0.0 {
+                continue;
+            }
+            for (a, &x) in acc.iter_mut().zip(&row[b * W..][..W]) {
+                *a += w * x;
+            }
+        }
+        block.copy_from_slice(&acc);
     }
 }
 
@@ -378,8 +471,19 @@ pub fn round_to_f16(values: &mut [f32]) {
 ///
 /// Fully `-inf` inputs become all zeros (the fully-masked convention used by
 /// [`Matrix::softmax_rows`]).
+///
+/// Bit for bit the sequential definition: `max` folded from `-inf` with
+/// `f32::max`, `x = exp(x - max)` and `sum += x` left to right from `0.0`,
+/// then `x /= sum` if `sum > 0.0`. The max is folded in eight lanes rather
+/// than one serial chain, which changes no bit:
+///
+/// - `f32::max` ignores NaN in any order;
+/// - between finite values, the order can change only the sign of a zero
+///   maximum. `x - (±0.0)` then differs only for `x = -0.0`, and
+///   `exp(±0.0) = 1.0` either way;
+/// - the `max == -inf` test is unaffected.
 pub fn softmax_in_place(xs: &mut [f32]) {
-    let max = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let max = max_of(xs);
     if max == f32::NEG_INFINITY {
         for x in xs.iter_mut() {
             *x = 0.0;
@@ -653,6 +757,26 @@ mod tests {
         assert_eq!(xs, vec![0.0; 3]);
     }
 
+    /// [`softmax_in_place`] by its definition, with the max as one serial
+    /// `f32::max` chain.
+    fn sequential_softmax(xs: &mut [f32]) {
+        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if max == f32::NEG_INFINITY {
+            xs.fill(0.0);
+            return;
+        }
+        let mut sum = 0.0;
+        for x in xs.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in xs.iter_mut() {
+                *x /= sum;
+            }
+        }
+    }
+
     #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
@@ -686,8 +810,53 @@ mod tests {
             prop_assert!(v.iter().all(|x| x.is_finite()));
         }
 
+        #[test]
+        fn rope_rows_equals_rope_in_place_per_row(
+            rows in 0usize..12,
+            half_dim in 0usize..40,
+            start_pos in 0usize..100_000,
+            seed in 0u64..1000,
+        ) {
+            let mut m = crate::rng::gaussian_matrix(rows, 2 * half_dim, 1.0, seed);
+            let mut expected = m.clone();
+            for r in 0..rows {
+                rope_in_place(expected.row_mut(r), start_pos + r, 10_000.0);
+            }
+            rope_rows(&mut m, start_pos, 10_000.0);
+            prop_assert_eq!(bits(&m), bits(&expected));
+        }
+
+        // Finite values, both zeros, `±inf` and NaN in rows that cross the
+        // eight-lane remainder; one case in three is a row of negative
+        // values and `-inf`, so a lane max that started anywhere but `-inf`
+        // would show.
+        #[test]
+        fn softmax_in_place_matches_the_sequential_fold(
+            kinds in proptest::collection::vec(0usize..14, 0..40),
+            values in proptest::collection::vec(-30.0f32..30.0, 40),
+            all_negative in 0usize..3,
+        ) {
+            let special = [0.0, -0.0, f32::NEG_INFINITY, f32::INFINITY, f32::NAN];
+            let xs: Vec<f32> = kinds
+                .iter()
+                .zip(&values)
+                .map(|(&kind, &v)| match special.get(kind) {
+                    _ if all_negative == 0 && kind != 2 => -v.abs() - 1.0,
+                    Some(&x) => x,
+                    None => v,
+                })
+                .collect();
+            let mut expected = xs.clone();
+            sequential_softmax(&mut expected);
+            let mut lanes = xs;
+            softmax_in_place(&mut lanes);
+            let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(to_bits(&lanes), to_bits(&expected));
+        }
+
         // The streaming kernel against the materialised path, bit for bit:
-        // every head dimension the profiles use, cold and resumed shapes,
+        // head dimensions that take each value-accumulation path (16-wide
+        // blocks, 8-wide blocks, the plain loop), cold and resumed shapes,
         // the three input modes, and the context split at every row
         // boundary (0 is the cold all-suffix split, `prefix_len` the
         // engine's resumed one).
@@ -695,11 +864,11 @@ mod tests {
         fn causal_attention_is_bit_identical_to_the_materialised_path(
             suffix_len in 1usize..96,
             prefix_len in 0usize..96,
-            dim_pick in 0usize..4,
+            dim_pick in 0usize..6,
             mode in 0usize..3,
             seed in 0u64..1000,
         ) {
-            let head_dim = [2usize, 8, 16, 64][dim_pick];
+            let head_dim = [2usize, 6, 8, 16, 24, 64][dim_pick];
             let kv_len = prefix_len + suffix_len;
             let (q, k, v, scale) = attention_inputs(suffix_len, kv_len, head_dim, mode, seed);
             let expected = bits(&materialised_attention(&q, &k, &v, scale).2);
