@@ -8,12 +8,11 @@
 //!
 //! Each experiment prints its table, then this binary — the only place
 //! that does so — writes `results/<id>.json`, prints the findings of the
-//! experiment's `check` (`FAIL` / `WARN`) and, after the last one, a
-//! summary. A failing experiment does not stop the run. Exit status: 0
-//! when no finding fails, 1 when one does, 2 on a usage error (nothing is
-//! run).
+//! experiment's `check` (each a `FAIL`) and, after the last one, a summary.
+//! A failing experiment does not stop the run. Exit status: 0 when nothing
+//! failed, 1 when something did, 2 on a usage error (nothing is run).
 
-use cocktail_bench::experiments::{find, listing, Experiment, Finding, Kind, EXPERIMENTS};
+use cocktail_bench::experiments::{find, listing, Experiment, Finding, EXPERIMENTS};
 use cocktail_bench::write_record;
 use std::process::ExitCode;
 
@@ -28,15 +27,13 @@ fn usage(problem: &str) -> ExitCode {
 /// in-run byte-identity assertions) becomes a finding, so `--all` goes on.
 fn run(experiment: &Experiment) -> Vec<Finding> {
     println!("\n##### {} — {}", experiment.id, experiment.title);
-    let (run, repetitions) = (experiment.run, experiment.default_reps);
-    match std::panic::catch_unwind(move || run(repetitions)) {
+    match std::panic::catch_unwind(experiment.run) {
         Ok(outcome) => {
             let path = write_record(experiment.id, &outcome.record);
             println!("(written to {})", path.display());
             outcome.findings
         }
         Err(_) => vec![Finding {
-            kind: Kind::Deterministic,
             message: format!(
                 "{} panicked (message above); no record written",
                 experiment.id
@@ -66,19 +63,18 @@ fn main() -> ExitCode {
         for finding in &findings {
             eprintln!("{finding}");
         }
-        let failed = findings.iter().filter(|f| f.fails()).count();
-        summary.push((experiment.id, failed, findings.len() - failed));
+        summary.push((experiment.id, findings.len()));
     }
 
     println!("\n##### summary");
-    for (id, failed, warned) in &summary {
-        let status = match failed + warned {
+    for (id, failed) in &summary {
+        let status = match failed {
             0 => "ok".to_string(),
-            _ => format!("{failed} FAIL, {warned} WARN"),
+            _ => format!("{failed} FAIL"),
         };
         println!("{id:<24}{status}");
     }
-    if summary.iter().any(|(_, failed, _)| *failed > 0) {
+    if summary.iter().any(|(_, failed)| *failed > 0) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

@@ -3,14 +3,18 @@
 //! [`EXPERIMENTS`].
 //!
 //! An experiment is two functions kept side by side in one of the family
-//! modules: `x(repetitions) -> (note, Report)` measures, prints a
-//! human-readable table and returns its typed report, and
-//! `check_x(&Report) -> Vec<Finding>` is the single home of its invariants.
-//! The registry erases the report type into an [`Outcome`] — the rendered
-//! `results/<id>.json` record plus the findings — so one binary
-//! (`experiment`) runs any subset, writes the records, prints the findings
-//! and sets the exit code, and the tier-1 tests below assert on the same
-//! `check` the binary reports from.
+//! modules: `x() -> (note, Report)` runs, prints a human-readable table and
+//! returns its typed report, and `check_x(&Report) -> Vec<Finding>` is the
+//! single home of its invariants. The registry erases the report type into
+//! an [`Outcome`] — the rendered `results/<id>.json` record plus the
+//! findings — so one binary (`experiment`) runs any subset, writes the
+//! records, prints the findings and sets the exit code, and the tier-1
+//! tests below assert on the same `check` the binary reports from.
+//!
+//! No experiment reads a clock: every record is a function of the code and
+//! its seeds, so every record is committed and is its own reference. Speed
+//! is judged by the wall-clock benchmark (`benchmark/`) under its paired
+//! rule, never here.
 
 mod fleet;
 mod kernels;
@@ -26,75 +30,33 @@ use cocktail_hwsim::{AcceleratorSpec, DeploymentModel, RequestShape};
 use cocktail_model::ModelProfile;
 use cocktail_workloads::{TrafficConfig, TrafficRequest, WorkloadConfig};
 use std::fmt;
-use std::time::Instant;
-
-/// How a [`Finding`] is judged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// An invariant that holds on every host and in every build profile:
-    /// byte identity, leak and reuse counters, analytic orderings. Reported
-    /// as `FAIL`; the tier-1 tests assert there is none.
-    Deterministic,
-    /// A wall-clock bound whose margin is wide enough to enforce in a
-    /// release build (warm < cold TTFT, the fleet scaling band, the
-    /// kernels' parallel-vs-scalar band). Reported as `FAIL` by the runner;
-    /// the debug tier-1 tests do not assert it.
-    WallClock,
-    /// An ordering of two single-run timings at the noise floor. Still
-    /// measured and printed, but reported as `WARN` and never fails a run:
-    /// each `check` names the benchmark metric that judges it under the
-    /// paired rule, or says that none does.
-    Warn,
-}
 
 /// One violated invariant of an experiment, as reported by its `check`.
+/// Every finding fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// How the finding is judged.
-    pub kind: Kind,
     /// What was violated, with the numbers that show it.
     pub message: String,
 }
 
-impl Finding {
-    /// Whether the finding fails the run (everything but [`Kind::Warn`]).
-    pub fn fails(&self) -> bool {
-        self.kind != Kind::Warn
-    }
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let level = if self.fails() { "FAIL" } else { "WARN" };
-        write!(f, "{level}: {}", self.message)
+        write!(f, "FAIL: {}", self.message)
     }
 }
 
-/// Collects the findings of one `check`: each method records its message
-/// when the invariant does *not* hold.
+/// Collects the findings of one `check`: [`Findings::require`] records its
+/// message when the invariant does *not* hold.
 #[derive(Default)]
 struct Findings(Vec<Finding>);
 
 impl Findings {
-    fn require(&mut self, kind: Kind, holds: bool, message: impl Into<String>) {
+    fn require(&mut self, holds: bool, message: impl Into<String>) {
         if !holds {
             self.0.push(Finding {
-                kind,
                 message: message.into(),
             });
         }
-    }
-
-    fn deterministic(&mut self, holds: bool, message: impl Into<String>) {
-        self.require(Kind::Deterministic, holds, message);
-    }
-
-    fn wall_clock(&mut self, holds: bool, message: impl Into<String>) {
-        self.require(Kind::WallClock, holds, message);
-    }
-
-    fn warn(&mut self, holds: bool, message: impl Into<String>) {
-        self.require(Kind::Warn, holds, message);
     }
 }
 
@@ -115,36 +77,19 @@ pub struct Experiment {
     pub id: &'static str,
     /// Human-readable title, also the record's `title`.
     pub title: &'static str,
-    /// Whether the record is committed and gated. `true` means its bytes
-    /// are the same on every host and run (analytic hardware model, seeded
-    /// encoders and tasks, kernel output fingerprints), so
-    /// `results/<id>.json` is in git — the committed record is the
-    /// reference — and CI's stale guard fails when a rerun changes a byte
-    /// of it. `false` keeps the record out of git: timing-based records
-    /// carry machine-dependent absolute numbers, and the two timing-free
-    /// serving records (`prefix_trie_dedup`, `chat_multiturn`) carry
-    /// absolute byte and token counts that follow the model profile and
-    /// the traffic shape. For those the relative claims are what matter,
-    /// and `check` enforces them on every run instead.
-    pub deterministic: bool,
-    /// Timing repetitions the runner passes to `run` (best-of-N); 1 for
-    /// experiments that time nothing.
-    pub default_reps: usize,
-    /// Runs the experiment at the given repetitions, prints its table and
-    /// returns the record and the findings. Writes nothing.
-    pub run: fn(usize) -> Outcome,
+    /// Runs the experiment, prints its table and returns the record and the
+    /// findings. Writes nothing.
+    pub run: fn() -> Outcome,
 }
 
 /// Builds a registry entry from an experiment's typed `run` and `check`.
 macro_rules! experiment {
-    ($id:literal, $title:literal, $deterministic:literal, $reps:literal, $run:path, $check:path) => {
+    ($id:literal, $title:literal, $run:path, $check:path) => {
         Experiment {
             id: $id,
             title: $title,
-            deterministic: $deterministic,
-            default_reps: $reps,
-            run: |repetitions| {
-                let (note, report) = $run(repetitions);
+            run: || {
+                let (note, report) = $run();
                 Outcome {
                     record: record_json($id, $title, &note, &report),
                     findings: $check(&report),
@@ -161,152 +106,102 @@ pub const EXPERIMENTS: &[Experiment] = &[
     experiment!(
         "fig1_heatmap",
         "Figure 1: similarity heatmap between a long passage and 10 queries",
-        true,
-        1,
         paper::fig1_heatmap,
         paper::check_fig1_heatmap
     ),
     experiment!(
         "table2_accuracy",
         "Table II: accuracy comparison of KV cache quantization methods",
-        true,
-        1,
         paper::table2_accuracy,
         paper::check_table2_accuracy
     ),
     experiment!(
         "table3_chunk_size",
         "Table III: the impact of different chunk size on model performance",
-        true,
-        1,
         paper::table3_chunk_size,
         paper::check_table3_chunk_size
     ),
     experiment!(
         "table4_encoders",
         "Table IV: performance comparison of different context and query encoders",
-        true,
-        1,
         paper::table4_encoders,
         paper::check_table4_encoders
     ),
     experiment!(
         "table5_ablation",
         "Table V: ablation of the two Cocktail modules",
-        true,
-        1,
         paper::table5_ablation,
         paper::check_table5_ablation
     ),
     experiment!(
         "fig4_memory",
         "Figure 4: GPU memory of different models",
-        true,
-        1,
         paper::fig4_memory,
         paper::check_fig4_memory
     ),
     experiment!(
         "fig5_tpot",
         "Figure 5: time per output token (TPOT) of different models",
-        true,
-        1,
         paper::fig5_tpot,
         paper::check_fig5_tpot
     ),
     experiment!(
         "fig6_throughput",
         "Figure 6: throughput of different methods with different batch sizes",
-        true,
-        1,
         paper::fig6_throughput,
         paper::check_fig6_throughput
     ),
     experiment!(
         "fig7_alpha_beta",
         "Figure 7: the impact of alpha and beta on model performance",
-        true,
-        1,
         paper::fig7_alpha_beta,
         paper::check_fig7_alpha_beta
     ),
     experiment!(
         "kernels",
         "Hot-kernel shapes, tile layouts and output fingerprints",
-        true,
-        5,
         kernels::kernels,
         kernels::check_kernels
     ),
     experiment!(
-        "serving_throughput",
-        "Serving throughput: continuous batching vs sequential single-request runs",
-        false,
-        3,
-        serving::serving_throughput,
-        serving::check_serving_throughput
-    ),
-    experiment!(
         "ttft_prefix_reuse",
-        "TTFT under shared-prefix traffic: prefix-cache reuse vs cold prefill",
-        false,
-        3,
+        "Shared-prefix traffic: every follower resumes from the prefix cache",
         serving::ttft_prefix_reuse,
         serving::check_ttft_prefix_reuse
     ),
     experiment!(
         "streaming_latency",
-        "Streaming latency: per-token delivery and client cancellations under budget",
-        false,
-        3,
+        "Streaming: per-token delivery steps and client cancellations under budget",
         serving::streaming_latency,
         serving::check_streaming_latency
     ),
     experiment!(
         "prefix_trie_dedup",
         "Prefix-trie dedup: divergent branches share their preamble blocks once",
-        false,
-        1,
         serving::prefix_trie_dedup,
         serving::check_prefix_trie_dedup
     ),
     experiment!(
         "gateway_saturation",
         "Gateway saturation: HTTP/SSE serving overhead and disconnect-storm hygiene",
-        false,
-        2,
         fleet::gateway_saturation,
         fleet::check_gateway_saturation
     ),
     experiment!(
         "replica_affinity",
         "Replica affinity: fleet-wide prefix reuse via consistent-hash routing",
-        false,
-        2,
         fleet::replica_affinity,
         fleet::check_replica_affinity
     ),
     experiment!(
-        "kernel_scaling",
-        "Prefill throughput with scalar vs data-parallel hot kernels",
-        false,
-        5,
-        serving::kernel_scaling,
-        serving::check_kernel_scaling
-    ),
-    experiment!(
         "snapshot_warm_restart",
         "KV snapshot warm restart: persist the prefix trie, restart, serve warm",
-        false,
-        3,
         serving::snapshot_warm_restart,
         serving::check_snapshot_warm_restart
     ),
     experiment!(
         "chat_multiturn",
         "Multi-turn chat: prefix reuse, sampled replay across restarts, greedy identity",
-        false,
-        1,
         serving::chat_multiturn,
         serving::check_chat_multiturn
     ),
@@ -320,17 +215,9 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 /// The registry as a markdown table — what `experiment --list` prints and
 /// the README copies.
 pub fn listing() -> String {
-    let mut out = String::from("| experiment | record | reps | title |\n|---|---|---|---|\n");
+    let mut out = String::from("| experiment | title |\n|---|---|\n");
     for e in EXPERIMENTS {
-        let record = if e.deterministic {
-            "committed, gated"
-        } else {
-            "untracked"
-        };
-        out.push_str(&format!(
-            "| `{}` | {record} | {} | {} |\n",
-            e.id, e.default_reps, e.title
-        ));
+        out.push_str(&format!("| `{}` | {} |\n", e.id, e.title));
     }
     out
 }
@@ -434,35 +321,6 @@ fn same_answers<'a>(
         })
 }
 
-/// The window from the first to the last token observation: steady-state
-/// tokens/s, so ramp-up (connection setup, prefill) does not skew a rate.
-#[derive(Debug, Clone, Copy, Default)]
-struct TokenWindow {
-    first: Option<Instant>,
-    last: Option<Instant>,
-    tokens: usize,
-}
-
-impl TokenWindow {
-    fn observe(&mut self, now: Instant) {
-        self.first.get_or_insert(now);
-        self.last = Some(now);
-        self.tokens += 1;
-    }
-
-    fn merge(&mut self, other: TokenWindow) {
-        self.first = self.first.into_iter().chain(other.first).min();
-        self.last = self.last.into_iter().chain(other.last).max();
-        self.tokens += other.tokens;
-    }
-
-    fn tokens_per_s(&self) -> f64 {
-        let window = self.last.zip(self.first);
-        let seconds = window.map_or(0.0, |(last, first)| (last - first).as_secs_f64());
-        self.tokens as f64 / seconds.max(1e-9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,20 +330,10 @@ mod tests {
 
     /// Runs an experiment body (nothing is written: only the `experiment`
     /// binary writes records) and asserts that its `check` reports no
-    /// deterministic finding, failing with the lines the runner would
-    /// print. Wall-clock findings are left to the release-mode runner:
-    /// debug timings on a loaded host are too noisy to gate tier-1 on.
-    fn clean<R>(
-        run: fn(usize) -> (String, R),
-        check: impl Fn(&R) -> Vec<Finding>,
-        repetitions: usize,
-    ) -> R {
-        let (_, report) = run(repetitions);
-        let broken: Vec<String> = check(&report)
-            .iter()
-            .filter(|f| f.kind == Kind::Deterministic)
-            .map(Finding::to_string)
-            .collect();
+    /// finding, failing with the lines the runner would print.
+    fn clean<R>(run: fn() -> (String, R), check: impl Fn(&R) -> Vec<Finding>) -> R {
+        let (_, report) = run();
+        let broken: Vec<String> = check(&report).iter().map(Finding::to_string).collect();
         assert!(broken.is_empty(), "{}", broken.join("\n"));
         report
     }
@@ -494,10 +342,8 @@ mod tests {
     /// containing `needle` — so an invariant cannot be dropped silently.
     fn caught(findings: &[Finding], needle: &str) {
         assert!(
-            findings
-                .iter()
-                .any(|f| f.kind == Kind::Deterministic && f.message.contains(needle)),
-            "no deterministic finding mentions `{needle}`: {findings:?}"
+            findings.iter().any(|f| f.message.contains(needle)),
+            "no finding mentions `{needle}`: {findings:?}"
         );
     }
 
@@ -514,44 +360,46 @@ mod tests {
                 "experiment id `{}` is not [a-z0-9_]+",
                 e.id
             );
-            assert!(e.default_reps >= 1, "{} runs zero repetitions", e.id);
             assert_eq!(find(e.id).map(|found| found.id), Some(e.id));
         }
         assert!(find("no_such_experiment").is_none());
     }
 
-    /// The committed record is the baseline: every deterministic id has
-    /// one, and `.gitignore` lets exactly those records into git — so a
-    /// record left behind after its experiment stops writing it fails here,
-    /// where CI's stale guard cannot see it.
+    /// The committed record is the baseline: `results/` holds exactly one
+    /// record per registry id — none missing, and none orphaned by a
+    /// deleted experiment — and `.gitignore` keeps none of them out of git.
     #[test]
     fn deterministic_records_are_committed_with_a_baseline() {
-        let records: HashSet<String> = EXPERIMENTS
+        let expected: HashSet<String> = EXPERIMENTS
             .iter()
-            .filter(|e| e.deterministic)
             .map(|e| format!("{}.json", e.id))
             .collect();
-        for record in &records {
-            let path = results_dir().join(record);
-            assert!(path.is_file(), "{} is missing", path.display());
-        }
-        let gitignore = results_dir().with_file_name(".gitignore");
-        let gitignore = fs::read_to_string(gitignore).expect(".gitignore is readable");
-        let committed: HashSet<String> = gitignore
-            .lines()
-            .filter_map(|line| line.strip_prefix("!/results/"))
-            .map(str::to_string)
+        let on_disk: HashSet<String> = fs::read_dir(results_dir())
+            .expect("results/ is readable")
+            .map(|entry| entry.expect("results/ entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.ends_with(".json"))
             .collect();
         assert_eq!(
-            committed, records,
-            "the `!/results/...` lines of .gitignore must name exactly the deterministic records"
+            on_disk, expected,
+            "results/*.json must be exactly one record per registered experiment"
+        );
+        let gitignore = results_dir().with_file_name(".gitignore");
+        let gitignore = fs::read_to_string(gitignore).expect(".gitignore is readable");
+        let ignoring: Vec<&str> = gitignore
+            .lines()
+            .filter(|line| !line.starts_with('#') && line.contains("results"))
+            .collect();
+        assert!(
+            ignoring.is_empty(),
+            ".gitignore must not mention results/: {ignoring:?}"
         );
     }
 
     #[test]
     fn kernels_record_matches_the_committed_one() {
         let entry = find("kernels").expect("kernels is registered");
-        let outcome = (entry.run)(1);
+        let outcome = (entry.run)();
         let committed = fs::read_to_string(results_dir().join("kernels.json"))
             .expect("results/kernels.json is committed");
         assert!(
@@ -559,12 +407,7 @@ mod tests {
             "the kernel record drifted from results/kernels.json: rerun `experiment kernels`, \
              inspect the diff, commit it"
         );
-        let broken: Vec<String> = outcome
-            .findings
-            .iter()
-            .filter(|f| f.kind == Kind::Deterministic)
-            .map(Finding::to_string)
-            .collect();
+        let broken: Vec<String> = outcome.findings.iter().map(Finding::to_string).collect();
         assert!(broken.is_empty(), "{}", broken.join("\n"));
 
         let report = kernels::KernelsReport {
@@ -606,30 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn noise_floor_orderings_warn_and_identity_fails() {
-        let mut report = serving::KernelScalingReport {
-            prompt_tokens: 384,
-            score_work: 2_000_000,
-            parallel_threshold: 1_000_000,
-            parallel_threads: 2,
-            host_cores: 2,
-            scalar_tokens_per_s: 1000.0,
-            parallel_tokens_per_s: 900.0,
-            speedup: 0.9,
-            bit_identical: true,
-            engine_pool_spawns_flat: true,
-            kernel_pool_spawns_flat: true,
-        };
-        let findings = serving::check_kernel_scaling(&report);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(!findings[0].fails() && findings[0].to_string().starts_with("WARN: "));
-        report.bit_identical = false;
-        caught(&serving::check_kernel_scaling(&report), "outputs diverged");
-    }
-
-    #[test]
     fn chat_multiturn_holds_its_invariants() {
-        let mut report = clean(serving::chat_multiturn, serving::check_chat_multiturn, 1);
+        let mut report = clean(serving::chat_multiturn, serving::check_chat_multiturn);
         report.greedy_byte_identical = false;
         caught(
             &serving::check_chat_multiturn(&report),
@@ -642,73 +463,46 @@ mod tests {
         let mut report = clean(
             serving::snapshot_warm_restart,
             serving::check_snapshot_warm_restart,
-            1,
         );
         report.roundtrip_byte_identical = false;
         caught(
             &serving::check_snapshot_warm_restart(&report),
             "did not reproduce the bytes",
         );
+        report.post_restart_reused_tokens[0] = 191;
+        caught(
+            &serving::check_snapshot_warm_restart(&report),
+            "reused only 191 tokens",
+        );
     }
 
     #[test]
     fn fig1_most_chunks_are_irrelevant() {
-        let mut rows = clean(paper::fig1_heatmap, |r| paper::check_fig1_heatmap(r), 1);
+        let mut rows = clean(paper::fig1_heatmap, |r| paper::check_fig1_heatmap(r));
         rows[0].highly_relevant_fraction = 0.5;
         caught(&paper::check_fig1_heatmap(&rows), "highly relevant chunks");
     }
 
     #[test]
     fn fig4_cocktail_always_below_fp16() {
-        clean(paper::fig4_memory, |r| paper::check_fig4_memory(r), 1);
+        clean(paper::fig4_memory, |r| paper::check_fig4_memory(r));
     }
 
     #[test]
     fn fig5_cocktail_has_lowest_tpot() {
-        clean(paper::fig5_tpot, |r| paper::check_fig5_tpot(r), 1);
+        clean(paper::fig5_tpot, |r| paper::check_fig5_tpot(r));
     }
 
     #[test]
     fn fig6_has_oom_points_and_crossover() {
-        clean(
-            paper::fig6_throughput,
-            |r| paper::check_fig6_throughput(r),
-            1,
-        );
-    }
-
-    #[test]
-    fn serving_throughput_batched_meets_or_beats_sequential() {
-        // Two repetitions keep the tier-1 suite fast.
-        let mut report = clean(
-            serving::serving_throughput,
-            serving::check_serving_throughput,
-            2,
-        );
-        // The measured ordering is a WARN, never a failure ...
-        for row in &mut report.rows {
-            row.batched_tokens_per_s = 0.5 * row.sequential_tokens_per_s;
-        }
-        let findings = serving::check_serving_throughput(&report);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.kind == Kind::Warn));
-        // ... the analytic prediction is deterministic and enforced.
-        report.rows[1].hwsim_speedup_vs_batch1 = Some(1.0);
-        caught(
-            &serving::check_serving_throughput(&report),
-            "no batching gain",
-        );
+        clean(paper::fig6_throughput, |r| paper::check_fig6_throughput(r));
     }
 
     #[test]
     fn ttft_prefix_reuse_reuses_every_follower_byte_identically() {
         // Byte-identity against the cold sequential reference is asserted
         // inside the run.
-        let mut report = clean(
-            serving::ttft_prefix_reuse,
-            serving::check_ttft_prefix_reuse,
-            1,
-        );
+        let mut report = clean(serving::ttft_prefix_reuse, serving::check_ttft_prefix_reuse);
         let follower = report
             .rows
             .iter_mut()
@@ -720,11 +514,7 @@ mod tests {
 
     #[test]
     fn prefix_trie_dedup_shares_preambles_and_evicts_partially() {
-        let mut report = clean(
-            serving::prefix_trie_dedup,
-            serving::check_prefix_trie_dedup,
-            1,
-        );
+        let mut report = clean(serving::prefix_trie_dedup, serving::check_prefix_trie_dedup);
         report.byte_identical = false;
         caught(
             &serving::check_prefix_trie_dedup(&report),
@@ -736,22 +526,33 @@ mod tests {
     fn streaming_latency_streams_cancels_and_stays_in_budget() {
         // Byte-identity of survivors and cancelled-prefix identity are
         // asserted inside the run.
-        let mut report = clean(
-            serving::streaming_latency,
-            serving::check_streaming_latency,
-            1,
-        );
+        let mut report = clean(serving::streaming_latency, serving::check_streaming_latency);
         report.budget_ok = false;
         caught(&serving::check_streaming_latency(&report), "over the");
+        let row = report
+            .rows
+            .iter_mut()
+            .find(|r| r.generated_tokens >= 2)
+            .expect("a request that streamed two tokens");
+        row.finished_step = row.first_token_step;
+        caught(
+            &serving::check_streaming_latency(&report),
+            "not strictly before it finished",
+        );
     }
 
     #[test]
     fn replica_affinity_routes_reuse_and_leaves_no_cross_replica_leaks() {
-        let mut report = clean(fleet::replica_affinity, fleet::check_replica_affinity, 1);
+        let mut report = clean(fleet::replica_affinity, fleet::check_replica_affinity);
         report.storm_leaks[0].leaked_kv_bytes = 1;
         caught(
             &fleet::check_replica_affinity(&report),
             "still holds 1 request-owned KV bytes",
+        );
+        report.affinity_replica_requests[1] = 0;
+        caught(
+            &fleet::check_replica_affinity(&report),
+            "replica 1 admitted 0",
         );
     }
 }

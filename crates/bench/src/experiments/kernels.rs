@@ -9,32 +9,18 @@
 //! so it is committed and gated byte for byte. That the tiled, streaming
 //! and pooled forms equal their references is proved by the kernels' own
 //! tests (`quant::parallel`, `quant::gemm`, `tensor::ops`, `model`,
-//! `kvcache`); the fingerprints pin the bits those tests hold equal. Two
-//! timings are checked on every run but kept out of the record: each tiled
-//! kernel's parallel-vs-scalar band, and the paper's search-cost argument
-//! (Cocktail's chunk-level assignment against KVQuant's token-level scan).
+//! `kvcache`); the fingerprints pin the bits those tests hold equal. The
+//! kernels' speed — the parallel speed-up, the search cost — is the
+//! benchmark's to judge (`quant.parallel_speedup_x`, `core.search_us`).
 
 use super::{Finding, Findings};
-use crate::{print_fields, print_rows};
-use cocktail_baselines::{CachePolicy, KvQuantPolicy, PolicyContext};
-use cocktail_core::{ChunkQuantSearch, CocktailConfig};
+use crate::print_rows;
 use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache, PrefixKvBlock, SharedPrefixKv};
 use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 use cocktail_quant::{gemm, parallel, Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
 use cocktail_tensor::ops::{causal_attention, KvRows};
 use cocktail_tensor::{rng, Matrix};
 use serde::Serialize;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Generous band: the parallel path must not be slower than this multiple
-/// of the scalar path on the same host. Chosen so that a loaded two-core
-/// runner still passes while a broken threshold gate (fork overhead on
-/// every tiny call) or a quadratic stitch still fails.
-const MAX_PARALLEL_OVER_SCALAR: f64 = 4.0;
-
-/// Calls per timing sample; the runner's repetitions are the best-of count.
-const TIMED_CALLS: usize = 20;
 
 /// One tiled kernel shape in the record.
 #[derive(Debug, Default, Serialize)]
@@ -115,31 +101,8 @@ pub(super) struct DecodeRow {
     pub fingerprint: i64,
 }
 
-/// Scalar and parallel wall-clock of one tiled kernel.
-#[derive(Debug, Clone, Serialize)]
-pub(super) struct Band {
-    /// Kernel and shape.
-    pub kernel: &'static str,
-    /// Threads of the parallel side.
-    pub threads: usize,
-    /// Best-of mean nanoseconds per scalar call.
-    pub scalar_ns: f64,
-    /// Best-of mean nanoseconds per parallel call.
-    pub parallel_ns: f64,
-}
-
-/// Wall-clock of the two quantization searches the paper compares.
-#[derive(Debug, Clone, Default, Serialize)]
-pub(super) struct SearchCost {
-    /// Cocktail's chunk-level threshold assignment over 256 chunk scores.
-    pub chunk_level_ns: f64,
-    /// KVQuant's token-level outlier scan over a 1024-token single-head
-    /// cache.
-    pub token_level_ns: f64,
-}
-
-/// The kernels report: the serialized fields are the record; the timings
-/// and the fixture's slot work are checked but never recorded.
+/// The kernels report: the serialized fields are the record; the fixture's
+/// slot work is checked but not recorded.
 #[derive(Debug, Default, Serialize)]
 pub(super) struct KernelsReport {
     /// The dispatcher's scalar/parallel cutover, in work units.
@@ -153,12 +116,6 @@ pub(super) struct KernelsReport {
     /// Work of each slot of the engine-level prefill, per layer.
     #[serde(skip)]
     pub engine_slot_work: Vec<usize>,
-    /// Parallel-vs-scalar timings of the tiled kernels.
-    #[serde(skip)]
-    pub bands: Vec<Band>,
-    /// The search-cost timings.
-    #[serde(skip)]
-    pub search: SearchCost,
 }
 
 /// Order-sensitive bit-fingerprint of a matrix: any single-bit difference
@@ -169,29 +126,11 @@ fn fingerprint(m: &Matrix) -> i64 {
         .fold(0u32, |acc, v| acc.rotate_left(1) ^ v.to_bits()) as i64
 }
 
-/// Best of `samples` mean nanoseconds per call of `run` over
-/// [`TIMED_CALLS`] calls, each on a fresh input that `setup` builds outside
-/// the timed region.
-fn best_ns<I, O>(samples: usize, mut setup: impl FnMut() -> I, mut run: impl FnMut(I) -> O) -> f64 {
-    (0..samples.max(1))
-        .map(|_| {
-            let inputs: Vec<I> = (0..TIMED_CALLS).map(|_| setup()).collect();
-            let start = Instant::now();
-            for input in inputs {
-                black_box(run(input));
-            }
-            start.elapsed().as_nanos() as f64 / TIMED_CALLS as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// The operands of the tiled kernels.
 struct Fixtures {
     /// 512x128 activations for quantize/dequantize.
     chunk: Matrix,
-    /// Its Int4 per-token group-32 config.
-    chunk_cfg: QuantConfig,
-    /// Quantized form of `chunk`.
+    /// Its Int4 per-token group-32 quantized form.
     chunk_q: QuantizedMatrix,
     /// 8x128 queries for the score GEMM.
     queries: Matrix,
@@ -214,7 +153,6 @@ fn fixtures() -> Fixtures {
     Fixtures {
         chunk_q: QuantizedMatrix::quantize(&chunk, &chunk_cfg).expect("quantize chunk"),
         chunk,
-        chunk_cfg,
         queries: rng::gaussian_matrix(8, 128, 1.0, 14),
         keys_q: quantized(12),
         probs: rng::gaussian_matrix(8, 1024, 1.0, 15),
@@ -255,42 +193,6 @@ fn kernel_rows(f: &Fixtures) -> Vec<KernelRow> {
         fingerprint: fingerprint(output),
     })
     .collect()
-}
-
-/// Scalar against parallel wall-clock of every tiled kernel.
-fn bands(f: &Fixtures, samples: usize) -> Vec<Band> {
-    let threads = parallel::kernel_threads();
-    let kernels: [(&'static str, &dyn Fn(usize)); 4] = [
-        ("quantize_512x128_int4", &|t| {
-            black_box(
-                parallel::quantize_with_threads(&f.chunk, &f.chunk_cfg, t).expect("quantize"),
-            );
-        }),
-        ("dequantize_512x128_int4", &|t| {
-            black_box(parallel::dequantize_with_threads(&f.chunk_q, t));
-        }),
-        ("gemm_transposed_8x128_1024x128_int4", &|t| {
-            black_box(
-                parallel::fp_matmul_quant_transposed_with_threads(&f.queries, &f.keys_q, t)
-                    .expect("score gemm"),
-            );
-        }),
-        ("gemm_value_8x1024_1024x128_int4", &|t| {
-            black_box(
-                parallel::fp_matmul_quant_with_threads(&f.probs, &f.values_q, t)
-                    .expect("value gemm"),
-            );
-        }),
-    ];
-    kernels
-        .into_iter()
-        .map(|(kernel, run)| Band {
-            kernel,
-            threads,
-            scalar_ns: best_ns(samples, || (), |()| run(1)),
-            parallel_ns: best_ns(samples, || (), |()| run(threads)),
-        })
-        .collect()
 }
 
 /// Suffix and reused-prefix rows of the kernel-level attention fixture.
@@ -421,39 +323,8 @@ fn decode_attention() -> DecodeRow {
     }
 }
 
-/// The paper's search-cost argument: the chunk-level threshold assignment
-/// over 256 chunk scores against KVQuant's per-token outlier scan over a
-/// 1024-token single-head cache — the cost Cocktail's chunk-level search
-/// avoids.
-fn search_cost(samples: usize) -> SearchCost {
-    let search = ChunkQuantSearch::new(CocktailConfig::default());
-    let scores: Vec<f32> = (0..256).map(|i| (i % 17) as f32 / 17.0).collect();
-    let k = rng::gaussian_matrix(1024, 64, 1.0, 21);
-    let v = rng::gaussian_matrix(1024, 64, 1.0, 22);
-    let segmentation = ChunkSegmentation::new(1024, 32).expect("chunk size");
-    let cache = ChunkedLayerCache::from_prefill(&k, &v, &segmentation).expect("cache");
-    let policy = KvQuantPolicy::default();
-    SearchCost {
-        chunk_level_ns: best_ns(
-            samples,
-            || (),
-            |()| search.plan_from_scores(&scores).expect("plan"),
-        ),
-        token_level_ns: best_ns(
-            samples,
-            || cache.clone(),
-            |mut cache| {
-                policy
-                    .apply_layer(&mut cache, &PolicyContext::empty())
-                    .expect("token-level search")
-            },
-        ),
-    }
-}
-
-/// The kernel record, plus the band and search-cost timings at best of
-/// `repetitions` samples.
-pub(super) fn kernels(repetitions: usize) -> (String, KernelsReport) {
+/// The kernel record.
+pub(super) fn kernels() -> (String, KernelsReport) {
     let f = fixtures();
     let (prefill_attention, engine_slot_work) = prefill_attention();
     let report = KernelsReport {
@@ -462,24 +333,16 @@ pub(super) fn kernels(repetitions: usize) -> (String, KernelsReport) {
         prefill_attention,
         decode_attention: decode_attention(),
         engine_slot_work,
-        bands: bands(&f, repetitions),
-        search: search_cost(repetitions),
     };
     print_rows(
         "Hot kernels: shapes, tile layouts and output fingerprints",
         &report.kernels,
     );
-    print_rows(
-        "Hot kernels: scalar vs parallel ns/call (not recorded)",
-        &report.bands,
-    );
-    print_fields("Search cost: ns/call (not recorded)", &report.search);
     let note = format!(
         "Deterministic on every host and at every kernel thread count: shapes, dispatcher work \
          metrics, packed byte counts, tile counts at 2/4 threads and output bit-fingerprints — \
-         no wall-clock numbers. The {MAX_PARALLEL_OVER_SCALAR}x parallel-vs-scalar band and the \
-         chunk-level vs token-level search cost are timed and checked on every run, not \
-         recorded. Threshold = {} work units; {} env var overrides the thread count.",
+         no wall-clock numbers. Threshold = {} work units; {} env var overrides the thread \
+         count.",
         parallel::PARALLEL_THRESHOLD,
         parallel::KERNEL_THREADS_ENV
     );
@@ -487,14 +350,10 @@ pub(super) fn kernels(repetitions: usize) -> (String, KernelsReport) {
 }
 
 /// The kernel record's invariants.
-///
-/// The search-cost ordering compares two single-run timings, so it is a
-/// `WARN`; the benchmark's `core.search_us` metric judges search cost
-/// under the paired rule.
 pub(super) fn check_kernels(report: &KernelsReport) -> Vec<Finding> {
     let mut findings = Findings::default();
     for (slot, work) in report.engine_slot_work.iter().enumerate() {
-        findings.deterministic(
+        findings.require(
             *work >= report.parallel_threshold,
             format!(
                 "prefill slot {slot} does {work} work units per layer, below the {} parallel \
@@ -503,23 +362,5 @@ pub(super) fn check_kernels(report: &KernelsReport) -> Vec<Finding> {
             ),
         );
     }
-    for band in &report.bands {
-        findings.wall_clock(
-            band.parallel_ns <= MAX_PARALLEL_OVER_SCALAR * band.scalar_ns,
-            format!(
-                "{}: the parallel path took {:.0} ns/call at {} threads vs scalar {:.0} ns/call — \
-                 over the {MAX_PARALLEL_OVER_SCALAR}x band",
-                band.kernel, band.parallel_ns, band.threads, band.scalar_ns
-            ),
-        );
-    }
-    findings.warn(
-        report.search.chunk_level_ns < report.search.token_level_ns,
-        format!(
-            "Cocktail's chunk-level assignment took {:.0} ns, not less than KVQuant's \
-             token-level scan at {:.0} ns",
-            report.search.chunk_level_ns, report.search.token_level_ns
-        ),
-    );
     findings.0
 }

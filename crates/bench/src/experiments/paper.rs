@@ -1,8 +1,7 @@
 //! The paper's figures and tables: Figure 1, Tables II–V and Figures 4–7.
 //!
 //! All nine are deterministic — an analytic hardware model, seeded encoders
-//! and seeded tasks — so their records are committed and gated, and none
-//! uses the `repetitions` argument.
+//! and seeded tasks.
 
 use super::{deployment_for, Finding, Findings, OUTPUT_LEN, TPOT_BATCH};
 use crate::{
@@ -25,12 +24,12 @@ fn check_accuracy_table(
     rows: impl ExactSizeIterator<Item = (String, Vec<f64>)>,
 ) -> Findings {
     let mut findings = Findings::default();
-    findings.deterministic(
+    findings.require(
         rows.len() == expected_rows,
         format!("{table} has {} rows, expected {expected_rows}", rows.len()),
     );
     for (label, scores) in rows {
-        findings.deterministic(
+        findings.require(
             scores.len() == scores_per_row,
             format!(
                 "{table} {label} has {} scores, expected {scores_per_row}",
@@ -38,7 +37,7 @@ fn check_accuracy_table(
             ),
         );
         for score in scores {
-            findings.deterministic(
+            findings.require(
                 (0.0..=100.0).contains(&score),
                 format!("{table} {label} scored {score}, outside [0, 100]"),
             );
@@ -64,7 +63,7 @@ pub(super) struct HeatmapRow {
 
 /// Figure 1: similarity heatmap between one long passage (89 chunks) and 10
 /// queries; most chunks are irrelevant to any given query.
-pub(super) fn fig1_heatmap(_repetitions: usize) -> (String, Vec<HeatmapRow>) {
+pub(super) fn fig1_heatmap() -> (String, Vec<HeatmapRow>) {
     let chunk_count = 89;
     let queries = 10;
     let chunks: Vec<String> = (0..chunk_count)
@@ -135,12 +134,12 @@ pub(super) fn fig1_heatmap(_repetitions: usize) -> (String, Vec<HeatmapRow>) {
 /// than a quarter of the chunks are highly relevant.
 pub(super) fn check_fig1_heatmap(rows: &[HeatmapRow]) -> Vec<Finding> {
     let mut findings = Findings::default();
-    findings.deterministic(
+    findings.require(
         rows.len() == 10,
         format!("the heatmap has {} query rows, expected 10", rows.len()),
     );
     for row in rows {
-        findings.deterministic(
+        findings.require(
             row.scores.len() == 89,
             format!(
                 "query {} scored {} chunks, expected 89",
@@ -148,7 +147,7 @@ pub(super) fn check_fig1_heatmap(rows: &[HeatmapRow]) -> Vec<Finding> {
                 row.scores.len()
             ),
         );
-        findings.deterministic(
+        findings.require(
             row.highly_relevant_fraction < 0.25,
             format!(
                 "query {} has {:.1}% highly relevant chunks, not under 25%",
@@ -179,7 +178,7 @@ pub(super) struct AccuracyRow {
 
 /// Table II: accuracy of FP16 / Atom / KIVI / KVQuant / Cocktail on the
 /// eight task families for the four model profiles.
-pub(super) fn table2_accuracy(_repetitions: usize) -> (String, Vec<AccuracyRow>) {
+pub(super) fn table2_accuracy() -> (String, Vec<AccuracyRow>) {
     let instances = INSTANCES_PER_CELL;
     let config = CocktailConfig::default();
     let mut rows = Vec::new();
@@ -252,7 +251,7 @@ pub(super) struct ChunkSizeRow {
 
 /// Table III: the impact of the chunk size on Cocktail's accuracy
 /// (QMSum-like summarization, Llama2-7B profile).
-pub(super) fn table3_chunk_size(_repetitions: usize) -> (String, Vec<ChunkSizeRow>) {
+pub(super) fn table3_chunk_size() -> (String, Vec<ChunkSizeRow>) {
     let instances = INSTANCES_PER_CELL;
     let model = ModelProfile::llama2_7b_sim();
     let mut rows = Vec::new();
@@ -294,7 +293,7 @@ pub(super) struct EncoderRow {
 
 /// Table IV: Cocktail's accuracy with different context/query encoders on
 /// four datasets, plus the FP16 baseline row.
-pub(super) fn table4_encoders(_repetitions: usize) -> (String, Vec<EncoderRow>) {
+pub(super) fn table4_encoders() -> (String, Vec<EncoderRow>) {
     let instances = INSTANCES_PER_CELL;
     let model = ModelProfile::llama2_7b_sim();
     let datasets = [
@@ -368,7 +367,7 @@ pub(super) struct AblationRow {
 
 /// Table V: the two-module ablation — accuracy from the extraction harness,
 /// memory and TPOT from the hardware model.
-pub(super) fn table5_ablation(_repetitions: usize) -> (String, Vec<AblationRow>) {
+pub(super) fn table5_ablation() -> (String, Vec<AblationRow>) {
     let instances = INSTANCES_PER_CELL;
     let model = ModelProfile::llama2_7b_sim();
     let deployment = deployment_for(&model);
@@ -437,21 +436,21 @@ pub(super) fn check_table5_ablation(rows: &[AblationRow]) -> Vec<Finding> {
     };
     let (fp16, cocktail) = (find("Baseline (FP16)"), find("Cocktail"));
     let (no_search, no_reorder) = (find("w/o Module I"), find("w/o Module II"));
-    findings.deterministic(
+    findings.require(
         no_search.accuracy < cocktail.accuracy,
         format!(
             "without Module I the score is {:.2}, not below Cocktail's {:.2}",
             no_search.accuracy, cocktail.accuracy
         ),
     );
-    findings.deterministic(
+    findings.require(
         no_reorder.tpot_us > cocktail.tpot_us,
         format!(
             "without Module II TPOT is {:.0} us, not above Cocktail's {:.0} us",
             no_reorder.tpot_us, cocktail.tpot_us
         ),
     );
-    findings.deterministic(
+    findings.require(
         cocktail.gpu_memory_gib < fp16.gpu_memory_gib,
         format!(
             "Cocktail needs {:.2} GiB, not below FP16's {:.2} GiB",
@@ -506,7 +505,7 @@ pub(super) struct MemoryRow {
 
 /// Figure 4: GPU memory of the five methods on the four models (QMSum-like
 /// request filling the model's context window, batch 1).
-pub(super) fn fig4_memory(_repetitions: usize) -> (String, Vec<MemoryRow>) {
+pub(super) fn fig4_memory() -> (String, Vec<MemoryRow>) {
     let sweep = model_method_sweep(
         "Figure 4: GPU memory (GiB) of different models",
         2,
@@ -535,7 +534,7 @@ pub(super) fn check_fig4_memory(rows: &[MemoryRow]) -> Vec<Finding> {
                 .map_or(f64::NAN, |r| r.gpu_memory_gib)
         };
         for method in ["Cocktail", "Atom"] {
-            findings.deterministic(
+            findings.require(
                 memory(method) < memory("FP16"),
                 format!(
                     "{}: {method} needs {:.2} GiB, not below FP16's {:.2} GiB",
@@ -561,7 +560,7 @@ pub(super) struct TpotRow {
 }
 
 /// Figure 5: time per output token of the five methods on the four models.
-pub(super) fn fig5_tpot(_repetitions: usize) -> (String, Vec<TpotRow>) {
+pub(super) fn fig5_tpot() -> (String, Vec<TpotRow>) {
     let title = format!("Figure 5: time per output token (us) at batch {TPOT_BATCH}");
     let sweep = model_method_sweep(&title, 0, |d, p| d.tpot(p, TPOT_BATCH).total_us());
     let rows = sweep
@@ -585,7 +584,7 @@ pub(super) fn check_fig5_tpot(rows: &[TpotRow]) -> Vec<Finding> {
             .find(|r| r.method == "Cocktail")
             .map_or(f64::NAN, |r| r.tpot_us);
         for row in of_model() {
-            findings.deterministic(
+            findings.require(
                 cocktail <= row.tpot_us + 1e-9,
                 format!(
                     "{}: {} has a lower TPOT ({:.0} us) than Cocktail ({cocktail:.0} us)",
@@ -616,7 +615,7 @@ pub(super) struct ThroughputRow {
 
 /// Figure 6: throughput of the five methods as the batch size grows, with
 /// OOM cutoffs (Llama2-7B profile).
-pub(super) fn fig6_throughput(_repetitions: usize) -> (String, Vec<ThroughputRow>) {
+pub(super) fn fig6_throughput() -> (String, Vec<ThroughputRow>) {
     let model = ModelProfile::llama2_7b_sim();
     let deployment = deployment_for(&model);
     let batches: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 64, 100, 150, 200, 250, 300, 350, 400];
@@ -665,7 +664,7 @@ pub(super) fn fig6_throughput(_repetitions: usize) -> (String, Vec<ThroughputRow
 /// overtakes Cocktail.
 pub(super) fn check_fig6_throughput(rows: &[ThroughputRow]) -> Vec<Finding> {
     let mut findings = Findings::default();
-    findings.deterministic(
+    findings.require(
         rows.iter()
             .any(|r| r.method == "FP16" && r.tokens_per_s.is_none()),
         "FP16 never hits OOM in the batch sweep",
@@ -676,7 +675,7 @@ pub(super) fn check_fig6_throughput(rows: &[ThroughputRow]) -> Vec<Finding> {
             .and_then(|r| r.tokens_per_s)
     };
     let rate = |method: &str, batch: usize| at(method, batch).unwrap_or(f64::NAN);
-    findings.deterministic(
+    findings.require(
         rate("Cocktail", 1) <= rate("Atom", 1) + 1e-9,
         format!(
             "batch 1: Cocktail ({:.0} tok/s) is above Atom ({:.0} tok/s)",
@@ -684,7 +683,7 @@ pub(super) fn check_fig6_throughput(rows: &[ThroughputRow]) -> Vec<Finding> {
             rate("Atom", 1)
         ),
     );
-    findings.deterministic(
+    findings.require(
         rate("Cocktail", 64) > rate("Atom", 64),
         format!(
             "batch 64: Cocktail ({:.0} tok/s) is not ahead of Atom ({:.0} tok/s)",
@@ -694,7 +693,7 @@ pub(super) fn check_fig6_throughput(rows: &[ThroughputRow]) -> Vec<Finding> {
     );
     for batch in [1usize, 8, 64] {
         if let (Some(cocktail), Some(kvquant)) = (at("Cocktail", batch), at("KVQuant", batch)) {
-            findings.deterministic(
+            findings.require(
                 cocktail > kvquant,
                 format!(
                     "batch {batch}: KVQuant ({kvquant:.0} tok/s) overtakes Cocktail \
@@ -724,7 +723,7 @@ pub(super) struct AlphaBetaRow {
 /// Figure 7: the impact of α and β on accuracy (QMSum-like task,
 /// Llama2-7B profile). Returns the α sweep (β = 0.1) followed by the β
 /// sweep (α = 0.6).
-pub(super) fn fig7_alpha_beta(_repetitions: usize) -> (String, Vec<AlphaBetaRow>) {
+pub(super) fn fig7_alpha_beta() -> (String, Vec<AlphaBetaRow>) {
     let instances = INSTANCES_PER_CELL;
     let model = ModelProfile::llama2_7b_sim();
     let mut rows = Vec::new();

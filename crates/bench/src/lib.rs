@@ -77,7 +77,7 @@ pub fn model_suite() -> Vec<ModelProfile> {
 
 /// Per-model embedding seed used by the accuracy harness, so the four
 /// "models" of Table II correspond to four distinct extraction-model
-/// instantiations (see EXPERIMENTS.md).
+/// instantiations (see the README's "Reproducing the paper's experiments").
 pub fn accuracy_evaluator_for(model: &ModelProfile, chunk_size: usize) -> Evaluator {
     let config = EvalConfig {
         embedding_seed: model.seed(),
