@@ -71,11 +71,12 @@ pub(super) struct AttentionRow {
     /// Its slot-major (slot, head) tile list: the same at every thread
     /// count, `slots x heads` entries.
     pub engine_tiles: usize,
-    /// The dispatcher's work metric of one of its layers (visible pairs of
-    /// every slot x hidden width).
+    /// The dispatcher's work metric of each layer but the last (visible
+    /// pairs of every slot x hidden width).
     pub engine_work: usize,
-    /// Bit-fingerprint of its hidden states (equal inline and on the
-    /// kernel pool).
+    /// Bit-fingerprint of what it hands on: both slots' `suffix_kv` (every
+    /// layer and KV head, K then V), then their `last_logits` (equal inline
+    /// and on the kernel pool).
     pub engine_fingerprint: i64,
 }
 
@@ -118,11 +119,11 @@ pub(super) struct KernelsReport {
     pub engine_slot_work: Vec<usize>,
 }
 
-/// Order-sensitive bit-fingerprint of a matrix: any single-bit difference
-/// in any element, or any reordering, changes the digest.
-fn fingerprint(m: &Matrix) -> i64 {
-    m.as_slice()
-        .iter()
+/// Order-sensitive bit-fingerprint of a sequence of values: any single-bit
+/// difference in any element, or any reordering, changes the digest.
+fn fingerprint<'a>(values: impl IntoIterator<Item = &'a f32>) -> i64 {
+    values
+        .into_iter()
         .fold(0u32, |acc, v| acc.rotate_left(1) ^ v.to_bits()) as i64
 }
 
@@ -190,7 +191,7 @@ fn kernel_rows(f: &Fixtures) -> Vec<KernelRow> {
         param_bytes: bq.param_bytes(),
         tiles_at_2: parallel::tile_ranges(tiled_n, 2).len(),
         tiles_at_4: parallel::tile_ranges(tiled_n, 4).len(),
-        fingerprint: fingerprint(output),
+        fingerprint: fingerprint(output.as_slice()),
     })
     .collect()
 }
@@ -254,19 +255,22 @@ fn prefill_attention() -> (AttentionRow, Vec<usize>) {
     .map(|pairs| pairs * config.hidden_dim)
     .collect();
     let prefills = engine.prefill_batch(&slots).expect("prefill");
-    let hidden: Vec<&Matrix> = prefills.iter().map(|p| &p.hidden).collect();
-    let hidden = Matrix::concat_rows(&hidden).expect("hidden rows share the width");
+    let handed_on = prefills
+        .iter()
+        .flat_map(|p| p.suffix_kv.iter().flatten())
+        .flat_map(|raw| raw.k.as_slice().iter().chain(raw.v.as_slice()))
+        .chain(prefills.iter().flat_map(|p| &p.last_logits));
 
     let row = AttentionRow {
         kernel: "prefill_attention".to_string(),
         query_shape: format!("{ATTENTION_SUFFIX}x{ATTENTION_HEAD_DIM}"),
         prefix_rows: ATTENTION_PREFIX,
         visible_pairs: visible_pairs(ATTENTION_SUFFIX, ATTENTION_PREFIX),
-        fingerprint: fingerprint(&streamed),
+        fingerprint: fingerprint(streamed.as_slice()),
         engine_slots: slots.len(),
         engine_tiles: slots.len() * config.n_heads,
         engine_work: slot_work.iter().sum(),
-        engine_fingerprint: fingerprint(&hidden),
+        engine_fingerprint: fingerprint(handed_on),
     };
     (row, slot_work)
 }
@@ -319,7 +323,7 @@ fn decode_attention() -> DecodeRow {
         int2_tokens: tokens_at(Bitwidth::Int2),
         int4_tokens: tokens_at(Bitwidth::Int4),
         fp16_tokens: tokens_at(Bitwidth::Fp16) + cache.remainder_len() + cache.tail_len(),
-        fingerprint: fingerprint(&streamed),
+        fingerprint: fingerprint(streamed.as_slice()),
     }
 }
 

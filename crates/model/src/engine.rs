@@ -24,13 +24,13 @@ pub struct RawKv {
     pub v: Matrix,
 }
 
-/// Everything the prefill phase produces.
+/// Everything the prefill phase hands on: the KV cache of every layer and
+/// the first generated token's logits. No other prompt row's output leaves
+/// the last layer, so none is computed there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefillOutput {
     /// Raw per-layer, per-KV-head key/value tensors (`[layer][kv_head]`).
     pub kv: Vec<Vec<RawKv>>,
-    /// Final-norm hidden states of every prompt token, `(tokens, hidden)`.
-    pub hidden: Matrix,
     /// Logits of the token following the prompt.
     pub last_logits: Vec<f32>,
 }
@@ -40,6 +40,19 @@ impl PrefillOutput {
     pub fn next_token(&self) -> u32 {
         argmax(&self.last_logits)
     }
+
+    /// Number of prompt tokens: the rows of each KV tensor.
+    pub fn prompt_len(&self) -> usize {
+        kv_rows(&self.kv)
+    }
+}
+
+/// Rows of the first KV tensor of a `[layer][kv_head]` set (every tensor in
+/// it has the same rows).
+fn kv_rows(kv: &[Vec<RawKv>]) -> usize {
+    kv.first()
+        .and_then(|heads| heads.first())
+        .map_or(0, |raw| raw.k.rows())
 }
 
 /// Result of a single decode step.
@@ -107,8 +120,7 @@ impl<'a> PrefillSlot<'a> {
 }
 
 /// What one slot of a batched prefill produces: the raw KV rows of the
-/// *computed* (non-reused) prompt suffix, its final-norm hidden states, and
-/// the next-token logits.
+/// *computed* (non-reused) prompt suffix and the next-token logits.
 ///
 /// Together with the reused prefix blocks, `suffix_kv` covers the whole
 /// prompt, and every row is bit-identical to the same row of a cold
@@ -120,9 +132,6 @@ pub struct BatchPrefill {
     /// Raw per-layer, per-KV-head key/value tensors of the computed suffix
     /// (`[layer][kv_head]`, `suffix_len` rows each).
     pub suffix_kv: Vec<Vec<RawKv>>,
-    /// Final-norm hidden states of the computed suffix, `(suffix_len,
-    /// hidden)`.
-    pub hidden: Matrix,
     /// Logits of the token following the prompt.
     pub last_logits: Vec<f32>,
 }
@@ -133,9 +142,9 @@ impl BatchPrefill {
         argmax(&self.last_logits)
     }
 
-    /// Number of computed suffix rows.
+    /// Number of computed suffix rows: the rows of each KV tensor.
     pub fn suffix_len(&self) -> usize {
-        self.hidden.rows()
+        kv_rows(&self.suffix_kv)
     }
 }
 
@@ -156,19 +165,23 @@ impl EngineShared {
     }
 
     /// One layer's attention-input projections: RMS-norms `x` and streams
-    /// the QKV weights once for every row in the batch.
+    /// the K and V weights once for every row in the batch, and the Q
+    /// weights once for the rows `query_rows` picks (every row when
+    /// `None`). Each op is row-wise, so a picked row's query has the same
+    /// bits as in the full projection.
     fn layer_qkv(
         &self,
         layer: &LayerWeights,
         x: &Matrix,
+        query_rows: Option<&[usize]>,
     ) -> Result<(Matrix, Matrix, Matrix), ModelError> {
         let mut normed = x.clone();
         rms_norm_rows(&mut normed, &layer.attn_norm, self.config.rms_eps);
-        Ok((
-            normed.matmul(&layer.wq)?,
-            normed.matmul(&layer.wk)?,
-            normed.matmul(&layer.wv)?,
-        ))
+        let q = match query_rows {
+            Some(rows) => normed.gather_rows(rows).matmul(&layer.wq)?,
+            None => normed.matmul(&layer.wq)?,
+        };
+        Ok((q, normed.matmul(&layer.wk)?, normed.matmul(&layer.wv)?))
     }
 
     /// Merges the per-request attention rows back into the residual stream
@@ -250,20 +263,24 @@ impl EngineShared {
         Matrix::from_vec(1, out.len(), out).map_err(ModelError::from)
     }
 
-    /// One (slot, head) tile of a prefill layer: RoPE the head's suffix
-    /// queries, then stream causal attention over the slot's reused prefix
-    /// rows (borrowed from the shared block, never copied) followed by its
-    /// suffix rows. Pure per-tile arithmetic, so it runs inline or on any
-    /// kernel-pool worker with bit-identical output.
+    /// One (slot, head) tile of a prefill layer: RoPE the head's queries
+    /// from position `first_pos` on, then stream causal attention over the
+    /// slot's reused prefix rows (borrowed from the shared block, never
+    /// copied) followed by its suffix rows. The queries are the slot's last
+    /// rows: its whole suffix (`first_pos` = the prefix length), or at the
+    /// last layer its final row alone (`first_pos` = prompt length − 1),
+    /// which sees every key. Pure per-tile arithmetic, so it runs inline or
+    /// on any kernel-pool worker with bit-identical output.
     fn prefill_tile(
         &self,
         layer_idx: usize,
         meta: &PrefillSlotMeta,
         kv_head: usize,
+        first_pos: usize,
         mut q_h: Matrix,
         suffix: &RawKv,
     ) -> Result<Matrix, ModelError> {
-        rope_rows(&mut q_h, meta.prefix_len(), self.config.rope_theta);
+        rope_rows(&mut q_h, first_pos, self.config.rope_theta);
         let reused = meta
             .prefix
             .as_ref()
@@ -307,8 +324,12 @@ impl PrefillSlotMeta {
     }
 
     /// Causally visible (query, key) pairs of one head: every suffix query
-    /// sees the whole prefix plus the suffix keys up to itself.
-    fn visible_pairs(&self) -> usize {
+    /// sees the whole prefix plus the suffix keys up to itself; a final row
+    /// alone sees the whole prompt.
+    fn visible_pairs(&self, final_row_only: bool) -> usize {
+        if final_row_only {
+            return self.prompt_len;
+        }
         let suffix = self.rows().len();
         suffix * (suffix + 1) / 2 + suffix * self.prefix_len()
     }
@@ -453,7 +474,9 @@ impl InferenceEngine {
     }
 
     /// Runs the prefill phase over `tokens` (full causal attention in FP32)
-    /// and returns the raw KV tensors, hidden states and next-token logits.
+    /// and returns every layer's raw KV tensors and the next-token logits.
+    /// The last layer carries only the final prompt row past its K/V
+    /// projections, since nothing else reads its output.
     ///
     /// Implemented as a cold [`InferenceEngine::prefill_batch`] of one, so
     /// single prefills, batched prefills and prefix-reusing prefills all go
@@ -469,7 +492,6 @@ impl InferenceEngine {
         Ok(PrefillOutput {
             kv: one.suffix_kv,
             last_logits: one.last_logits,
-            hidden: one.hidden,
         })
     }
 
@@ -540,11 +562,23 @@ impl InferenceEngine {
     /// pool when its visible-pair work clears
     /// [`cocktail_quant::parallel::PARALLEL_THRESHOLD`] (under
     /// `COCKTAIL_KERNEL_THREADS`); a batch of several slots, and anything
-    /// below the threshold, runs the same list inline. Because prefill is
-    /// causal and every shared op is row-wise, each computed row is
-    /// bit-identical to the same row of a cold single-prompt
-    /// [`InferenceEngine::prefill`] — reusing a prefix, batching prompts,
-    /// or changing the thread count never changes any output.
+    /// below the threshold, runs the same list inline.
+    ///
+    /// A prefill hands on each layer's K/V and the logits after each
+    /// slot's final row, nothing else. So the last layer norms every row
+    /// and projects its K and V for the cache, then keeps each slot's final
+    /// row alone for the Q projection, attention (one query row at position
+    /// `prompt_len − 1`, which sees every key), `wo`, the MLP, the final
+    /// norm and the LM head.
+    ///
+    /// Because prefill is causal and every op outside attention is
+    /// row-wise, each handed-on bit is identical to the same bit of a cold
+    /// single-prompt [`InferenceEngine::prefill`] — and to a prefill that
+    /// carries every row through every layer: reusing a prefix, batching
+    /// prompts, dropping the last layer's other rows or changing the thread
+    /// count never changes any output. Attention scores of a query row
+    /// depend only on that row and the keys it sees, and `rope_rows` rotates
+    /// a row at its position to the same bits alone as in a block.
     ///
     /// # Errors
     ///
@@ -584,10 +618,24 @@ impl InferenceEngine {
             .map(|_| Vec::with_capacity(self.shared.config.n_layers))
             .collect();
 
+        // Past the last layer's K/V, only each slot's final row is read.
+        let final_rows: Vec<usize> = metas.iter().map(|meta| meta.rows().end - 1).collect();
+        let last_layer = self.shared.config.n_layers - 1;
         for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-            let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, &x)?;
-            let per_slot =
-                self.prefill_layer_attention(layer_idx, &metas, &q_all, &k_all, &v_all)?;
+            let final_row_only = layer_idx == last_layer;
+            let query_rows = final_row_only.then_some(final_rows.as_slice());
+            let (q, k_all, v_all) = self.shared.layer_qkv(layer, &x, query_rows)?;
+            if final_row_only {
+                x = x.gather_rows(&final_rows);
+            }
+            let per_slot = self.prefill_layer_attention(
+                layer_idx,
+                &metas,
+                final_row_only,
+                &q,
+                &k_all,
+                &v_all,
+            )?;
             let mut attn_rows = Vec::with_capacity(slots.len());
             for (suffix_kv, (attn, layer_kv)) in kv_per_slot.iter_mut().zip(per_slot) {
                 attn_rows.push(attn);
@@ -596,34 +644,34 @@ impl InferenceEngine {
             self.shared.finish_layer(layer, &mut x, attn_rows)?;
         }
 
+        // `x` holds each slot's final row, in slot order.
         rms_norm_rows(
             &mut x,
             &self.shared.weights.final_norm,
             self.shared.config.rms_eps,
         );
-        metas
+        let logits = x.matmul(&self.shared.weights.lm_head)?;
+        Ok(metas
             .iter()
             .zip(kv_per_slot)
-            .map(|(meta, suffix_kv)| {
-                let rows = meta.rows();
-                let hidden = x.slice_rows(rows.start, rows.end);
-                let last_hidden = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
-                let logits = last_hidden.matmul(&self.shared.weights.lm_head)?;
-                Ok(BatchPrefill {
-                    prefix_len: meta.prefix_len(),
-                    suffix_kv,
-                    last_logits: logits.row(0).to_vec(),
-                    hidden,
-                })
+            .enumerate()
+            .map(|(i, (meta, suffix_kv))| BatchPrefill {
+                prefix_len: meta.prefix_len(),
+                suffix_kv,
+                last_logits: logits.row(i).to_vec(),
             })
-            .collect()
+            .collect())
     }
 
     /// One prefill layer's attention for every slot: the slot's attention
     /// rows (heads side by side) plus its per-KV-head suffix KV.
     ///
+    /// `q` holds every suffix row's query, or with `final_row_only` (the
+    /// last layer) one row per slot: the slot's final row, at position
+    /// `prompt_len − 1`. The KV is always every suffix row's.
+    ///
     /// The work is one flat, slot-major list of (slot, head) tiles, each
-    /// owning its head's suffix queries and sharing its slot's suffix KV.
+    /// owning its head's queries and sharing its slot's suffix KV.
     /// A lone slot above the threshold hands the list to
     /// [`kernel_parallel::run_jobs`] (job `i` on worker `i % workers`, so
     /// its heads alternate between workers); every other batch runs the
@@ -642,7 +690,8 @@ impl InferenceEngine {
         &self,
         layer_idx: usize,
         metas: &[PrefillSlotMeta],
-        q_all: &Matrix,
+        final_row_only: bool,
+        q: &Matrix,
         k_all: &Matrix,
         v_all: &Matrix,
     ) -> Result<Vec<(Matrix, Vec<RawKv>)>, ModelError> {
@@ -671,18 +720,25 @@ impl InferenceEngine {
             .collect();
 
         let mut tiles = Vec::with_capacity(metas.len() * config.n_heads);
-        for (meta, kv) in metas.iter().zip(&layer_kv) {
-            let rows = meta.rows();
-            let q_s = q_all.slice_rows(rows.start, rows.end);
+        for (i, (meta, kv)) in metas.iter().zip(&layer_kv).enumerate() {
+            let (rows, first_pos) = if final_row_only {
+                (i..i + 1, meta.prompt_len - 1)
+            } else {
+                (meta.rows(), meta.prefix_len())
+            };
+            let q_s = q.slice_rows(rows.start, rows.end);
             for h in 0..config.n_heads {
                 let q_h = q_s.slice_cols(h * head, (h + 1) * head);
                 let (shared, meta, kv) = (Arc::clone(&self.shared), meta.clone(), Arc::clone(kv));
                 tiles.push(move || {
-                    shared.prefill_tile(layer_idx, &meta, h / gqa, q_h, &kv[h / gqa])
+                    shared.prefill_tile(layer_idx, &meta, h / gqa, first_pos, q_h, &kv[h / gqa])
                 });
             }
         }
-        let pairs: usize = metas.iter().map(PrefillSlotMeta::visible_pairs).sum();
+        let pairs: usize = metas
+            .iter()
+            .map(|meta| meta.visible_pairs(final_row_only))
+            .sum();
         let fork =
             metas.len() == 1 && kernel_parallel::should_parallelize(pairs * config.hidden_dim);
         let outputs = if fork {
@@ -720,13 +776,7 @@ impl InferenceEngine {
         prefill: &PrefillOutput,
         chunk_size: usize,
     ) -> Result<ChunkedKvCache, ModelError> {
-        let context_len = prefill
-            .kv
-            .first()
-            .and_then(|heads| heads.first())
-            .map(|kv| kv.k.rows())
-            .unwrap_or(0);
-        let seg = ChunkSegmentation::new(context_len, chunk_size)?;
+        let seg = ChunkSegmentation::new(prefill.prompt_len(), chunk_size)?;
         let config = &self.shared.config;
         let mut cache = ChunkedKvCache::new(config.n_layers, config.n_kv_heads);
         for (layer, heads) in prefill.kv.iter().enumerate() {
@@ -800,7 +850,7 @@ impl InferenceEngine {
 
         let mut round = || -> Result<(), ModelError> {
             for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, x)?;
+                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, x, None)?;
                 let mut receivers = Vec::with_capacity(chunks.len());
                 for (ci, state) in chunks.iter_mut().enumerate() {
                     let mut chunk = state.take().expect("chunk caches are home between layers");
@@ -929,7 +979,7 @@ impl InferenceEngine {
             self.decode_layers_pooled(slots, &mut x, workers)?;
         } else {
             for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, &x)?;
+                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, &x, None)?;
                 let attn_rows = slots
                     .iter_mut()
                     .enumerate()
@@ -977,7 +1027,7 @@ impl InferenceEngine {
         max_new_tokens: usize,
     ) -> Result<Vec<u32>, ModelError> {
         let mut generated = Vec::with_capacity(max_new_tokens);
-        let prompt_len = prefill.hidden.rows();
+        let prompt_len = prefill.prompt_len();
         let mut token = prefill.next_token();
         for step in 0..max_new_tokens {
             generated.push(token);
@@ -1079,7 +1129,8 @@ mod tests {
         (Matrix::concat_cols(&head_refs).unwrap(), layer_kv)
     }
 
-    /// A whole single-slot prefill through [`materialised_slot_attention`].
+    /// A whole single-slot prefill through [`materialised_slot_attention`],
+    /// carrying every row through every layer.
     fn materialised_prefill(engine: &InferenceEngine, slot: &PrefillSlot<'_>) -> BatchPrefill {
         let shared = &engine.shared;
         let meta = PrefillSlotMeta {
@@ -1090,7 +1141,7 @@ mod tests {
         let mut x = engine.embed(&slot.tokens[slot.prefix_len..]).unwrap();
         let mut suffix_kv = Vec::new();
         for (layer_idx, layer) in shared.weights.layers.iter().enumerate() {
-            let (q, k, v) = shared.layer_qkv(layer, &x).unwrap();
+            let (q, k, v) = shared.layer_qkv(layer, &x, None).unwrap();
             let (attn, layer_kv) =
                 materialised_slot_attention(shared, layer_idx, &meta, &q, &k, &v);
             suffix_kv.push(layer_kv);
@@ -1106,12 +1157,49 @@ mod tests {
                 .unwrap()
                 .row(0)
                 .to_vec(),
-            hidden: x,
         }
     }
 
     fn prefill_one(engine: &InferenceEngine, slot: PrefillSlot<'_>) -> BatchPrefill {
         engine.prefill_batch(&[slot]).unwrap().pop().unwrap()
+    }
+
+    /// Every bit a prefill hands on, piece by piece: each layer's and KV
+    /// head's K then V rows from `from_row` on, then the next-token logits.
+    fn handed_on(kv: &[Vec<RawKv>], from_row: usize, logits: &[f32]) -> Vec<Vec<u32>> {
+        let bits = |m: &Matrix| -> Vec<u32> {
+            m.as_slice()[from_row * m.cols()..]
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let mut pieces: Vec<Vec<u32>> = kv
+            .iter()
+            .flatten()
+            .flat_map(|raw| [bits(&raw.k), bits(&raw.v)])
+            .collect();
+        pieces.push(logits.iter().map(|x| x.to_bits()).collect());
+        pieces
+    }
+
+    /// [`handed_on`] of a batch slot's whole output.
+    fn slot_bits(prefill: &BatchPrefill) -> Vec<Vec<u32>> {
+        handed_on(&prefill.suffix_kv, 0, &prefill.last_logits)
+    }
+
+    /// Asserts two [`handed_on`] lists are equal, naming the first piece
+    /// that differs instead of printing both.
+    #[track_caller]
+    fn assert_same_bits(a: &[Vec<u32>], b: &[Vec<u32>], context: &str) {
+        assert_eq!(a.len(), b.len(), "{context}: piece count");
+        if let Some(piece) = (0..a.len()).find(|&i| a[i] != b[i]) {
+            let what = if piece + 1 == a.len() {
+                "the logits".to_string()
+            } else {
+                format!("K/V tensor {piece} (layer-major, K before V)")
+            };
+            panic!("{context}: {what} differ");
+        }
     }
 
     #[test]
@@ -1135,7 +1223,61 @@ mod tests {
         let prompt = cyclic_prompt(&engine, 2048, 0);
         let streamed = prefill_one(&engine, PrefillSlot::cold(&prompt));
         let reference = materialised_prefill(&engine, &PrefillSlot::cold(&prompt));
-        assert_eq!(streamed, reference);
+        assert_same_bits(&slot_bits(&streamed), &slot_bits(&reference), "2048 cold");
+    }
+
+    #[test]
+    fn prefill_hands_on_the_full_depth_kv_and_logits() {
+        // `prefill_batch` carries only each slot's final row past the last
+        // layer's K/V; `materialised_prefill` carries every row through
+        // every layer. What both hand on must be the same bits.
+        let engine = tiny_engine();
+        let prompt = cyclic_prompt(&engine, 40, 4);
+        let short = cyclic_prompt(&engine, 9, 5);
+        let one_token = [prompt[0]];
+        let cold = engine.prefill(&prompt).unwrap();
+        let all_but_one = prefix_blocks_from_prefill(&engine, &cold, prompt.len() - 1);
+        let half = prefix_blocks_from_prefill(&engine, &cold, 17);
+        let singles = [
+            ("cold", PrefillSlot::cold(&prompt)),
+            (
+                "1-row suffix",
+                PrefillSlot::with_prefix(&prompt, &all_but_one, prompt.len() - 1),
+            ),
+            ("1-token prompt", PrefillSlot::cold(&one_token)),
+        ];
+        for (name, slot) in &singles {
+            let got = slot_bits(&prefill_one(&engine, slot.clone()));
+            assert_same_bits(&got, &slot_bits(&materialised_prefill(&engine, slot)), name);
+        }
+        let batch = [
+            PrefillSlot::cold(&short),
+            PrefillSlot::with_prefix(&prompt, &half, 17),
+            PrefillSlot::cold(&one_token),
+            PrefillSlot::cold(&prompt),
+        ];
+        let outputs = engine.prefill_batch(&batch).unwrap();
+        for (i, (got, slot)) in outputs.iter().zip(&batch).enumerate() {
+            let reference = slot_bits(&materialised_prefill(&engine, slot));
+            assert_same_bits(&slot_bits(got), &reference, &format!("batch slot {i}"));
+        }
+
+        // GQA, long enough that the lone slot's one-row last-layer tiles
+        // clear the fork threshold and run on the kernel pool at 4 threads.
+        let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
+        let long = cyclic_prompt(&engine, 1040, 6);
+        assert!(long.len() * engine.config().hidden_dim >= kernel_parallel::PARALLEL_THRESHOLD);
+        let reference = slot_bits(&materialised_prefill(&engine, &PrefillSlot::cold(&long)));
+        for threads in [1usize, 4] {
+            kernel_parallel::set_kernel_thread_override(Some(threads));
+            let got = prefill_one(&engine, PrefillSlot::cold(&long));
+            kernel_parallel::set_kernel_thread_override(None);
+            assert_same_bits(
+                &slot_bits(&got),
+                &reference,
+                &format!("GQA, {threads} threads"),
+            );
+        }
     }
 
     #[test]
@@ -1147,17 +1289,12 @@ mod tests {
         for prefix_len in [1usize, 32, prompt.len() - 1] {
             let shared = prefix_blocks_from_prefill(&engine, &cold, prefix_len);
             let slot = PrefillSlot::with_prefix(&prompt, &shared, prefix_len);
-            let warm = prefill_one(&engine, slot.clone());
-            assert_eq!(warm, materialised_prefill(&engine, &slot));
-            assert_eq!(cold.last_logits, warm.last_logits, "prefix {prefix_len}");
-            assert_eq!(
-                cold.hidden.slice_rows(prefix_len, prompt.len()),
-                warm.hidden
-            );
-            for (cold_raw, warm_raw) in cold.kv[0].iter().zip(&warm.suffix_kv[0]) {
-                assert_eq!(cold_raw.k.slice_rows(prefix_len, prompt.len()), warm_raw.k);
-                assert_eq!(cold_raw.v.slice_rows(prefix_len, prompt.len()), warm_raw.v);
-            }
+            let warm = slot_bits(&prefill_one(&engine, slot.clone()));
+            let context = format!("prefix {prefix_len}");
+            let reference = slot_bits(&materialised_prefill(&engine, &slot));
+            assert_same_bits(&warm, &reference, &context);
+            let cold_rows = handed_on(&cold.kv, prefix_len, &cold.last_logits);
+            assert_same_bits(&cold_rows, &warm, &context);
         }
     }
 
@@ -1195,7 +1332,11 @@ mod tests {
                 kernel_parallel::set_kernel_thread_override(Some(threads));
                 let batched = engine.prefill_batch(batch).unwrap();
                 kernel_parallel::set_kernel_thread_override(None);
-                assert_eq!(batched, singles, "threads {threads}");
+                assert_eq!(batched.len(), singles.len());
+                for (i, (got, single)) in batched.iter().zip(&singles).enumerate() {
+                    let context = format!("threads {threads} slot {i}");
+                    assert_same_bits(&slot_bits(got), &slot_bits(single), &context);
+                }
                 if threads > 1 {
                     // The kernel pool spawns on its first dispatch only.
                     let spawned = kernel_parallel::pool_spawn_count();
@@ -1206,8 +1347,8 @@ mod tests {
         // Warm equals cold on the rows both computed.
         let cold_long = prefill_one(&engine, cold[0].clone());
         let warm_long = prefill_one(&engine, warm[0].clone());
-        assert_eq!(cold_long.last_logits, warm_long.last_logits);
-        assert_eq!(cold_long.hidden.slice_rows(1024, 2048), warm_long.hidden);
+        let cold_rows = handed_on(&cold_long.suffix_kv, 1024, &cold_long.last_logits);
+        assert_same_bits(&cold_rows, &slot_bits(&warm_long), "long slot, warm");
         // Prefill never touches the engine's decode pool.
         assert_eq!(engine.pool_spawn_count(), 0);
     }
@@ -1218,19 +1359,21 @@ mod tests {
         let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
         assert_eq!(engine.config().gqa_group_size(), 4);
         let prompt = cyclic_prompt(&engine, 160, 2);
-        let reference = materialised_prefill(&engine, &PrefillSlot::cold(&prompt));
+        let reference = slot_bits(&materialised_prefill(&engine, &PrefillSlot::cold(&prompt)));
         for threads in [1usize, 4] {
             kernel_parallel::set_kernel_thread_override(Some(threads));
             let cold = prefill_one(&engine, PrefillSlot::cold(&prompt));
             kernel_parallel::set_kernel_thread_override(None);
-            assert_eq!(cold, reference, "threads {threads}");
+            assert_same_bits(&slot_bits(&cold), &reference, &format!("threads {threads}"));
         }
         let cold = engine.prefill(&prompt).unwrap();
         let shared = prefix_blocks_from_prefill(&engine, &cold, 100);
         let slot = PrefillSlot::with_prefix(&prompt, &shared, 100);
-        let warm = prefill_one(&engine, slot.clone());
-        assert_eq!(warm, materialised_prefill(&engine, &slot));
-        assert_eq!(cold.last_logits, warm.last_logits);
+        let warm = slot_bits(&prefill_one(&engine, slot.clone()));
+        let warm_reference = slot_bits(&materialised_prefill(&engine, &slot));
+        assert_same_bits(&warm, &warm_reference, "warm");
+        let cold_rows = handed_on(&cold.kv, 100, &cold.last_logits);
+        assert_same_bits(&cold_rows, &warm, "warm against cold");
     }
 
     #[test]
@@ -1240,8 +1383,11 @@ mod tests {
         let out = engine.prefill(&prompt).unwrap();
         assert_eq!(out.kv.len(), engine.config().n_layers);
         assert_eq!(out.kv[0].len(), engine.config().n_kv_heads);
-        assert_eq!(out.kv[0][0].k.shape(), (12, engine.config().head_dim()));
-        assert_eq!(out.hidden.shape(), (12, engine.config().hidden_dim));
+        for raw in out.kv.iter().flatten() {
+            assert_eq!(raw.k.shape(), (12, engine.config().head_dim()));
+            assert_eq!(raw.v.shape(), (12, engine.config().head_dim()));
+        }
+        assert_eq!(out.prompt_len(), 12);
         assert_eq!(out.last_logits.len(), engine.config().vocab_size);
         assert!(out.last_logits.iter().all(|v| v.is_finite()));
     }
@@ -1273,19 +1419,32 @@ mod tests {
 
     #[test]
     fn prefill_is_causal() {
-        // Logits for the first tokens must not change when more tokens are
-        // appended to the prompt.
+        // Every layer's K/V of the first tokens must not change, by a single
+        // bit, when more tokens are appended to the prompt.
         let engine = tiny_engine();
         let long = sample_prompt(&engine, 10);
         let short = long[..6].to_vec();
         let out_short = engine.prefill(&short).unwrap();
         let out_long = engine.prefill(&long).unwrap();
-        // Hidden state of position 5 must be identical in both runs.
-        let h_short = out_short.hidden.row(5);
-        let h_long = out_long.hidden.row(5);
-        for (a, b) in h_short.iter().zip(h_long.iter()) {
-            assert!((a - b).abs() < 1e-4, "causality violated: {a} vs {b}");
-        }
+        let leading: Vec<Vec<RawKv>> = out_long
+            .kv
+            .iter()
+            .map(|heads| {
+                heads
+                    .iter()
+                    .map(|raw| RawKv {
+                        k: raw.k.slice_rows(0, 6),
+                        v: raw.v.slice_rows(0, 6),
+                    })
+                    .collect()
+            })
+            .collect();
+        let short_kv = handed_on(&out_short.kv, 0, &[]);
+        assert_same_bits(
+            &short_kv,
+            &handed_on(&leading, 0, &[]),
+            "causality violated",
+        );
     }
 
     #[test]
@@ -1433,7 +1592,6 @@ mod tests {
             .map(|b| {
                 let out = PrefillOutput {
                     kv: b.suffix_kv.clone(),
-                    hidden: b.hidden.clone(),
                     last_logits: b.last_logits.clone(),
                 };
                 engine.build_cache(&out, 4).unwrap()
@@ -1505,9 +1663,8 @@ mod tests {
         for ((seq, batch), prompt) in sequential.iter().zip(&batched).zip(&prompts) {
             assert_eq!(batch.prefix_len, 0);
             assert_eq!(batch.suffix_len(), prompt.len());
-            assert_eq!(seq.last_logits, batch.last_logits);
-            assert_eq!(seq.hidden, batch.hidden);
-            assert_eq!(seq.kv, batch.suffix_kv);
+            let sequential_bits = handed_on(&seq.kv, 0, &seq.last_logits);
+            assert_same_bits(&sequential_bits, &slot_bits(batch), "batched slot");
         }
     }
 
@@ -1525,22 +1682,12 @@ mod tests {
                 .unwrap();
             assert_eq!(warm.prefix_len, prefix_len);
             assert_eq!(warm.suffix_len(), full.len() - prefix_len);
-            assert_eq!(
-                cold.last_logits, warm.last_logits,
-                "prefix {prefix_len}: logits diverged"
+            let cold_rows = handed_on(&cold.kv, prefix_len, &cold.last_logits);
+            assert_same_bits(
+                &cold_rows,
+                &slot_bits(&warm),
+                &format!("prefix {prefix_len}"),
             );
-            for (layer, heads) in cold.kv.iter().enumerate() {
-                for (head, raw) in heads.iter().enumerate() {
-                    let warm_raw = &warm.suffix_kv[layer][head];
-                    assert_eq!(
-                        raw.k.slice_rows(prefix_len, full.len()),
-                        warm_raw.k,
-                        "layer {layer} head {head} suffix keys diverged"
-                    );
-                    assert_eq!(raw.v.slice_rows(prefix_len, full.len()), warm_raw.v);
-                }
-            }
-            assert_eq!(cold.hidden.slice_rows(prefix_len, full.len()), warm.hidden);
         }
     }
 
@@ -1659,7 +1806,7 @@ mod tests {
         let shared = &engine.shared;
         let mut x = engine.embed(&[token]).unwrap();
         for (layer_idx, layer) in shared.weights.layers.iter().enumerate() {
-            let (q, k, v) = shared.layer_qkv(layer, &x).unwrap();
+            let (q, k, v) = shared.layer_qkv(layer, &x, None).unwrap();
             let attn = per_head_token_attention(shared, layer_idx, cache, pos, (&q, &k, &v));
             shared.finish_layer(layer, &mut x, vec![attn]).unwrap();
         }

@@ -174,8 +174,10 @@ pub fn kernel_threads() -> usize {
 /// Installs (`Some(n)`) or clears (`None`) a process-wide runtime override
 /// of [`kernel_threads`]. `Some(0)` is clamped to 1.
 ///
-/// Used by the `kernel_scaling` experiment and the bit-identity tests to
-/// compare the scalar (`Some(1)`) and parallel paths within one process.
+/// Used by the bit-identity tests — this module's, `cocktail_kvcache`'s and
+/// the engine's prefill tests — to compare the scalar (`Some(1)`) and
+/// parallel paths within one process. The `kernels` experiment's record
+/// pins the output bits those tests hold equal.
 pub fn set_kernel_thread_override(threads: Option<usize>) {
     let value = threads.map_or(0, |t| t.max(1));
     THREAD_OVERRIDE.store(value, Ordering::Relaxed);
@@ -183,8 +185,9 @@ pub fn set_kernel_thread_override(threads: Option<usize>) {
 
 /// Threads spawned by the process-wide kernel pool so far (0 before the
 /// first parallel dispatch). The pool spawns exactly once, so this value
-/// is flat across dispatches — the invariant the `kernel_scaling`
-/// experiment enforces.
+/// is flat across dispatches — the invariant this module's
+/// `pool_spawns_at_most_once` test and the engine's mixed-batch prefill
+/// test enforce.
 pub fn pool_spawn_count() -> usize {
     KERNEL_POOL.get().map_or(0, KernelPool::spawn_count)
 }
