@@ -13,7 +13,7 @@ use super::{
     solo_runs, Finding, Findings,
 };
 use crate::{print_fields, print_rows};
-use cocktail_core::{PrefixCacheConfig, RoutePolicy, Router};
+use cocktail_core::{PrefixCacheConfig, PrefixFingerprintIndex, RouterConfig, ServingEngine};
 use cocktail_server::{
     EngineSettings, GatewayClient, GatewayConfig, GatewayServer, GenerateRequest, StatsResponse,
     StreamHandle, StreamOutcome,
@@ -418,9 +418,9 @@ pub(super) struct ReplicaAffinityReport {
     pub affinity_reused_tokens: u64,
     /// Prefix-reused tokens under round-robin placement (in-process).
     pub round_robin_reused_tokens: u64,
-    /// Requests the in-process router placed by fingerprint match.
+    /// Requests the in-process index placed by fingerprint match.
     pub affinity_routed: usize,
-    /// Requests the in-process router placed least-loaded (cold).
+    /// Requests the in-process index placed least-loaded (cold).
     pub least_loaded_routed: usize,
     /// How many requests each replica admitted under in-process affinity
     /// routing. Every request is submitted before the first step, so the
@@ -462,7 +462,8 @@ pub(super) struct ReplicaAffinityReport {
 /// cross-replica cancellation storm.
 ///
 /// Phase 1 (in-process): the same Zipf-skewed branching trace is served
-/// by a two-replica [`Router`] twice — prefix-affinity and round-robin.
+/// by two prefix-cached [`ServingEngine`]s twice, placed once by a
+/// [`PrefixFingerprintIndex`] and once round-robin.
 /// Affinity must strictly beat round-robin on prefix-reused tokens
 /// (affinity pins each tenant's branches to one replica's trie,
 /// round-robin smears them) while every replica still admits work, and
@@ -495,30 +496,55 @@ pub(super) fn replica_affinity() -> (String, ReplicaAffinityReport) {
     let traffic = TrafficGenerator::new(config, 0x5EAF_00D1).generate();
 
     // Phase 1 — in-process: affinity versus round-robin on the same
-    // two-replica fleet.
-    let run_fleet = |policy: RoutePolicy| {
-        let mut router = Router::new(replicas, profile(), serving_config())
-            .expect("router config is valid")
-            .with_policy(policy)
-            .with_prefix_cache(PrefixCacheConfig::default());
-        let ids: Vec<_> = traffic
+    // two-replica fleet. Every request is placed before any engine steps,
+    // so a replica's load is the number of requests placed on it.
+    let run_fleet = |affinity: bool| {
+        let mut engines: Vec<ServingEngine> = (0..replicas).map(|_| cached_engine()).collect();
+        let mut index = PrefixFingerprintIndex::new(replicas, RouterConfig::default());
+        let mut loads = vec![0; replicas];
+        let placed: Vec<_> = traffic
             .iter()
-            .map(|r| router.submit(serve_request(r)))
+            .enumerate()
+            .map(|(i, r)| {
+                let replica = if affinity {
+                    let replica = index.route(&r.task.context, &loads).replica;
+                    index.record(&r.task.context, replica);
+                    replica
+                } else {
+                    i % replicas
+                };
+                loads[replica] += 1;
+                (replica, engines[replica].submit(serve_request(r)))
+            })
             .collect();
-        router.run_until_idle().expect("fleet serving succeeds");
-        let placements: Vec<usize> = ids.iter().map(|id| id.replica).collect();
-        let answer = |id| router.take_outcome(id).map(|o| o.outcome.answer);
-        let answers: Vec<String> = ids
-            .into_iter()
-            .map(answer)
-            .collect::<Option<_>>()
-            .expect("every routed request completed");
-        let reused = router.prefix_reused_tokens();
-        (answers, placements, reused, router.routing_stats())
+        let mut outcomes: Vec<_> = engines
+            .iter_mut()
+            .map(|e| {
+                e.run_until_idle()
+                    .expect("fleet serving succeeds")
+                    .into_iter()
+            })
+            .collect();
+        let answers: Vec<String> = placed
+            .iter()
+            .map(|&(replica, id)| {
+                let outcome = outcomes[replica].next().filter(|o| o.id == id);
+                outcome
+                    .expect("every placed request completed")
+                    .outcome
+                    .answer
+            })
+            .collect();
+        let reused = engines
+            .iter()
+            .filter_map(ServingEngine::prefix_cache_stats)
+            .map(|s| s.reused_tokens)
+            .sum::<u64>();
+        let placements: Vec<usize> = placed.iter().map(|&(replica, _)| replica).collect();
+        (answers, placements, reused, index.stats())
     };
-    let (affinity_answers, affinity_placements, affinity_reused, routing_stats) =
-        run_fleet(RoutePolicy::PrefixAffinity);
-    let (_, _, round_robin_reused, _) = run_fleet(RoutePolicy::RoundRobin);
+    let (affinity_answers, affinity_placements, affinity_reused, routing_stats) = run_fleet(true);
+    let (_, _, round_robin_reused, _) = run_fleet(false);
     let served: Vec<Option<&str>> = affinity_answers.iter().map(|a| Some(a.as_str())).collect();
     let routed_byte_identical = matches_replica_replay(&traffic, &affinity_placements, &served);
 

@@ -33,22 +33,23 @@
 //!   through a single batched decode call. Batched, prefix-reusing serving
 //!   is byte-identical to running the same requests sequentially through
 //!   [`CocktailPipeline`].
-//! * The **router layer** ([`Router`], [`PrefixFingerprintIndex`]) scales
-//!   serving past one engine: N independent replicas — each with its own
-//!   KV budget and prefix trie — behind a prefix-affinity router that
-//!   sends branching conversations back to the replica where their shared
-//!   preamble KV is already resident, and cold prompts to the
-//!   least-loaded replica.
+//! * The **router layer** ([`PrefixFingerprintIndex`]) places requests
+//!   across N independent replicas — each with its own KV budget and
+//!   prefix trie: branching conversations go back to the replica where
+//!   their shared preamble KV is already resident, cold prompts to the
+//!   least-loaded replica. The HTTP gateway's replica pool
+//!   (`cocktail_server`) runs the fleet.
 //! * The **persistence layer** ([`ServingEngine::snapshot_to`],
 //!   [`ServingEngine::restore_from`], [`ServingEngine::with_cold_tier`])
 //!   makes the prefix cache survive the process: a flat, versioned,
 //!   checksummed snapshot format (from `cocktail_kvcache`) captures the
 //!   trie and the tokenizer interning order it depends on, so a restarted
-//!   engine — or a fresh replica pre-warmed via
-//!   [`Router::prewarm_replica`] — serves its first warm request at warm
-//!   TTFT, byte-identical to never having restarted; and a disk cold tier
-//!   demotes evicted branches to a spill file instead of dropping them,
-//!   repromoting on a later match under the same KV budget.
+//!   engine — or a fresh replica restored from a warm sibling's snapshot
+//!   ([`ServingEngine::snapshot_bytes`],
+//!   [`ServingEngine::restore_from_bytes`]) — serves its first warm
+//!   request at warm TTFT, byte-identical to never having restarted; and
+//!   a disk cold tier demotes evicted branches to a spill file instead of
+//!   dropping them, repromoting on a later match under the same KV budget.
 //!
 //! # Example
 //!
@@ -91,10 +92,7 @@ pub use error::CocktailError;
 pub use pipeline::{CocktailOutcome, CocktailPipeline, PipelineTimings};
 pub use policy::CocktailPolicy;
 pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixHit, PrefixLease};
-pub use router::{
-    PrefixFingerprintIndex, RouteDecision, RoutePolicy, RoutedEvent, RoutedId, Router,
-    RouterConfig, RouterStats,
-};
+pub use router::{PrefixFingerprintIndex, RouteDecision, RouterConfig, RouterStats};
 pub use scheduler::{
     AdmitDecision, BatchScheduler, RequestId, SchedulerConfig, DEFAULT_PREFILL_WINDOW,
 };

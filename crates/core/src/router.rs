@@ -1,16 +1,16 @@
-//! Prefix-affinity routing across N independent serving-engine replicas.
+//! Prefix-affinity placement across N independent serving-engine replicas.
 //!
-//! One [`ServingEngine`] saturates one accelerator; heavy traffic needs a
-//! fleet. The fleet-level problem is *placement*: the token-trie prefix
-//! cache ([`crate::PrefixCache`]) only pays off when a branching
+//! One [`crate::ServingEngine`] saturates one accelerator; heavy traffic
+//! needs a fleet. The fleet-level problem is *placement*: the token-trie
+//! prefix cache ([`crate::PrefixCache`]) only pays off when a branching
 //! conversation keeps landing on the replica where its shared preamble KV
-//! is already resident. [`Router`] solves this with a cheap, shared
-//! *prefix-fingerprint index*:
+//! is already resident. The [`PrefixFingerprintIndex`] answers this
+//! cheaply:
 //!
 //! * Every routed context is summarised as rolling fingerprints of its
-//!   leading words at fixed stride boundaries ([`PrefixFingerprintIndex`]).
-//!   Fingerprints are computed on *words*, not token ids, so the index is
-//!   replica-agnostic (token ids are interned per engine).
+//!   leading words at fixed stride boundaries. Fingerprints are computed
+//!   on *words*, not token ids, so the index is replica-agnostic (token
+//!   ids are interned per engine).
 //! * An incoming request probes the index longest-boundary-first. A hit
 //!   means some replica has served (and likely still caches) that prefix:
 //!   the request is routed by *rendezvous hash* of the matched fingerprint
@@ -23,20 +23,11 @@
 //! The index is advisory: a stale entry (the replica has since evicted the
 //! prefix) costs a cache miss, never correctness. Byte-identity holds per
 //! replica — each request's output equals a solo [`crate::CocktailPipeline`]
-//! replay of *that replica's* request subsequence in submission order — and
-//! the in-process [`Router`] in this module is the reference
-//! implementation the HTTP gateway's threaded replica pool mirrors.
+//! replay of *that replica's* request subsequence in submission order. The
+//! index only decides placement; the HTTP gateway's replica pool
+//! (`cocktail_server`) owns the replicas and drives them.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-
-use crate::error::CocktailError;
-use crate::prefix::PrefixCacheConfig;
-use crate::scheduler::{RequestId, SchedulerConfig};
-use crate::serving::{
-    RequestOutcome, RestoreReport, ServeRequest, ServingEngine, ServingStats, TokenEvent,
-};
-use cocktail_model::ModelProfile;
 
 /// Tuning knobs for the [`PrefixFingerprintIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,18 +54,6 @@ impl Default for RouterConfig {
             max_entries: 4096,
         }
     }
-}
-
-/// How the [`Router`] picks a replica for each submitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Prefix-affinity routing through the fingerprint index (the
-    /// default): longest-prefix match, rendezvous hash over owners,
-    /// least-loaded fallback for cold prompts.
-    PrefixAffinity,
-    /// Strict round-robin, ignoring prefixes entirely. The baseline the
-    /// `replica_affinity` experiment compares against.
-    RoundRobin,
 }
 
 /// Where one request was routed and why.
@@ -273,330 +252,9 @@ fn rendezvous(fingerprint: u64, replica: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A request id qualified by the replica serving it. Engine-local
-/// [`RequestId`]s repeat across replicas; this pair is unique fleet-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RoutedId {
-    /// The replica that owns the request.
-    pub replica: usize,
-    /// The engine-local request id on that replica.
-    pub id: RequestId,
-}
-
-impl fmt::Display for RoutedId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}:{}", self.replica, self.id)
-    }
-}
-
-/// A [`TokenEvent`] tagged with the replica that produced it.
-#[derive(Debug, Clone)]
-pub struct RoutedEvent {
-    /// The replica the event came from.
-    pub replica: usize,
-    /// The engine event (its `id` is local to that replica).
-    pub event: TokenEvent,
-}
-
-impl RoutedEvent {
-    /// The fleet-wide id of the request this event belongs to.
-    pub fn routed_id(&self) -> RoutedId {
-        RoutedId {
-            replica: self.replica,
-            id: self.event.id,
-        }
-    }
-}
-
-/// N independent [`ServingEngine`] replicas behind one prefix-affinity
-/// router — the in-process reference implementation of multi-replica
-/// serving (the HTTP gateway runs the same index over per-replica driver
-/// threads).
-///
-/// Each replica owns its own KV budget, prefix trie and tokenizer; the
-/// router only decides placement. All per-request operations
-/// ([`Router::cancel`], [`Router::take_outcome`], ...) address requests by
-/// [`RoutedId`], which names the owning replica explicitly.
-///
-/// # Example
-///
-/// ```
-/// use cocktail_core::{CocktailConfig, PrefixCacheConfig, Router, ServeRequest};
-/// use cocktail_model::ModelProfile;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut router = Router::new(2, ModelProfile::tiny(), CocktailConfig::default())?
-///     .with_prefix_cache(PrefixCacheConfig::default());
-/// let context = "the harbour master logs every arriving vessel at dawn \
-///                and the dock code for pier nine is lantern";
-/// let id = router.submit(ServeRequest::new(context, "what is the dock code?", 4));
-/// router.run_until_idle()?;
-/// let outcome = router.take_outcome(id).expect("request completed");
-/// assert!(!outcome.outcome.answer.is_empty());
-/// # Ok(())
-/// # }
-/// ```
-pub struct Router {
-    engines: Vec<ServingEngine>,
-    index: PrefixFingerprintIndex,
-    policy: RoutePolicy,
-    /// Per-replica: a cancel parked a terminal event inside the engine;
-    /// force one more step even though the scheduler reports idle.
-    flush_needed: Vec<bool>,
-    round_robin_next: usize,
-}
-
-impl Router {
-    /// Builds `replicas` identical engines for the given model and
-    /// Cocktail configuration, with prefix-affinity routing and a default
-    /// [`RouterConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine construction error (invalid model/config).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `replicas` is zero.
-    pub fn new(
-        replicas: usize,
-        profile: ModelProfile,
-        config: crate::CocktailConfig,
-    ) -> Result<Self, CocktailError> {
-        assert!(replicas > 0, "at least one replica is required");
-        let mut engines = Vec::with_capacity(replicas);
-        for _ in 0..replicas {
-            engines.push(ServingEngine::new(profile.clone(), config.clone())?);
-        }
-        Ok(Self {
-            engines,
-            index: PrefixFingerprintIndex::new(replicas, RouterConfig::default()),
-            policy: RoutePolicy::PrefixAffinity,
-            flush_needed: vec![false; replicas],
-            round_robin_next: 0,
-        })
-    }
-
-    /// Applies one scheduler configuration to every replica. Panics (like
-    /// [`ServingEngine::with_scheduler_config`]) once traffic was
-    /// submitted.
-    pub fn with_scheduler_config(mut self, config: SchedulerConfig) -> Self {
-        self.engines = self
-            .engines
-            .into_iter()
-            .map(|engine| engine.with_scheduler_config(config))
-            .collect();
-        self
-    }
-
-    /// Enables the shared-prefix cache on every replica. Panics (like
-    /// [`ServingEngine::with_prefix_cache`]) once traffic was submitted.
-    pub fn with_prefix_cache(mut self, cache: PrefixCacheConfig) -> Self {
-        self.engines = self
-            .engines
-            .into_iter()
-            .map(|engine| engine.with_prefix_cache(cache))
-            .collect();
-        self
-    }
-
-    /// Replaces the routing policy (prefix affinity by default).
-    pub fn with_policy(mut self, policy: RoutePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the fingerprint-index configuration.
-    pub fn with_router_config(mut self, config: RouterConfig) -> Self {
-        assert!(
-            self.index.is_empty(),
-            "router config must be set before routing traffic"
-        );
-        self.index = PrefixFingerprintIndex::new(self.engines.len(), config);
-        self
-    }
-
-    /// Number of replicas.
-    pub fn replicas(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Read access to one replica's engine (stats, budget, cache
-    /// inspection).
-    pub fn engine(&self, replica: usize) -> &ServingEngine {
-        &self.engines[replica]
-    }
-
-    /// Cumulative routing counters.
-    pub fn routing_stats(&self) -> RouterStats {
-        self.index.stats()
-    }
-
-    /// Routes and submits one request, returning its fleet-wide id.
-    pub fn submit(&mut self, request: ServeRequest) -> RoutedId {
-        let (id, _) = self.submit_routed(request);
-        id
-    }
-
-    /// Routes and submits one request, also returning the routing
-    /// decision (which the `replica_affinity` experiment inspects).
-    pub fn submit_routed(&mut self, request: ServeRequest) -> (RoutedId, RouteDecision) {
-        let decision = match self.policy {
-            RoutePolicy::RoundRobin => {
-                let replica = self.round_robin_next % self.engines.len();
-                self.round_robin_next += 1;
-                RouteDecision {
-                    replica,
-                    matched_words: 0,
-                    affinity: false,
-                }
-            }
-            RoutePolicy::PrefixAffinity => {
-                let loads: Vec<usize> = self
-                    .engines
-                    .iter()
-                    .map(|e| e.scheduler().queued_len() + e.scheduler().running_len())
-                    .collect();
-                let decision = self.index.route(&request.context, &loads);
-                self.index.record(&request.context, decision.replica);
-                decision
-            }
-        };
-        let id = self.engines[decision.replica].submit(request);
-        (
-            RoutedId {
-                replica: decision.replica,
-                id,
-            },
-            decision,
-        )
-    }
-
-    /// Cancels a routed request on its owning replica. Only that replica's
-    /// budget, queue slot and prefix pins are touched. Returns `false`
-    /// when the request already finished.
-    pub fn cancel(&mut self, id: RoutedId) -> bool {
-        if self.engines[id.replica].cancel(id.id) {
-            self.flush_needed[id.replica] = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Runs one step on every replica with work pending, collecting the
-    /// replica-tagged token events.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first replica's fatal step error; other replicas are
-    /// left untouched and can keep serving.
-    pub fn step_events(&mut self) -> Result<Vec<RoutedEvent>, CocktailError> {
-        let mut out = Vec::new();
-        for (replica, engine) in self.engines.iter_mut().enumerate() {
-            if engine.is_idle() && !self.flush_needed[replica] {
-                continue;
-            }
-            self.flush_needed[replica] = false;
-            for event in engine.step_events()? {
-                out.push(RoutedEvent { replica, event });
-            }
-        }
-        Ok(out)
-    }
-
-    /// `true` when every replica is idle and no cancel flush is pending.
-    pub fn is_idle(&self) -> bool {
-        self.engines.iter().all(ServingEngine::is_idle) && self.flush_needed.iter().all(|f| !f)
-    }
-
-    /// Steps until every replica drains, discarding events. Completed
-    /// outcomes stay collectable via [`Router::take_outcome`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first fatal step error.
-    pub fn run_until_idle(&mut self) -> Result<(), CocktailError> {
-        while !self.is_idle() {
-            self.step_events()?;
-        }
-        Ok(())
-    }
-
-    /// Removes and returns the outcome of a completed routed request.
-    pub fn take_outcome(&mut self, id: RoutedId) -> Option<RequestOutcome> {
-        self.engines[id.replica].take_outcome(id.id)
-    }
-
-    /// Removes and returns the stats of a cancelled routed request.
-    pub fn take_cancelled(&mut self, id: RoutedId) -> Option<ServingStats> {
-        self.engines[id.replica].take_cancelled(id.id)
-    }
-
-    /// Removes and returns the failure message and stats of a failed
-    /// routed request.
-    pub fn take_failure(&mut self, id: RoutedId) -> Option<(String, ServingStats)> {
-        self.engines[id.replica].take_failure(id.id)
-    }
-
-    /// Total compressed KV bytes in use across all replicas.
-    pub fn kv_bytes_in_use(&self) -> usize {
-        self.engines
-            .iter()
-            .map(ServingEngine::kv_bytes_in_use)
-            .sum()
-    }
-
-    /// Total prefix-reused tokens across all replicas (0 when no cache is
-    /// configured).
-    pub fn prefix_reused_tokens(&self) -> u64 {
-        self.engines
-            .iter()
-            .filter_map(ServingEngine::prefix_cache_stats)
-            .map(|s| s.reused_tokens)
-            .sum()
-    }
-
-    /// Seeds `target`'s prefix cache from a snapshot of `source`'s cache —
-    /// fleet pre-warming: a replica joining a warm fleet serves its first
-    /// shared-preamble requests at warm TTFT instead of re-prefilling what
-    /// a sibling already holds. The snapshot carries the source replica's
-    /// tokenizer interning order, which the target replays; any
-    /// incompatibility (the target already interned diverging traffic, or
-    /// the engines were somehow built with different configurations)
-    /// degrades to a cold start reported in the returned [`RestoreReport`]
-    /// — never corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either replica index is out of range.
-    pub fn prewarm_replica(&mut self, target: usize, source: usize) -> RestoreReport {
-        assert!(
-            target < self.engines.len() && source < self.engines.len(),
-            "replica index out of range"
-        );
-        if target == source {
-            return RestoreReport {
-                restored: false,
-                nodes: 0,
-                resident_bytes: 0,
-                reason: Some("source and target are the same replica".to_string()),
-            };
-        }
-        let bytes = self.engines[source].snapshot_bytes();
-        self.engines[target].restore_from_bytes(&bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CocktailConfig, CocktailPipeline, FinishReason};
-    use proptest::prelude::*;
-
-    fn config() -> CocktailConfig {
-        CocktailConfig::default().with_chunk_size(8).unwrap()
-    }
 
     /// Branching multi-tenant contexts: `groups` tenants, each with a
     /// long shared preamble, `per_group` branches each diverging right
@@ -708,279 +366,5 @@ mod tests {
         let db = b.route(ctx, &[0, 0, 0, 0]);
         assert_eq!(da.replica, db.replica);
         assert!([1, 3].contains(&da.replica), "owner set respected");
-    }
-
-    #[test]
-    fn routed_serving_is_byte_identical_to_per_replica_solo_replays() {
-        let contexts = tenant_contexts(2, 3);
-        let mut router = Router::new(2, ModelProfile::tiny(), config())
-            .unwrap()
-            .with_prefix_cache(crate::PrefixCacheConfig::default());
-        let ids: Vec<RoutedId> = contexts
-            .iter()
-            .map(|(ctx, q)| router.submit(ServeRequest::new(ctx.clone(), q.clone(), 6)))
-            .collect();
-        router.run_until_idle().unwrap();
-
-        // Reference: each replica's routed subsequence replayed in
-        // submission order through a fresh solo pipeline (token interning
-        // is engine-local, so the reference must replay the same prompt
-        // history).
-        for replica in 0..router.replicas() {
-            let pipeline = CocktailPipeline::new(ModelProfile::tiny(), config()).unwrap();
-            for (i, id) in ids.iter().enumerate() {
-                if id.replica != replica {
-                    continue;
-                }
-                let (ctx, q) = &contexts[i];
-                let solo = pipeline.run(ctx, q, 6).unwrap();
-                let outcome = router.take_outcome(*id).expect("request completed");
-                assert_eq!(
-                    outcome.outcome.answer, solo.answer,
-                    "request {i} diverged from its replica-local solo replay"
-                );
-            }
-        }
-        // Both tenants' branches shared their preamble somewhere: the
-        // fleet reused tokens.
-        assert!(router.prefix_reused_tokens() > 0);
-    }
-
-    #[test]
-    fn affinity_beats_round_robin_on_reused_tokens() {
-        // Three tenants over two replicas: round-robin placement cannot
-        // align with tenant identity (with two tenants it accidentally
-        // would), so it smears every tenant across both replicas.
-        let contexts = tenant_contexts(3, 4);
-        let serve = |policy: RoutePolicy| -> u64 {
-            let mut router = Router::new(2, ModelProfile::tiny(), config())
-                .unwrap()
-                .with_prefix_cache(crate::PrefixCacheConfig::default())
-                .with_policy(policy);
-            for (ctx, q) in &contexts {
-                router.submit(ServeRequest::new(ctx.clone(), q.clone(), 4));
-            }
-            router.run_until_idle().unwrap();
-            router.prefix_reused_tokens()
-        };
-        let affinity = serve(RoutePolicy::PrefixAffinity);
-        let round_robin = serve(RoutePolicy::RoundRobin);
-        // Round-robin interleaving splits each tenant across both
-        // replicas, paying the preamble prefill once per (tenant,
-        // replica) pair; affinity pays it once per tenant.
-        assert!(
-            affinity > round_robin,
-            "affinity reused {affinity} <= round-robin {round_robin}"
-        );
-    }
-
-    #[test]
-    fn cancel_releases_budget_on_the_owning_replica_only() {
-        let contexts = tenant_contexts(2, 2);
-        let mut router = Router::new(2, ModelProfile::tiny(), config()).unwrap();
-        let ids: Vec<RoutedId> = contexts
-            .iter()
-            .map(|(ctx, q)| router.submit(ServeRequest::new(ctx.clone(), q.clone(), 8)))
-            .collect();
-        // Two tenants, affinity routing, fresh index: tenant 0 and
-        // tenant 1 land on different replicas (cold fallback alternates
-        // with load).
-        assert!(
-            ids.iter().any(|id| id.replica == 0) && ids.iter().any(|id| id.replica == 1),
-            "traffic must spread over both replicas: {ids:?}"
-        );
-        // Let everything start decoding.
-        router.step_events().unwrap();
-        router.step_events().unwrap();
-        let victim = ids[0];
-        let other = 1 - victim.replica;
-        let before_owner = router.engine(victim.replica).kv_bytes_in_use();
-        let before_other = router.engine(other).kv_bytes_in_use();
-        assert!(router.cancel(victim));
-        assert!(
-            router.engine(victim.replica).kv_bytes_in_use() < before_owner,
-            "cancel must release budget on the owning replica"
-        );
-        assert_eq!(
-            router.engine(other).kv_bytes_in_use(),
-            before_other,
-            "cancel must not touch the other replica's budget"
-        );
-        assert!(!router.cancel(victim), "double cancel is a no-op");
-        router.run_until_idle().unwrap();
-        assert!(router.take_cancelled(victim).is_some());
-        for id in &ids[1..] {
-            assert!(router.take_outcome(*id).is_some(), "{id} must survive");
-        }
-    }
-
-    #[test]
-    fn prewarming_seeds_a_fresh_replica_from_a_warm_sibling() {
-        let contexts = tenant_contexts(1, 3);
-        let mut router = Router::new(2, ModelProfile::tiny(), config())
-            .unwrap()
-            .with_prefix_cache(crate::PrefixCacheConfig::default());
-        // Warm up replica 0 only (affinity keeps one tenant together).
-        let first = router.submit(ServeRequest::new(
-            contexts[0].0.clone(),
-            contexts[0].1.clone(),
-            4,
-        ));
-        router.run_until_idle().unwrap();
-        let source = first.replica;
-        let target = 1 - source;
-        assert!(router.engine(target).prefix_cache_stats().unwrap().nodes == 0);
-
-        // Pre-warm the idle replica from the warm one.
-        let report = router.prewarm_replica(target, source);
-        assert!(report.restored, "prewarm failed: {:?}", report.reason);
-        assert!(report.nodes > 0);
-        assert_eq!(
-            router.engine(target).prefix_cache_stats().unwrap().nodes,
-            report.nodes
-        );
-
-        // Same-replica prewarm degrades with a reason instead of looping
-        // a snapshot back into itself.
-        let same = router.prewarm_replica(source, source);
-        assert!(!same.restored);
-        assert!(same.reason.is_some());
-    }
-
-    #[test]
-    fn replica_failure_surfaces_failed_without_hanging_the_fleet() {
-        let contexts = tenant_contexts(2, 1);
-        let mut router = Router::new(2, ModelProfile::tiny(), config()).unwrap();
-        let healthy = router.submit(ServeRequest::new(
-            contexts[0].0.clone(),
-            contexts[0].1.clone(),
-            4,
-        ));
-        // An empty context fails admission-side encoding on whichever
-        // replica it lands on.
-        let doomed = router.submit(ServeRequest::new("", "query", 4));
-        assert_ne!(healthy.replica, doomed.replica, "cold routing spreads load");
-        let mut finishes = HashMap::new();
-        while !router.is_idle() {
-            for routed in router.step_events().unwrap() {
-                if let Some(reason) = routed.event.finish {
-                    finishes.insert(routed.routed_id(), reason);
-                }
-            }
-        }
-        // The failure surfaced as a terminal event — no hang — and the
-        // healthy replica finished normally.
-        assert_eq!(finishes.get(&doomed), Some(&FinishReason::Failed));
-        assert_eq!(finishes.get(&healthy), Some(&FinishReason::Length));
-        let (message, _) = router.take_failure(doomed).expect("failure recorded");
-        assert!(!message.is_empty());
-        assert!(router.take_outcome(healthy).is_some());
-        assert_eq!(router.kv_bytes_in_use(), 0, "no leaked budget after drain");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Random routed admission/cancel interleavings never violate any
-        /// replica's KV-budget invariant, always release every replica's
-        /// prefix pins by idle, and leave every surviving request
-        /// byte-identical to its replica-local solo replay.
-        #[test]
-        fn routed_cancellations_preserve_every_replicas_budget_and_pins(
-            per_group in 2usize..4,
-            cancel_seed in 0u64..500,
-            cancel_count in 1usize..4,
-        ) {
-            let contexts = tenant_contexts(2, per_group);
-            let max_new = 6usize;
-            // Budget sized for roughly two requests per replica, so
-            // admission takes turns under cancellations.
-            let probe = CocktailPipeline::new(ModelProfile::tiny(), config()).unwrap();
-            let tail = (max_new - 1) * probe.engine().config().kv_bytes_per_token_fp16();
-            let budget = contexts
-                .iter()
-                .map(|(ctx, q)| probe.run(ctx, q, max_new).unwrap().cache_bytes + tail)
-                .max()
-                .expect("at least one request") * 2;
-
-            let mut router = Router::new(2, ModelProfile::tiny(), config())
-                .unwrap()
-                .with_scheduler_config(SchedulerConfig::default().with_budget(budget))
-                .with_prefix_cache(crate::PrefixCacheConfig::default().with_min_prefix_tokens(4));
-            let ids: Vec<RoutedId> = contexts
-                .iter()
-                .map(|(ctx, q)| router.submit(ServeRequest::new(ctx.clone(), q.clone(), max_new)))
-                .collect();
-
-            // A deterministic cancellation schedule drawn from the seed.
-            let mut schedule: Vec<(usize, RoutedId)> = (0..cancel_count)
-                .map(|i| {
-                    let mix = cancel_seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64);
-                    ((mix % 7) as usize, ids[(mix >> 8) as usize % ids.len()])
-                })
-                .collect();
-            schedule.sort_unstable();
-            schedule.dedup_by_key(|(_, id)| *id);
-
-            let mut cancelled: Vec<RoutedId> = Vec::new();
-            let mut steps = 0usize;
-            let mut guard = 0;
-            while !router.is_idle() {
-                guard += 1;
-                prop_assert!(guard < 10_000, "routed serving failed to quiesce");
-                for (at, id) in &schedule {
-                    if *at <= steps && !cancelled.contains(id) && router.cancel(*id) {
-                        cancelled.push(*id);
-                    }
-                }
-                router.step_events().unwrap();
-                steps += 1;
-                for replica in 0..router.replicas() {
-                    prop_assert!(
-                        router.engine(replica).kv_bytes_in_use() <= budget,
-                        "replica {replica} violated its budget: {} > {budget}",
-                        router.engine(replica).kv_bytes_in_use()
-                    );
-                }
-            }
-
-            for replica in 0..router.replicas() {
-                let cache = router
-                    .engine(replica)
-                    .prefix_cache_stats()
-                    .expect("cache enabled");
-                prop_assert_eq!(
-                    cache.pinned_entries, 0,
-                    "idle replica {} must hold no prefix pins", replica
-                );
-            }
-
-            // Survivors must match their replica-local solo replays (the
-            // replay includes cancelled requests: their prompts were — at
-            // the latest by the cancel step — part of the replica's
-            // interning history).
-            for replica in 0..router.replicas() {
-                let pipeline = CocktailPipeline::new(ModelProfile::tiny(), config()).unwrap();
-                for (i, id) in ids.iter().enumerate() {
-                    if id.replica != replica {
-                        continue;
-                    }
-                    let (ctx, q) = &contexts[i];
-                    let solo = pipeline.run(ctx, q, max_new).unwrap();
-                    if cancelled.contains(id) {
-                        let stats = router.take_cancelled(*id).expect("cancelled stats");
-                        prop_assert!(stats.cancelled);
-                    } else {
-                        let outcome = router.take_outcome(*id).expect("survivor completed");
-                        prop_assert_eq!(
-                            &outcome.outcome.answer, &solo.answer,
-                            "request {} diverged from its replica-local replay", i
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -2,10 +2,9 @@
 //! prefix-affinity route decision.
 //!
 //! The pool owns one [`EngineDriver`] per replica plus a shared
-//! [`PrefixFingerprintIndex`] (the same structure `cocktail_core::Router`
-//! uses in-process). A submit snapshots per-replica load, asks the index
-//! for the replica whose prefix trie most plausibly holds the prompt's
-//! preamble, then offers the request to that replica first and to the
+//! [`PrefixFingerprintIndex`]. A submit snapshots per-replica load, asks
+//! the index for the replica whose prefix trie most plausibly holds the
+//! prompt's preamble, then offers the request to that replica first and to the
 //! remaining replicas in least-loaded order. Only when *every* replica
 //! answers `Busy` does the gateway see a 429 — a saturated hot replica
 //! degrades to a cold-cache admission elsewhere instead of a refusal.
@@ -106,7 +105,7 @@ impl ReplicaPool {
         };
 
         // Candidate order: the routed replica, then the rest least-loaded
-        // first (ties to the lower index, matching the in-process router).
+        // first (ties to the lower index, as in the index's cold fallback).
         let mut rest: Vec<usize> = (0..self.replicas())
             .filter(|&r| r != decision.replica)
             .collect();

@@ -61,9 +61,8 @@ pub mod prelude {
         AdmitDecision, BatchScheduler, BitwidthPlan, ChunkQuantSearch, CocktailConfig,
         CocktailOutcome, CocktailPipeline, CocktailPolicy, FinishReason, PipelineTimings,
         PrefixCache, PrefixCacheConfig, PrefixCacheStats, RequestId, RequestOutcome, RequestState,
-        RestoreReport, RoutePolicy, RoutedId, Router, RouterConfig, SamplerChain, SamplingParams,
-        SchedulerConfig, ServeRequest, ServeRequestBuilder, ServingEngine, ServingStats,
-        SnapshotReport, TokenEvent,
+        RestoreReport, RouterConfig, SamplerChain, SamplingParams, SchedulerConfig, ServeRequest,
+        ServeRequestBuilder, ServingEngine, ServingStats, SnapshotReport, TokenEvent,
     };
     pub use cocktail_hwsim::{AcceleratorSpec, DeploymentModel, KvCacheProfile, RequestShape};
     pub use cocktail_kvcache::{

@@ -299,20 +299,32 @@ fn pipelined_requests_answer_in_order() {
 
 #[test]
 fn invalid_engine_input_maps_to_400_with_the_failure_message() {
-    let (server, client) = start_server(tiny_settings(), GatewayConfig::default());
-    // An empty context passes JSON validation but fails tokenization in
-    // the engine; the Failed terminal event must become a clean 400.
-    let err = client
-        .generate(&GenerateRequest::new("", "question", 4))
-        .expect_err("empty context fails");
-    match err {
-        ClientError::Status { status, error } => {
-            assert_eq!(status, 400);
-            assert!(error.error.contains("non-empty"), "{}", error.error);
+    for replicas in [1, 2] {
+        let gateway = GatewayConfig::default().with_replicas(replicas);
+        let (server, client) = start_server(tiny_settings(), gateway);
+        // An empty context passes JSON validation but fails tokenization
+        // in the engine; the Failed terminal event must become a clean 400.
+        let err = client
+            .generate(&GenerateRequest::new("", "question", 4))
+            .expect_err("empty context fails");
+        match err {
+            ClientError::Status { status, error } => {
+                assert_eq!(status, 400);
+                assert!(error.error.contains("non-empty"), "{}", error.error);
+            }
+            other => panic!("expected a status error, got {other:?}"),
         }
-        other => panic!("expected a status error, got {other:?}"),
+        // The failure hangs nothing: a valid request served next completes.
+        let request = &traffic(1, 0xFA11)[0];
+        client
+            .generate(&GenerateRequest::new(
+                request.task.context.clone(),
+                request.task.query.clone(),
+                4,
+            ))
+            .expect("the fleet still serves after a failed request");
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
@@ -784,6 +796,45 @@ fn fleet_admin_operations_target_replicas_individually_or_all() {
     for path in [format!("{base}.0"), format!("{base}.1"), one_path] {
         let _ = std::fs::remove_file(path);
     }
+    server.shutdown();
+}
+
+#[test]
+fn prewarming_seeds_a_fresh_replica_from_a_warm_sibling() {
+    let settings = tiny_settings().with_prefix_cache(PrefixCacheConfig::default());
+    let gateway = GatewayConfig::default().with_replicas(2);
+    let (server, client) = start_server(settings, gateway);
+    // A cold request on an idle fleet lands on the least-loaded replica,
+    // the lowest index on ties: replica 0.
+    let request = &traffic(1, 0x7A4)[0];
+    client
+        .generate(&GenerateRequest::new(
+            request.task.context.clone(),
+            request.task.query.clone(),
+            6,
+        ))
+        .expect("serve");
+
+    // Pre-warm replica 1, which has served nothing, from replica 0.
+    let path = temp_snapshot_path("prewarm");
+    let snap = client
+        .admin_snapshot(&path, Some(0))
+        .expect("warm replica snapshot");
+    assert!(snap.replicas[0].nodes > 0, "replica 0 served nothing");
+    let restore = client
+        .admin_restore(&path, Some(1))
+        .expect("fresh replica restore");
+    let row = &restore.replicas[0];
+    assert_eq!(row.replica, 1);
+    assert!(row.restored, "prewarm refused: {:?}", row.reason);
+    assert_eq!(row.nodes, snap.replicas[0].nodes);
+    assert!(row.resident_bytes > 0);
+    let stats = client.stats().expect("stats endpoint");
+    assert!(
+        stats.replicas[1].prefix_resident_bytes > 0,
+        "the restored trie must be resident on replica 1: {stats:?}"
+    );
+    let _ = std::fs::remove_file(&path);
     server.shutdown();
 }
 
