@@ -299,32 +299,64 @@ fn pipelined_requests_answer_in_order() {
 
 #[test]
 fn invalid_engine_input_maps_to_400_with_the_failure_message() {
-    for replicas in [1, 2] {
-        let gateway = GatewayConfig::default().with_replicas(replicas);
-        let (server, client) = start_server(tiny_settings(), gateway);
-        // An empty context passes JSON validation but fails tokenization
-        // in the engine; the Failed terminal event must become a clean 400.
-        let err = client
-            .generate(&GenerateRequest::new("", "question", 4))
-            .expect_err("empty context fails");
-        match err {
-            ClientError::Status { status, error } => {
-                assert_eq!(status, 400);
-                assert!(error.error.contains("non-empty"), "{}", error.error);
-            }
-            other => panic!("expected a status error, got {other:?}"),
+    let (server, client) = start_server(tiny_settings(), GatewayConfig::default());
+    // An empty context passes JSON validation but fails tokenization in
+    // the engine; the Failed terminal event must become a clean 400.
+    let err = client
+        .generate(&GenerateRequest::new("", "question", 4))
+        .expect_err("empty context fails");
+    match err {
+        ClientError::Status { status, error } => {
+            assert_eq!(status, 400);
+            assert!(error.error.contains("non-empty"), "{}", error.error);
         }
-        // The failure hangs nothing: a valid request served next completes.
-        let request = &traffic(1, 0xFA11)[0];
-        client
-            .generate(&GenerateRequest::new(
-                request.task.context.clone(),
-                request.task.query.clone(),
-                4,
-            ))
-            .expect("the fleet still serves after a failed request");
-        server.shutdown();
+        other => panic!("expected a status error, got {other:?}"),
     }
+    server.shutdown();
+}
+
+#[test]
+fn replica_failure_surfaces_failed_without_hanging_the_fleet() {
+    let gateway = GatewayConfig::default().with_replicas(2);
+    let (server, client) = start_server(tiny_settings(), gateway);
+    // A healthy stream occupies replica 0, the lowest index on an idle
+    // fleet's least-loaded tie. A long context and token budget keep it
+    // decoding while the failing request is routed.
+    let long_context =
+        "the cocktail gateway keeps decoding while a sibling replica fails ".repeat(55);
+    let mut healthy = client
+        .open_stream(&GenerateRequest::new(long_context, "still going", 300))
+        .expect("healthy stream opens");
+    healthy.read_tokens(1).expect("healthy stream is decoding");
+    poll_stats_until(&client, "healthy request running", |s| {
+        s.replicas[0].running == 1
+    });
+
+    // An empty context fails engine-side encoding on the other replica;
+    // the failure surfaces as a 400 rather than a hang.
+    let err = client
+        .generate(&GenerateRequest::new("", "query", 4))
+        .expect_err("empty context fails");
+    match err {
+        ClientError::Status { status, error } => {
+            assert_eq!(status, 400);
+            assert!(!error.error.is_empty());
+        }
+        other => panic!("expected a status error, got {other:?}"),
+    }
+
+    // The healthy replica finishes normally, and the fleet drains with
+    // the failure charged to replica 1 and no budget leaked.
+    let outcome = healthy.finish().expect("healthy stream finishes");
+    assert_eq!(outcome.finish, "length");
+    let stats = poll_stats_until(&client, "fleet to drain", |s| {
+        s.queued == 0 && s.running == 0 && s.completed == 1
+    });
+    assert_eq!(stats.replicas[0].failed, 0);
+    assert_eq!(stats.replicas[1].failed, 1);
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.kv_bytes_in_use, 0, "no leaked budget after drain");
+    server.shutdown();
 }
 
 #[test]
