@@ -93,9 +93,7 @@ pub use pipeline::{CocktailOutcome, CocktailPipeline, PipelineTimings};
 pub use policy::CocktailPolicy;
 pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixHit, PrefixLease};
 pub use router::{PrefixFingerprintIndex, RouteDecision, RouterConfig, RouterStats};
-pub use scheduler::{
-    AdmitDecision, BatchScheduler, RequestId, SchedulerConfig, DEFAULT_PREFILL_WINDOW,
-};
+pub use scheduler::{AdmitDecision, BatchScheduler, RequestId, SchedulerConfig};
 pub use search::{BitwidthPlan, ChunkQuantSearch};
 pub use serving::{
     FinishReason, RequestOutcome, RequestState, RestoreReport, ServeRequest, ServeRequestBuilder,

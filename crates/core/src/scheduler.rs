@@ -56,17 +56,7 @@ pub struct SchedulerConfig {
     /// Maximum number of concurrently running requests, regardless of
     /// memory (a kernel/occupancy cap in real deployments).
     pub max_batch: usize,
-    /// Up to this many queued requests are prefilled together in one
-    /// batched prefill pass during admission (amortizing weight streaming
-    /// across the newly arriving prompts). Each prepared-but-deferred
-    /// request keeps its compressed cache resident until admitted, so this
-    /// also bounds how many prepared caches can sit outside the budget at
-    /// once.
-    pub prefill_window: usize,
 }
-
-/// Default number of requests prefilled together during admission.
-pub const DEFAULT_PREFILL_WINDOW: usize = 4;
 
 impl SchedulerConfig {
     /// Unlimited memory and a practically unlimited batch.
@@ -74,7 +64,6 @@ impl SchedulerConfig {
         Self {
             kv_budget_bytes: None,
             max_batch: usize::MAX,
-            prefill_window: DEFAULT_PREFILL_WINDOW,
         }
     }
 
@@ -87,14 +76,6 @@ impl SchedulerConfig {
     /// Returns a copy with the given batch cap.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Returns a copy with the given batched-prefill window (clamped to at
-    /// least 1; a window of 1 reproduces strictly sequential admission
-    /// prefills).
-    pub fn with_prefill_window(mut self, window: usize) -> Self {
-        self.prefill_window = window.max(1);
         self
     }
 }
@@ -337,7 +318,6 @@ mod tests {
         BatchScheduler::new(SchedulerConfig {
             kv_budget_bytes: budget,
             max_batch,
-            prefill_window: DEFAULT_PREFILL_WINDOW,
         })
     }
 
@@ -380,16 +360,6 @@ mod tests {
         assert_eq!(s.try_admit(b, 60), AdmitDecision::DeferredBatch);
         s.complete(a);
         assert_eq!(s.try_admit(b, 60), AdmitDecision::Admitted);
-    }
-
-    #[test]
-    fn prefill_window_is_clamped_to_one() {
-        let config = SchedulerConfig::default().with_prefill_window(0);
-        assert_eq!(config.prefill_window, 1);
-        assert_eq!(
-            SchedulerConfig::default().prefill_window,
-            DEFAULT_PREFILL_WINDOW
-        );
     }
 
     #[test]

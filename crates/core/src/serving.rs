@@ -19,9 +19,8 @@
 //! running the same requests sequentially — only faster, since the weight
 //! streaming of each decode step is amortized over the batch.
 //!
-//! Admission itself is batched and prefix-aware. Up to
-//! [`SchedulerConfig::prefill_window`](crate::SchedulerConfig) queued
-//! prompts are prefilled together through one
+//! Admission itself is batched and prefix-aware. Up to four queued
+//! prompts (the prefill window) are prefilled together through one
 //! [`prefill_batch`](cocktail_model::InferenceEngine::prefill_batch) call,
 //! amortizing QKV/MLP weight streaming over the arriving prompts exactly as
 //! the decode path does over the running batch. With
@@ -60,6 +59,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Up to this many queued requests are prefilled together in one batched
+/// prefill pass during admission (amortizing weight streaming across the
+/// newly arriving prompts). Each prepared-but-deferred request keeps its
+/// compressed cache resident until admitted, so this also bounds how many
+/// prepared caches can sit outside the budget at once.
+const PREFILL_WINDOW: usize = 4;
 
 /// One serving request: a context, a query and a generation budget.
 ///
@@ -1449,8 +1455,7 @@ impl ServingEngine {
     /// These bytes are *not* part of [`ServingEngine::kv_bytes_in_use`]:
     /// the budget governs admitted requests (and resident prefix-cache
     /// blocks), while prepared caches are kept across deferrals so a
-    /// prefill is never repeated. Up to
-    /// [`SchedulerConfig::prefill_window`](crate::SchedulerConfig) requests
+    /// prefill is never repeated. Up to four requests (the prefill window)
     /// can be prepared ahead of admission, so operators sizing real memory
     /// should add this headroom to the budget.
     pub fn prepared_kv_bytes(&self) -> usize {
@@ -1524,7 +1529,7 @@ impl ServingEngine {
         }
     }
 
-    /// Takes up to `prefill_window` queued requests from the front of the
+    /// Takes up to [`PREFILL_WINDOW`] queued requests from the front of the
     /// queue, encodes them in queue order (so tokenizer interning — and
     /// every request's vocabulary horizon — matches what sequential serving
     /// would produce), and prefills them through at most two batched
@@ -1534,12 +1539,11 @@ impl ServingEngine {
     /// what lets simultaneously arriving requests with a common context
     /// share its prefill within a single engine step.
     fn prepare_window(&mut self, now: usize) -> Result<(), CocktailError> {
-        let window = self.scheduler.config().prefill_window;
         let ids: Vec<RequestId> = self
             .scheduler
             .queued_ids()
             .into_iter()
-            .take(window)
+            .take(PREFILL_WINDOW)
             .filter(|id| {
                 self.slots
                     .get(id)
@@ -2403,26 +2407,6 @@ mod tests {
         let (ctx, q) = &contexts()[0];
         engine.submit(ServeRequest::new(ctx.clone(), q.clone(), 2));
         let _ = engine.with_prefix_cache(PrefixCacheConfig::default());
-    }
-
-    #[test]
-    fn prefill_window_one_reproduces_sequential_admission() {
-        let requests = shared_prefix_contexts(3);
-        let run = |window: usize| -> Vec<RequestOutcome> {
-            let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
-                .unwrap()
-                .with_scheduler_config(SchedulerConfig::default().with_prefill_window(window));
-            for (ctx, q) in &requests {
-                engine.submit(ServeRequest::new(ctx.clone(), q.clone(), 5));
-            }
-            engine.run_until_idle().unwrap()
-        };
-        let windowed = run(4);
-        let sequential = run(1);
-        for (a, b) in windowed.iter().zip(&sequential) {
-            assert_eq!(a.outcome.answer, b.outcome.answer);
-            assert_eq!(a.outcome.generated_tokens, b.outcome.generated_tokens);
-        }
     }
 
     #[test]

@@ -6,13 +6,13 @@ use crate::profile::ModelProfile;
 use crate::tokenizer::Tokenizer;
 use crate::weights::{LayerWeights, ModelWeights};
 use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
-use cocktail_quant::parallel::{self as kernel_parallel, KernelPool};
+use cocktail_quant::parallel as kernel_parallel;
 use cocktail_tensor::ops::{
     causal_attention, rms_norm_rows, rope_in_place, rope_rows, silu, KvRows,
 };
 use cocktail_tensor::Matrix;
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Raw (unquantized) key/value tensors of one (layer, KV-head) pair
 /// produced by the prefill phase, shape `(tokens, head_dim)` each.
@@ -148,9 +148,9 @@ impl BatchPrefill {
     }
 }
 
-/// The compute core shared between the main thread and the persistent
-/// worker pool: the model configuration and weights, plus every per-request
-/// attention routine the pool workers execute. Held behind an [`Arc`] so
+/// The compute core shared between the caller's thread and the kernel
+/// pool: the model configuration and weights, plus every per-request
+/// attention routine the pool's jobs execute. Held behind an [`Arc`] so
 /// jobs shipped to pool threads can reference the weights without copying
 /// (or borrowing across the thread boundary).
 #[derive(Debug)]
@@ -212,7 +212,9 @@ impl EngineShared {
     /// computes its decode attention for one layer: the per-request section
     /// of a batched decode step. The arithmetic is exactly the single-
     /// request [`InferenceEngine::decode_step`] path, so results never
-    /// depend on the batch composition — or on which pool worker ran it.
+    /// depend on the batch composition — or on whether a kernel-pool job
+    /// or the caller's thread ran it. It runs inside such a job, so it must
+    /// never fork: `append_decode_token` and `attend` dispatch nothing.
     ///
     /// The query heads sharing a KV head go to its cache as one
     /// `(gqa_group_size, head_dim)` block, so each cached row is
@@ -293,14 +295,34 @@ impl EngineShared {
     }
 }
 
-/// The caches (and token positions) of one worker's contiguous chunk of a
-/// decode batch. Ownership of the caches is taken from the borrowed slots
-/// at the start of a round, ping-pongs between the main thread and the
-/// chunk's worker once per layer, and returns to the slots when the round
-/// ends.
+/// The caches (and token positions) of one contiguous chunk of a decode
+/// batch. Ownership of the caches is taken from the borrowed slots at the
+/// start of a round, moves into the chunk's kernel-pool job and back once
+/// per layer, and returns to the slots when the round ends.
 struct DecodeChunk {
     caches: Vec<ChunkedKvCache>,
     positions: Vec<usize>,
+}
+
+impl DecodeChunk {
+    /// The chunk's attention rows for one layer, slot by slot; `rows` are
+    /// the chunk's Q, K and V projection rows.
+    fn attention(
+        &mut self,
+        shared: &EngineShared,
+        layer_idx: usize,
+        [q, k, v]: &[Matrix; 3],
+    ) -> Result<Vec<Matrix>, ModelError> {
+        let row = |m: &Matrix, i: usize| m.slice_rows(i, i + 1);
+        self.caches
+            .iter_mut()
+            .zip(&self.positions)
+            .enumerate()
+            .map(|(i, (cache, &pos))| {
+                shared.token_attention(layer_idx, cache, pos, &row(q, i), &row(k, i), &row(v, i))
+            })
+            .collect()
+    }
 }
 
 /// One prefill slot in an owned form a tile job can capture (the
@@ -347,18 +369,12 @@ impl PrefillSlotMeta {
 /// [`InferenceEngine::generate_with_cache`] run decode-phase attention over
 /// the (possibly quantized, possibly reordered) cache.
 ///
-/// On multi-core hosts the engine owns a **persistent decode pool** (a
-/// [`KernelPool`] of its own): the threads are spawned once, on the first
-/// batched decode round that can use them, and then serve every decode
-/// round for the engine's whole lifetime —
-/// [`InferenceEngine::pool_spawn_count`] stays at the worker count however
-/// many rounds run. Work is assigned to workers by contiguous chunk index
-/// and stitched back in order, so pooled outputs are bit-identical to the
-/// single-threaded loop. Prefill does not
-/// use this pool: its attention is a list of (slot, head) tiles that a
-/// lone slot runs on the process-wide kernel pool of
-/// `cocktail_quant::parallel` (following `COCKTAIL_KERNEL_THREADS`) and a
-/// batch of several slots runs inline.
+/// The engine owns no threads. Its parallel work runs on the process-wide
+/// kernel pool of `cocktail_quant::parallel`, sized and tiled by
+/// `COCKTAIL_KERNEL_THREADS`: a lone prefill slot's (slot, head) attention
+/// tiles, and a decode batch's per-request attention cut into contiguous
+/// chunks. Work is stitched back in order, so every output is
+/// bit-identical at every thread count.
 ///
 /// # Example
 ///
@@ -380,7 +396,6 @@ pub struct InferenceEngine {
     shared: Arc<EngineShared>,
     tokenizer: Tokenizer,
     seed: u64,
-    pool: OnceLock<KernelPool>,
 }
 
 impl InferenceEngine {
@@ -409,7 +424,6 @@ impl InferenceEngine {
             shared: Arc::new(EngineShared { config, weights }),
             tokenizer,
             seed,
-            pool: OnceLock::new(),
         })
     }
 
@@ -434,30 +448,6 @@ impl InferenceEngine {
     /// fingerprint must therefore include this value.
     pub fn weight_seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The number of worker threads the engine would use for a batched
-    /// decode round: the host's available parallelism (the pool is sized
-    /// once, at first use).
-    pub fn pool_workers(&self) -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Total decode-pool threads spawned over this engine's lifetime: `0`
-    /// before the first batched decode round (or forever, on a single-core
-    /// host), and exactly the worker count afterwards — the pool persists
-    /// across decode rounds instead of re-spawning per round. Prefill never
-    /// touches it.
-    pub fn pool_spawn_count(&self) -> usize {
-        self.pool.get().map_or(0, KernelPool::spawn_count)
-    }
-
-    /// The persistent decode pool, spawned on first use.
-    fn pool(&self) -> &KernelPool {
-        self.pool
-            .get_or_init(|| KernelPool::new(self.pool_workers()))
     }
 
     fn embed(&self, tokens: &[u32]) -> Result<Matrix, ModelError> {
@@ -814,120 +804,6 @@ impl InferenceEngine {
         Ok(steps.pop().expect("batch of one yields one step"))
     }
 
-    /// The multi-core decode round on the **persistent pool**: worker `i`
-    /// owns the `i`-th contiguous chunk of the batch for the entire round.
-    /// At the start of the round each chunk's caches are *taken* from the
-    /// borrowed slots (an O(1) move per cache); per layer the main thread
-    /// streams the QKV/MLP weights for the whole batch, ships each worker
-    /// its chunk's Q/K/V rows together with the chunk's caches, and the
-    /// worker sends back the attention rows plus the caches for the next
-    /// layer. When the round ends (or fails) the caches move back into the
-    /// slots. The arithmetic and its stitching order are exactly the
-    /// single-threaded loop's, so outputs stay bit-identical — and no
-    /// thread is ever spawned here: the pool outlives the round.
-    fn decode_layers_pooled(
-        &self,
-        slots: &mut [DecodeSlot<'_>],
-        x: &mut Matrix,
-        workers: usize,
-    ) -> Result<(), ModelError> {
-        let pool = self.pool();
-        let workers = workers.min(pool.workers()).max(1);
-        let n = slots.len();
-        let chunk_len = n.div_ceil(workers);
-        let mut chunks: Vec<Option<DecodeChunk>> = slots
-            .chunks_mut(chunk_len)
-            .map(|chunk| {
-                Some(DecodeChunk {
-                    caches: chunk
-                        .iter_mut()
-                        .map(|slot| std::mem::replace(slot.cache, ChunkedKvCache::new(0, 0)))
-                        .collect(),
-                    positions: chunk.iter().map(|slot| slot.pos).collect(),
-                })
-            })
-            .collect();
-
-        let mut round = || -> Result<(), ModelError> {
-            for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, x, None)?;
-                let mut receivers = Vec::with_capacity(chunks.len());
-                for (ci, state) in chunks.iter_mut().enumerate() {
-                    let mut chunk = state.take().expect("chunk caches are home between layers");
-                    let start = ci * chunk_len;
-                    let end = start + chunk.caches.len();
-                    let q = q_all.slice_rows(start, end);
-                    let k = k_all.slice_rows(start, end);
-                    let v = v_all.slice_rows(start, end);
-                    let shared = Arc::clone(&self.shared);
-                    let (tx, rx) = mpsc::channel();
-                    receivers.push(rx);
-                    pool.run_on(
-                        ci,
-                        Box::new(move || {
-                            let results: Vec<Result<Matrix, ModelError>> = (0..chunk.caches.len())
-                                .map(|i| {
-                                    shared.token_attention(
-                                        layer_idx,
-                                        &mut chunk.caches[i],
-                                        chunk.positions[i],
-                                        &q.slice_rows(i, i + 1),
-                                        &k.slice_rows(i, i + 1),
-                                        &v.slice_rows(i, i + 1),
-                                    )
-                                })
-                                .collect();
-                            let _ = tx.send((results, chunk));
-                        }),
-                    );
-                }
-                let mut attn_rows = Vec::with_capacity(n);
-                let mut layer_err: Option<ModelError> = None;
-                for (ci, rx) in receivers.into_iter().enumerate() {
-                    // A worker only fails to reply if its job panicked.
-                    // Surface that as an error (the panicked chunk's
-                    // caches are lost with the thread, but every other
-                    // chunk's caches are still collected and restored
-                    // below) instead of panicking past the restore loop.
-                    match rx.recv() {
-                        Ok((results, chunk)) => {
-                            chunks[ci] = Some(chunk);
-                            for result in results {
-                                match result {
-                                    Ok(rows) => attn_rows.push(rows),
-                                    Err(err) => {
-                                        layer_err.get_or_insert(err);
-                                    }
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            layer_err.get_or_insert(ModelError::Numeric(format!(
-                                "decode pool worker {ci} panicked; its requests' caches are lost"
-                            )));
-                        }
-                    }
-                }
-                if let Some(err) = layer_err {
-                    return Err(err);
-                }
-                self.shared.finish_layer(layer, x, attn_rows)?;
-            }
-            Ok(())
-        };
-        let result = round();
-
-        // Hand every cache back to its borrowed slot, error or not.
-        for (chunk_slots, state) in slots.chunks_mut(chunk_len).zip(chunks) {
-            if let Some(chunk) = state {
-                for (slot, cache) in chunk_slots.iter_mut().zip(chunk.caches) {
-                    *slot.cache = cache;
-                }
-            }
-        }
-        result
-    }
-
     /// Runs one decode step for a whole batch of independent requests.
     ///
     /// Every slot's token is embedded into one hidden-state matrix (one row
@@ -935,13 +811,29 @@ impl InferenceEngine {
     /// MLP and the LM head, which dominate decode cost — is paid once per
     /// *batch* rather than once per request. Attention stays per-request,
     /// since each request owns its cache, and RoPE is applied per row at
-    /// each request's own position; on multi-core hosts the per-request
-    /// attention runs on the engine's persistent [`KernelPool`], the
-    /// request-level parallelism that continuous batching exposes. Row `i`
-    /// of the batch goes through exactly the same row-wise arithmetic as a
-    /// lone [`InferenceEngine::decode_step`] call — requests never share
-    /// state — so batching (and pooling) never changes any request's
-    /// logits: batched serving is bit-identical to sequential serving.
+    /// each request's own position. Row `i` of the batch goes through
+    /// exactly the same row-wise arithmetic as a lone
+    /// [`InferenceEngine::decode_step`] call — requests never share state —
+    /// so batching never changes any request's logits: batched serving is
+    /// bit-identical to sequential serving.
+    ///
+    /// The per-request attention, the request-level parallelism continuous
+    /// batching exposes, runs on the process-wide kernel pool. The batch is
+    /// cut into `kernel_threads().min(batch)` contiguous chunks whose caches
+    /// move out of the slots for the round (an O(1) move each). Per layer
+    /// the caller's thread streams the QKV/MLP weights for the whole batch,
+    /// and [`kernel_parallel::run_jobs`] runs one job per chunk that owns
+    /// the chunk's caches and hands them back with its attention rows; a
+    /// lone chunk (a batch of one, or one kernel thread) runs inline. Rows
+    /// are stitched in chunk order, so the output is bit-identical at every
+    /// thread count. Error or not, every cache is back in its slot when
+    /// this returns, and a panic inside a job is caught there and returned
+    /// as [`ModelError::Numeric`], so no pool worker dies of it.
+    ///
+    /// A decode job must never fork: the job would wait on the pool it runs
+    /// on. Jobs call only `append_decode_token` and `attend`, and neither
+    /// dispatches to the pool; any change to the per-request attention must
+    /// keep it so.
     ///
     /// # Errors
     ///
@@ -970,37 +862,30 @@ impl InferenceEngine {
         }
         let tokens: Vec<u32> = slots.iter().map(|s| s.token).collect();
         let mut x = self.embed(&tokens)?;
-        // Worker count for the per-request attention: bounded by the cores
-        // actually available, so a large batch never uses more threads than
-        // the host can run.
-        let workers = self.pool_workers().min(slots.len());
 
-        if workers > 1 {
-            self.decode_layers_pooled(slots, &mut x, workers)?;
-        } else {
-            for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-                let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, &x, None)?;
-                let attn_rows = slots
+        let n = slots.len();
+        let chunk_len = n.div_ceil(kernel_parallel::kernel_threads().min(n));
+        let mut chunks: Vec<DecodeChunk> = slots
+            .chunks_mut(chunk_len)
+            .map(|chunk| DecodeChunk {
+                caches: chunk
                     .iter_mut()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        self.shared.token_attention(
-                            layer_idx,
-                            slot.cache,
-                            slot.pos,
-                            &q_all.slice_rows(i, i + 1),
-                            &k_all.slice_rows(i, i + 1),
-                            &v_all.slice_rows(i, i + 1),
-                        )
-                    })
-                    .collect::<Result<Vec<Matrix>, ModelError>>()?;
-                self.shared.finish_layer(layer, &mut x, attn_rows)?;
+                    .map(|slot| std::mem::replace(slot.cache, ChunkedKvCache::new(0, 0)))
+                    .collect(),
+                positions: chunk.iter().map(|slot| slot.pos).collect(),
+            })
+            .collect();
+        let round = self.decode_layers(&mut chunks, &mut x);
+        for (chunk_slots, chunk) in slots.chunks_mut(chunk_len).zip(chunks) {
+            for (slot, cache) in chunk_slots.iter_mut().zip(chunk.caches) {
+                *slot.cache = cache;
             }
         }
+        round?;
 
         rms_norm_rows(&mut x, &self.shared.weights.final_norm, config.rms_eps);
         let logits = x.matmul(&self.shared.weights.lm_head)?;
-        Ok((0..slots.len())
+        Ok((0..n)
             .map(|i| {
                 let logits_vec = logits.row(i).to_vec();
                 let next_token = argmax(&logits_vec);
@@ -1010,6 +895,52 @@ impl InferenceEngine {
                 }
             })
             .collect())
+    }
+
+    /// Every layer of one decode round: each chunk's attention is one
+    /// [`kernel_parallel::run_jobs`] job, and every job hands its chunk
+    /// back into `chunks` before the first error, if any, returns.
+    fn decode_layers(
+        &self,
+        chunks: &mut Vec<DecodeChunk>,
+        x: &mut Matrix,
+    ) -> Result<(), ModelError> {
+        for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
+            let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, x, None)?;
+            let mut start = 0;
+            let jobs: Vec<_> = chunks
+                .drain(..)
+                .map(|mut chunk| {
+                    let end = start + chunk.caches.len();
+                    let rows = [&q_all, &k_all, &v_all].map(|m| m.slice_rows(start, end));
+                    let rows_range = start..end;
+                    start = end;
+                    let shared = Arc::clone(&self.shared);
+                    move || {
+                        let attention = panic::catch_unwind(AssertUnwindSafe(|| {
+                            chunk.attention(&shared, layer_idx, &rows)
+                        }))
+                        .unwrap_or_else(|_| {
+                            Err(ModelError::Numeric(format!(
+                                "decode job for batch rows {rows_range:?} panicked"
+                            )))
+                        });
+                        (attention, chunk)
+                    }
+                })
+                .collect();
+            let attention: Vec<_> = kernel_parallel::run_jobs(jobs)
+                .into_iter()
+                .map(|(rows, chunk)| {
+                    chunks.push(chunk);
+                    rows
+                })
+                .collect();
+            let attn_rows = attention.into_iter().collect::<Result<Vec<_>, _>>()?;
+            self.shared
+                .finish_layer(layer, x, attn_rows.into_iter().flatten().collect())?;
+        }
+        Ok(())
     }
 
     /// Greedy generation of `max_new_tokens` tokens after the prompt, using
@@ -1321,7 +1252,6 @@ mod tests {
             .zip(&prefixes)
             .map(|(p, kv)| PrefillSlot::with_prefix(p, kv, p.len() / 2))
             .collect();
-        assert_eq!(engine.pool_spawn_count(), 0);
         let mut kernel_spawns = None;
         for batch in [&cold, &warm] {
             let singles: Vec<BatchPrefill> = batch
@@ -1349,8 +1279,6 @@ mod tests {
         let warm_long = prefill_one(&engine, warm[0].clone());
         let cold_rows = handed_on(&cold_long.suffix_kv, 1024, &cold_long.last_logits);
         assert_same_bits(&cold_rows, &slot_bits(&warm_long), "long slot, warm");
-        // Prefill never touches the engine's decode pool.
-        assert_eq!(engine.pool_spawn_count(), 0);
     }
 
     #[test]
@@ -1532,102 +1460,127 @@ mod tests {
             .all(|&t| (t as usize) < engine.config().vocab_size));
     }
 
-    #[test]
-    fn batched_decode_is_bit_identical_to_sequential_decode() {
-        let engine = tiny_engine();
-        let prompts: Vec<Vec<u32>> = (0..3).map(|i| sample_prompt(&engine, 8 + 3 * i)).collect();
+    /// Decodes `rounds` greedy steps of every prompt alone through
+    /// `decode_step`, then as one batch through `decode_step_batch` under
+    /// kernel-thread overrides of 1 (one inline chunk) and 4 (forked
+    /// chunks), and asserts the logits, next tokens and whole caches agree.
+    fn assert_batched_decode_matches_solo(
+        engine: &InferenceEngine,
+        prompts: &[Vec<u32>],
+        chunk_size: usize,
+        rounds: usize,
+    ) {
         let prefills: Vec<PrefillOutput> =
             prompts.iter().map(|p| engine.prefill(p).unwrap()).collect();
-
-        // Sequential: each request decodes alone.
-        let mut seq_steps = Vec::new();
-        for (prompt, prefill) in prompts.iter().zip(&prefills) {
-            let mut cache = engine.build_cache(prefill, 4).unwrap();
-            let step = engine
-                .decode_step(prefill.next_token(), prompt.len(), &mut cache)
-                .unwrap();
-            seq_steps.push((step, cache));
-        }
-
-        // Batched: all three decode in one call.
-        let mut caches: Vec<ChunkedKvCache> = prefills
-            .iter()
-            .map(|p| engine.build_cache(p, 4).unwrap())
-            .collect();
-        let mut slots: Vec<DecodeSlot<'_>> = prefills
-            .iter()
-            .zip(prompts.iter())
-            .zip(caches.iter_mut())
-            .map(|((prefill, prompt), cache)| DecodeSlot {
-                token: prefill.next_token(),
-                pos: prompt.len(),
-                cache,
+        let fresh_caches = || -> Vec<ChunkedKvCache> {
+            prefills
+                .iter()
+                .map(|p| engine.build_cache(p, chunk_size).unwrap())
+                .collect()
+        };
+        let mut solo_caches = fresh_caches();
+        let mut solo_tokens: Vec<u32> = prefills.iter().map(PrefillOutput::next_token).collect();
+        let solo_rounds: Vec<Vec<DecodeStep>> = (0..rounds)
+            .map(|round| {
+                solo_caches
+                    .iter_mut()
+                    .zip(&prefills)
+                    .zip(&mut solo_tokens)
+                    .map(|((cache, prefill), token)| {
+                        let pos = prefill.prompt_len() + round;
+                        let step = engine.decode_step(*token, pos, cache).unwrap();
+                        *token = step.next_token;
+                        step
+                    })
+                    .collect()
             })
             .collect();
-        let batch_steps = engine.decode_step_batch(&mut slots).unwrap();
 
-        assert_eq!(batch_steps.len(), seq_steps.len());
-        for (i, ((seq, seq_cache), batch)) in seq_steps.iter().zip(&batch_steps).enumerate() {
-            assert_eq!(seq.logits, batch.logits, "request {i} logits diverged");
-            assert_eq!(seq.next_token, batch.next_token);
-            assert_eq!(seq_cache, &caches[i], "request {i} cache diverged");
+        let mut kernel_spawns = None;
+        for threads in [1usize, 4] {
+            kernel_parallel::set_kernel_thread_override(Some(threads));
+            let mut caches = fresh_caches();
+            let mut tokens: Vec<u32> = prefills.iter().map(PrefillOutput::next_token).collect();
+            for (round, solo_round) in solo_rounds.iter().enumerate() {
+                let mut slots: Vec<DecodeSlot<'_>> = caches
+                    .iter_mut()
+                    .zip(&prefills)
+                    .zip(&tokens)
+                    .map(|((cache, prefill), &token)| DecodeSlot {
+                        token,
+                        pos: prefill.prompt_len() + round,
+                        cache,
+                    })
+                    .collect();
+                let steps = engine.decode_step_batch(&mut slots).unwrap();
+                let compared = steps.iter().zip(solo_round).zip(&mut tokens);
+                for (i, ((step, solo), token)) in compared.enumerate() {
+                    let context = format!("threads {threads} round {round} request {i}");
+                    assert_eq!(step.logits, solo.logits, "{context}: logits diverged");
+                    assert_eq!(step.next_token, solo.next_token, "{context}");
+                    *token = step.next_token;
+                }
+                if threads > 1 {
+                    // The kernel pool spawns on its first dispatch only.
+                    let spawned = kernel_parallel::pool_spawn_count();
+                    assert_eq!(*kernel_spawns.get_or_insert(spawned), spawned);
+                }
+            }
+            kernel_parallel::set_kernel_thread_override(None);
+            assert_eq!(caches, solo_caches, "threads {threads}: caches diverged");
         }
     }
 
     #[test]
-    fn decode_pool_spawns_once_per_engine_lifetime() {
+    fn batched_decode_is_bit_identical_to_sequential_decode() {
         let engine = tiny_engine();
-        let prompts: Vec<Vec<u32>> = (0..4).map(|i| sample_prompt(&engine, 6 + 2 * i)).collect();
-        let slots: Vec<PrefillSlot<'_>> = prompts.iter().map(|p| PrefillSlot::cold(p)).collect();
-        let prefills = engine.prefill_batch(&slots).unwrap();
-        assert_eq!(
-            engine.pool_spawn_count(),
-            0,
-            "no pool before the first batched decode round"
-        );
+        let prompts: Vec<Vec<u32>> = (0..3).map(|i| sample_prompt(&engine, 8 + 3 * i)).collect();
+        assert_batched_decode_matches_solo(&engine, &prompts, 4, 3);
 
-        // Many decode rounds over the same engine: the pool must not grow.
-        let mut caches: Vec<ChunkedKvCache> = prefills
+        let engine = long_context_engine();
+        let prompts: Vec<Vec<u32>> = [2048usize, 1024, 768]
             .iter()
-            .map(|b| {
-                let out = PrefillOutput {
-                    kv: b.suffix_kv.clone(),
-                    last_logits: b.last_logits.clone(),
-                };
-                engine.build_cache(&out, 4).unwrap()
+            .enumerate()
+            .map(|(i, &n)| cyclic_prompt(&engine, n, i as u32))
+            .collect();
+        assert_batched_decode_matches_solo(&engine, &prompts, 32, 3);
+    }
+
+    #[test]
+    fn failed_forked_decode_returns_every_cache_to_its_slot() {
+        let engine = tiny_engine();
+        let config = engine.config().clone();
+        let prompts: Vec<Vec<u32>> = (0..3).map(|i| sample_prompt(&engine, 6 + 2 * i)).collect();
+        let mut caches: Vec<ChunkedKvCache> = prompts
+            .iter()
+            .map(|p| engine.build_cache(&engine.prefill(p).unwrap(), 4).unwrap())
+            .collect();
+        // The middle slot's last layer holds one entry a column too wide,
+        // so `append_decode_token` fails inside that slot's job.
+        let wide = Matrix::zeros(4, config.head_dim() + 1);
+        let seg = ChunkSegmentation::new(4, 4).unwrap();
+        let bad = ChunkedLayerCache::from_prefill(&wide, &wide, &seg).unwrap();
+        caches[1].set(config.n_layers - 1, 0, bad);
+
+        kernel_parallel::set_kernel_thread_override(Some(4));
+        let mut slots: Vec<DecodeSlot<'_>> = caches
+            .iter_mut()
+            .zip(&prompts)
+            .map(|(cache, prompt)| DecodeSlot {
+                token: 3,
+                pos: prompt.len(),
+                cache,
             })
             .collect();
-        let mut tokens: Vec<u32> = prefills.iter().map(BatchPrefill::next_token).collect();
-        let mut after_first_round = 0;
-        for round in 0..5 {
-            let mut decode_slots: Vec<DecodeSlot<'_>> = caches
-                .iter_mut()
-                .zip(prompts.iter())
-                .zip(tokens.iter())
-                .map(|((cache, prompt), &token)| DecodeSlot {
-                    token,
-                    pos: prompt.len() + round,
-                    cache,
-                })
-                .collect();
-            let steps = engine.decode_step_batch(&mut decode_slots).unwrap();
-            for (token, step) in tokens.iter_mut().zip(steps) {
-                *token = step.next_token;
-            }
-            if round == 0 {
-                after_first_round = engine.pool_spawn_count();
-            }
-        }
-
-        let after_rounds = engine.pool_spawn_count();
-        if engine.pool_workers() > 1 {
-            assert_eq!(
-                after_first_round, after_rounds,
-                "the pool re-spawned workers between rounds"
-            );
-            assert_eq!(after_rounds, engine.pool_workers());
-        } else {
-            assert_eq!(after_rounds, 0, "single-core host never spawns a pool");
+        let result = engine.decode_step_batch(&mut slots);
+        kernel_parallel::set_kernel_thread_override(None);
+        assert!(
+            result.is_err(),
+            "a too-wide cache entry must fail the batch"
+        );
+        for (i, cache) in caches.iter().enumerate() {
+            assert_eq!(cache.layers(), config.n_layers, "slot {i}");
+            assert_eq!(cache.kv_heads(), config.n_kv_heads, "slot {i}");
         }
     }
 

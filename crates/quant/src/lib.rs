@@ -12,8 +12,9 @@
 //! * [`gemm`] — fused kernels that multiply an FP32/FP16 activation by a
 //!   quantized matrix, dequantizing group by group on the fly (the `fqm`
 //!   primitive of the paper's Algorithm 1).
-//! * [`parallel`] — the persistent [`parallel::KernelPool`] and
-//!   threshold-gated data-parallel dispatchers over the kernels above:
+//! * [`parallel`] — the process's one persistent thread pool
+//!   ([`parallel::run_jobs`]) and threshold-gated data-parallel
+//!   dispatchers over the kernels above:
 //!   large operands are tiled across pool workers and stitched in
 //!   deterministic tile order (bit-identical to the scalar paths at every
 //!   thread count), small operands stay scalar and pay no dispatch

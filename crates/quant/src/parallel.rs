@@ -1,9 +1,11 @@
 //! Threshold-gated data-parallel dispatch for the hot quantization kernels.
 //!
-//! This is the compute-kernel layer added by the SIMD/data-parallel PR: a
-//! process-wide persistent [`KernelPool`] plus dispatcher wrappers around
-//! the scalar kernels in [`crate::gemm`] and [`crate::QuantizedMatrix`].
-//! Every dispatcher follows the same recipe:
+//! This is the compute-kernel layer: the process's one persistent thread
+//! pool, reached through [`run_jobs`], plus dispatcher wrappers around the
+//! scalar kernels in [`crate::gemm`] and [`crate::QuantizedMatrix`]. The
+//! model engine hands its prefill attention tiles and its decode batch
+//! chunks to [`run_jobs`] too, so every thread the stack computes on is a
+//! worker of this pool. Every dispatcher follows the same recipe:
 //!
 //! 1. **Threshold gate.** Small operands (anything below
 //!    [`PARALLEL_THRESHOLD`] multiply-adds / elements) take the scalar
@@ -32,7 +34,6 @@ use crate::config::{QuantAxis, QuantConfig, QuantError};
 use crate::gemm;
 use crate::quantized::{self, QuantizedMatrix};
 use cocktail_tensor::Matrix;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -40,7 +41,7 @@ use std::thread::JoinHandle;
 /// A boxed unit of work shipped to one pool worker. Jobs own everything
 /// they touch (cloned `Arc`s, moved matrices) and report back through a
 /// channel they capture, so no borrowed state crosses the thread boundary.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Minimum amount of kernel work (multiply-adds for the GEMMs, elements
 /// for quantize/dequantize) before a dispatcher forks tiles onto the pool.
@@ -55,14 +56,11 @@ pub const PARALLEL_THRESHOLD: usize = 64 * 1024;
 /// `std::thread::available_parallelism`.
 pub const KERNEL_THREADS_ENV: &str = "COCKTAIL_KERNEL_THREADS";
 
-/// A fixed set of persistent worker threads with per-worker job channels.
-///
-/// One deterministic design serves both the process-wide kernel dispatcher
-/// below and the inference engine's request-level decode parallelism (one
-/// pool per engine): each worker owns one job channel, callers assign work
-/// to workers by index, jobs never migrate, and dropping the pool closes
-/// the channels and joins every thread.
-pub struct KernelPool {
+/// A fixed set of persistent worker threads with per-worker job channels:
+/// each worker owns one job channel, callers assign work to workers by
+/// index, jobs never migrate, and dropping the pool closes the channels and
+/// joins every thread. The process has one, behind [`run_jobs`].
+struct KernelPool {
     senders: Vec<mpsc::Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     spawned: usize,
@@ -71,7 +69,7 @@ pub struct KernelPool {
 impl KernelPool {
     /// Spawns `workers` threads (at least one), each looping over its own
     /// job channel until the pool is dropped.
-    pub fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -94,14 +92,14 @@ impl KernelPool {
     }
 
     /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.senders.len()
     }
 
     /// Total threads ever spawned by this pool. The pool never re-spawns,
     /// so this equals [`KernelPool::workers`] for the pool's whole
     /// lifetime — the invariant the persistence tests assert.
-    pub fn spawn_count(&self) -> usize {
+    fn spawn_count(&self) -> usize {
         self.spawned
     }
 
@@ -112,19 +110,10 @@ impl KernelPool {
     /// Panics if the index is out of range or the worker has died (a
     /// worker only exits when the pool is dropped, so a dead worker here
     /// means a previous job panicked).
-    pub fn run_on(&self, index: usize, job: Job) {
+    fn run_on(&self, index: usize, job: Job) {
         self.senders[index]
             .send(job)
             .expect("pool worker is alive until the pool drops");
-    }
-}
-
-impl fmt::Debug for KernelPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KernelPool")
-            .field("workers", &self.workers())
-            .field("spawned", &self.spawned)
-            .finish()
     }
 }
 
@@ -187,7 +176,7 @@ pub fn set_kernel_thread_override(threads: Option<usize>) {
 /// first parallel dispatch). The pool spawns exactly once, so this value
 /// is flat across dispatches — the invariant this module's
 /// `pool_spawns_at_most_once` test and the engine's mixed-batch prefill
-/// test enforce.
+/// and batched-decode tests enforce.
 pub fn pool_spawn_count() -> usize {
     KERNEL_POOL.get().map_or(0, KernelPool::spawn_count)
 }
@@ -229,6 +218,10 @@ pub fn tile_ranges(n: usize, tiles: usize) -> Vec<(usize, usize)> {
 /// With one job, or a single-worker pool, the jobs run inline on the
 /// caller's thread — same code, same order, no channel hops. Panics in a
 /// job are surfaced after every other job has been drained.
+///
+/// A job must not call `run_jobs` itself (it would wait on the pool it
+/// runs on), and a job that can panic should catch it: a panic ends its
+/// worker thread, and every later dispatch to that worker panics.
 ///
 /// # Panics
 ///
