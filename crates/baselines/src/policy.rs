@@ -54,8 +54,8 @@ pub enum SearchGranularity {
 
 /// What the query/context looked like when the policy ran.
 ///
-/// Uniform policies ignore it entirely; Cocktail needs the chunk texts and
-/// the query (or precomputed scores); KVQuant only needs the cache itself.
+/// Uniform policies ignore it entirely; Cocktail scores the chunk texts
+/// against the query once per request; KVQuant only needs the cache itself.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyContext {
     /// Text of each context chunk, aligned with the cache's logical chunk
@@ -63,9 +63,6 @@ pub struct PolicyContext {
     pub chunk_texts: Vec<String>,
     /// The user query.
     pub query: String,
-    /// Precomputed chunk relevance scores (one per chunk). When present,
-    /// score-driven policies use these instead of re-running their encoder.
-    pub chunk_scores: Option<Vec<f32>>,
 }
 
 impl PolicyContext {
@@ -80,14 +77,7 @@ impl PolicyContext {
         Self {
             chunk_texts,
             query: query.into(),
-            chunk_scores: None,
         }
-    }
-
-    /// Attaches precomputed chunk scores.
-    pub fn with_scores(mut self, scores: Vec<f32>) -> Self {
-        self.chunk_scores = Some(scores);
-        self
     }
 }
 
@@ -237,10 +227,9 @@ mod tests {
 
     #[test]
     fn context_builders_work() {
-        let ctx = PolicyContext::new(vec!["a".into(), "b".into()], "q").with_scores(vec![0.1, 0.9]);
+        let ctx = PolicyContext::new(vec!["a".into(), "b".into()], "q");
         assert_eq!(ctx.chunk_texts.len(), 2);
         assert_eq!(ctx.query, "q");
-        assert_eq!(ctx.chunk_scores.as_deref(), Some(&[0.1, 0.9][..]));
         assert!(PolicyContext::empty().chunk_texts.is_empty());
     }
 

@@ -210,12 +210,12 @@ mod tests {
         #[test]
         fn grouped_and_generic_attention_always_agree(
             seed in 0u64..200,
-            chunk_scores in proptest::collection::vec(0.0f32..1.0, 2..6),
+            scores in proptest::collection::vec(0.0f32..1.0, 2..6),
         ) {
-            let chunks = chunk_scores.len();
+            let chunks = scores.len();
             let tokens = chunks * 16 + 3;
             let mut cache = build_cache(tokens, 16, seed);
-            let plan = plan_from(&chunk_scores);
+            let plan = plan_from(&scores);
             apply_plan(&mut cache, &plan, 16, true).unwrap();
             let q = rng::gaussian_matrix(1, 16, 1.0, seed + 100);
             let grouped = grouped_attend(&cache, &q, 0.25).unwrap();

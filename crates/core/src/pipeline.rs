@@ -10,10 +10,10 @@
 use crate::config::CocktailConfig;
 use crate::error::CocktailError;
 use crate::policy::CocktailPolicy;
-use crate::search::BitwidthPlan;
 use crate::serving::RequestTask;
 use cocktail_baselines::{CachePolicy, PolicyReport};
 use cocktail_model::{InferenceEngine, ModelProfile};
+use cocktail_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -44,9 +44,11 @@ pub struct CocktailOutcome {
     pub generated_tokens: Vec<u32>,
     /// What the cache policy did.
     pub report: PolicyReport,
-    /// The bitwidth plan (absent when the policy was not Cocktail or
-    /// Module I was disabled).
-    pub plan: Option<BitwidthPlan>,
+    /// The bitwidth of every context chunk in logical order, read back from
+    /// the compressed cache, whatever the policy (all FP16 under
+    /// [`Fp16Policy`](cocktail_baselines::Fp16Policy)). Every `(layer,
+    /// KV-head)` slot holds these bitwidths.
+    pub chunk_plan: Vec<Bitwidth>,
     /// KV-cache bytes after compression (all layers and heads, including
     /// the FP16 query/remainder/output tokens).
     pub cache_bytes: usize,
@@ -184,7 +186,6 @@ impl CocktailPipeline {
 mod tests {
     use super::*;
     use cocktail_baselines::{AtomPolicy, Fp16Policy};
-    use cocktail_quant::Bitwidth;
 
     fn pipeline(chunk_size: usize) -> CocktailPipeline {
         CocktailPipeline::new(
@@ -220,9 +221,7 @@ mod tests {
         assert!(!outcome.answer.is_empty());
         assert!(outcome.compression_ratio() > 1.0);
         assert!(outcome.cache_bytes < outcome.fp16_cache_bytes);
-        assert!(outcome.plan.is_some());
-        let plan = outcome.plan.as_ref().unwrap();
-        assert!(plan.count(Bitwidth::Int2) > 0);
+        assert!(outcome.chunk_plan.contains(&Bitwidth::Int2));
     }
 
     #[test]
@@ -237,7 +236,8 @@ mod tests {
             )
             .unwrap();
         assert!((outcome.compression_ratio() - 1.0).abs() < 1e-9);
-        assert!(outcome.plan.is_none());
+        assert!(!outcome.chunk_plan.is_empty());
+        assert!(outcome.chunk_plan.iter().all(|&bw| bw == Bitwidth::Fp16));
     }
 
     #[test]

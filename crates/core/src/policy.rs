@@ -12,12 +12,13 @@ use cocktail_kvcache::{ChunkedKvCache, ChunkedLayerCache};
 /// The Cocktail cache policy: chunk-level quantization search followed by
 /// chunk reordering and mixed-precision quantization.
 ///
-/// The policy consumes the [`PolicyContext`]: when `chunk_scores` are
-/// present they are used directly (so the encoder runs once per request,
-/// not once per layer); otherwise the configured encoder scores
-/// `chunk_texts` against `query`. With Module I disabled the relevance-blind
-/// fallback plan is used, and with Module II disabled chunks are quantized
-/// in logical order without reordering — the two ablations of Table V.
+/// The policy consumes the [`PolicyContext`]: the configured encoder scores
+/// `chunk_texts` against `query`. On a whole-model cache
+/// ([`CachePolicy::apply`]) Module I runs once per request and Module II
+/// applies that one plan to every `(layer, KV-head)` slot, as in the paper.
+/// With Module I disabled the relevance-blind fallback plan is used, and
+/// with Module II disabled chunks are quantized in logical order without
+/// reordering — the two ablations of Table V.
 ///
 /// # Example
 ///
@@ -67,12 +68,12 @@ impl CocktailPolicy {
     }
 
     /// Computes the bitwidth plan for a request, honouring the Module I
-    /// switch and any precomputed scores in the context.
+    /// switch.
     ///
     /// # Errors
     ///
     /// Returns [`PolicyError::InvalidInput`] if the number of chunk texts
-    /// or scores does not match `chunk_count`.
+    /// does not match `chunk_count`.
     pub fn plan_for(
         &self,
         ctx: &PolicyContext,
@@ -81,33 +82,21 @@ impl CocktailPolicy {
         if !self.config.enable_search {
             return Ok(self.search.plan_without_search(chunk_count));
         }
-        let plan = if let Some(scores) = &ctx.chunk_scores {
-            if scores.len() != chunk_count {
-                return Err(PolicyError::InvalidInput(format!(
-                    "{} precomputed scores for {} chunks",
-                    scores.len(),
-                    chunk_count
-                )));
-            }
-            self.search
-                .plan_from_scores(scores)
-                .map_err(|e| PolicyError::InvalidInput(e.to_string()))?
-        } else {
-            if ctx.chunk_texts.len() != chunk_count {
-                return Err(PolicyError::InvalidInput(format!(
-                    "{} chunk texts for {} cache chunks",
-                    ctx.chunk_texts.len(),
-                    chunk_count
-                )));
-            }
-            self.search
-                .plan(&ctx.query, &ctx.chunk_texts)
-                .map_err(|e| PolicyError::InvalidInput(e.to_string()))?
-        };
-        Ok(plan)
+        if ctx.chunk_texts.len() != chunk_count {
+            return Err(PolicyError::InvalidInput(format!(
+                "{} chunk texts for {} cache chunks",
+                ctx.chunk_texts.len(),
+                chunk_count
+            )));
+        }
+        self.search
+            .plan(&ctx.query, &ctx.chunk_texts)
+            .map_err(|e| PolicyError::InvalidInput(e.to_string()))
     }
 
-    fn report_for(&self, plan: &BitwidthPlan) -> PolicyReport {
+    /// The report for `plan` applied to `slots` cache slots: the search ran
+    /// once, every slot holds the plan's chunks.
+    fn report_for(&self, plan: &BitwidthPlan, slots: usize) -> PolicyReport {
         let search = if self.config.enable_search {
             SearchGranularity::ChunkLevel {
                 chunks: plan.assignments().len(),
@@ -117,7 +106,7 @@ impl CocktailPolicy {
         };
         let mut report = PolicyReport::new(self.name(), search);
         for &bw in plan.assignments() {
-            report.record_chunks(bw, 1);
+            report.record_chunks(bw, slots);
         }
         report
     }
@@ -140,55 +129,32 @@ impl CachePolicy for CocktailPolicy {
             self.config.group_size,
             self.config.enable_reorder,
         )?;
-        Ok(self.report_for(&plan))
+        Ok(self.report_for(&plan, 1))
     }
 
+    /// Plans once from the first populated slot's chunk count and applies
+    /// that plan to every slot.
     fn apply(
         &self,
         cache: &mut ChunkedKvCache,
         ctx: &PolicyContext,
     ) -> Result<PolicyReport, PolicyError> {
-        // Run the (comparatively expensive) encoder once per request, then
-        // reuse the scores for every layer and head.
-        let enriched = if self.config.enable_search
-            && ctx.chunk_scores.is_none()
-            && !ctx.chunk_texts.is_empty()
-        {
-            let scorer = self.config.encoder.build();
-            let scores = scorer.score(&ctx.query, &ctx.chunk_texts);
-            ctx.clone().with_scores(scores)
-        } else {
-            ctx.clone()
-        };
-
-        let mut combined: Option<PolicyReport> = None;
-        let mut failure: Option<PolicyError> = None;
-        cache
-            .try_for_each_mut(|_, _, layer| {
-                if failure.is_some() {
-                    return Ok(());
-                }
-                match self.apply_layer(layer, &enriched) {
-                    Ok(report) => {
-                        match &mut combined {
-                            Some(c) => c.merge(&report),
-                            None => combined = Some(report),
-                        }
-                        Ok(())
-                    }
-                    Err(err) => {
-                        failure = Some(err);
-                        Ok(())
-                    }
-                }
-            })
-            .map_err(PolicyError::from)?;
-        if let Some(err) = failure {
-            return Err(err);
-        }
-        Ok(combined.unwrap_or_else(|| {
-            PolicyReport::new(self.name(), SearchGranularity::ChunkLevel { chunks: 0 })
-        }))
+        let chunk_count = cache
+            .iter()
+            .next()
+            .map_or(0, |(_, _, slot)| slot.chunk_count());
+        let plan = self.plan_for(ctx, chunk_count)?;
+        let mut slots = 0;
+        cache.try_for_each_mut(|_, _, slot| {
+            slots += 1;
+            apply_plan(
+                slot,
+                &plan,
+                self.config.group_size,
+                self.config.enable_reorder,
+            )
+        })?;
+        Ok(self.report_for(&plan, slots))
     }
 }
 
@@ -286,26 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_scores_bypass_the_encoder() {
-        let mut cache = layer_cache(4 * 32, 32, 9);
-        let policy = CocktailPolicy::new(CocktailConfig::default()).unwrap();
-        let ctx = PolicyContext::new(vec![], "ignored").with_scores(vec![0.1, 0.2, 0.95, 0.3]);
-        let report = policy.apply_layer(&mut cache, &ctx).unwrap();
-        assert_eq!(report.chunks_at(Bitwidth::Fp16), 1);
-        let fp16_chunk = cache
-            .chunks()
-            .iter()
-            .find(|c| c.bitwidth() == Bitwidth::Fp16)
-            .unwrap();
-        assert_eq!(fp16_chunk.logical_index(), 2);
-    }
-
-    #[test]
     fn mismatched_inputs_are_rejected() {
         let mut cache = layer_cache(4 * 32, 32, 11);
         let policy = CocktailPolicy::new(CocktailConfig::default()).unwrap();
-        let bad_scores = PolicyContext::new(vec![], "q").with_scores(vec![0.1, 0.2]);
-        assert!(policy.apply_layer(&mut cache, &bad_scores).is_err());
         let bad_texts = PolicyContext::new(vec!["one".into()], "q");
         assert!(policy.apply_layer(&mut cache, &bad_texts).is_err());
     }
@@ -325,11 +274,28 @@ mod tests {
         let (texts, query) = needle_context(6, 4);
         let policy = CocktailPolicy::new(CocktailConfig::default()).unwrap();
         let report = policy
-            .apply(&mut cache, &PolicyContext::new(texts, query))
+            .apply(
+                &mut cache,
+                &PolicyContext::new(texts.clone(), query.clone()),
+            )
             .unwrap();
         // 6 chunks × 4 slots.
         assert_eq!(report.total_chunks(), 24);
         assert!(cache.total_storage_bytes() < cache.total_fp16_reference_bytes());
+        // Every slot holds the one plan Module I makes for the request.
+        let plan = ChunkQuantSearch::new(CocktailConfig::default())
+            .plan(&query, &texts)
+            .unwrap();
+        for (_, _, slot) in cache.iter() {
+            let mut logical = vec![Bitwidth::Fp16; slot.chunk_count()];
+            for chunk in slot.chunks() {
+                logical[chunk.logical_index()] = chunk.bitwidth();
+            }
+            assert_eq!(logical, plan.assignments());
+        }
+        for bw in [Bitwidth::Fp16, Bitwidth::Int4, Bitwidth::Int2] {
+            assert_eq!(report.chunks_at(bw), plan.count(bw) * 4);
+        }
     }
 
     #[test]

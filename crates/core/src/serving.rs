@@ -42,7 +42,6 @@ use crate::prefix::{
     common_prefix_len, PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixHit, PrefixLease,
 };
 use crate::scheduler::{AdmitDecision, BatchScheduler, RequestId, SchedulerConfig};
-use crate::search::BitwidthPlan;
 use cocktail_baselines::{CachePolicy, PolicyContext, PolicyReport};
 use cocktail_kvcache::{
     read_snapshot, write_snapshot, ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache,
@@ -52,6 +51,7 @@ use cocktail_model::{
     BatchPrefill, DecodeSlot, DecodeStep, InferenceEngine, ModelProfile, PrefillSlot, SamplerChain,
     SamplingParams,
 };
+use cocktail_quant::Bitwidth;
 use cocktail_retrieval::chunking;
 use cocktail_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -482,7 +482,6 @@ pub(crate) struct RequestTask {
     /// needs the memory (the pins are advisory: eviction is always safe).
     prefix: Option<PrefixLease>,
     report: PolicyReport,
-    plan: Option<BitwidthPlan>,
     cache_bytes: usize,
     fp16_cache_bytes: usize,
     timings: PipelineTimings,
@@ -598,21 +597,9 @@ impl RequestTask {
             want_prefix_blocks,
         )?;
         let fp16_cache_bytes = cache.total_fp16_reference_bytes();
-        let ctx = PolicyContext::new(chunk_texts.clone(), query);
-        let report = policy.apply(&mut cache, &ctx)?;
+        let report = policy.apply(&mut cache, &PolicyContext::new(chunk_texts, query))?;
         let compress_us = compress_start.elapsed().as_micros() as u64;
         let cache_bytes = cache.total_storage_bytes();
-
-        let plan = if policy.name() == "Cocktail" && config.enable_search {
-            let cocktail = CocktailPolicy::new(config.clone())?;
-            Some(
-                cocktail
-                    .plan_for(&ctx, chunk_texts.len())
-                    .map_err(|e| CocktailError::Substrate(e.to_string()))?,
-            )
-        } else {
-            None
-        };
 
         // The sampler sees the same logits the greedy path argmaxes over;
         // it replaces the *selection* only, so attaching a chain perturbs
@@ -639,7 +626,6 @@ impl RequestTask {
             sampler,
             prefix: prefix.map(PrefixHit::lease),
             report,
-            plan,
             cache_bytes,
             fp16_cache_bytes,
             timings: PipelineTimings {
@@ -770,12 +756,26 @@ impl RequestTask {
             answer: self.streamed,
             generated_tokens: self.generated,
             report: self.report,
-            plan: self.plan,
+            chunk_plan: logical_bitwidths(&self.cache),
             cache_bytes: self.cache_bytes,
             fp16_cache_bytes: self.fp16_cache_bytes,
             timings: self.timings,
         }
     }
+}
+
+/// The bitwidth of every context chunk in logical order, as the policy
+/// left it in the first populated slot of the compressed cache, (0, 0).
+/// Every policy gives all slots the same per-chunk bitwidths.
+fn logical_bitwidths(cache: &ChunkedKvCache) -> Vec<Bitwidth> {
+    let Some((_, _, slot)) = cache.iter().next() else {
+        return Vec::new();
+    };
+    let mut bitwidths = vec![Bitwidth::Fp16; slot.chunk_count()];
+    for chunk in slot.chunks() {
+        bitwidths[chunk.logical_index()] = chunk.bitwidth();
+    }
+    bitwidths
 }
 
 /// Builds the chunked cache for a prompt whose first `context_len` tokens

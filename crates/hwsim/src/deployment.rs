@@ -313,98 +313,6 @@ impl DeploymentModel {
     pub fn gpu_memory_gib(&self, profile: &KvCacheProfile, batch: usize) -> f64 {
         self.gpu_memory_bytes(profile, batch) as f64 / (1u64 << 30) as f64
     }
-
-    /// An N-replica fleet of this deployment: `replicas` identical
-    /// accelerators, each running its own engine with its own KV budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `replicas` is zero.
-    pub fn replicated(&self, replicas: usize) -> ReplicatedDeployment {
-        assert!(replicas > 0, "a fleet needs at least one replica");
-        ReplicatedDeployment {
-            model: self.clone(),
-            replicas,
-        }
-    }
-}
-
-/// One point of the fleet-level throughput prediction: every replica runs
-/// the same per-replica batch, and fleet tokens/s is the per-replica rate
-/// times the replica count (replicas share nothing, so scaling is linear
-/// in the model — the `replica_affinity` experiment checks measured
-/// multi-replica serving against this).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetThroughput {
-    /// Number of replicas in the fleet.
-    pub replicas: usize,
-    /// Concurrent requests per replica.
-    pub per_replica_batch: usize,
-    /// Generated tokens per second of one replica at that batch.
-    pub per_replica_tokens_per_s: f64,
-    /// Aggregate generated tokens per second across the fleet.
-    pub tokens_per_s: f64,
-}
-
-/// N identical replicas of a [`DeploymentModel`], produced by
-/// [`DeploymentModel::replicated`].
-///
-/// # Example
-///
-/// ```
-/// use cocktail_hwsim::{AcceleratorSpec, DeploymentModel, KvCacheProfile, RequestShape};
-/// use cocktail_model::ModelProfile;
-///
-/// let model = DeploymentModel::new(
-///     AcceleratorSpec::a800(),
-///     ModelProfile::llama2_7b_sim().full().clone(),
-///     RequestShape::with_context(3968),
-/// );
-/// let fleet = model.replicated(4).max_throughput(&KvCacheProfile::cocktail_default(), 64);
-/// let solo = model.replicated(1).max_throughput(&KvCacheProfile::cocktail_default(), 64);
-/// assert!((fleet.unwrap().tokens_per_s / solo.unwrap().tokens_per_s - 4.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicatedDeployment {
-    model: DeploymentModel,
-    replicas: usize,
-}
-
-impl ReplicatedDeployment {
-    /// Number of replicas.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// The per-replica deployment model.
-    pub fn per_replica(&self) -> &DeploymentModel {
-        &self.model
-    }
-
-    /// Fleet throughput with every replica at `batch` concurrent
-    /// requests, or `None` when that batch does not fit one replica.
-    pub fn throughput(&self, profile: &KvCacheProfile, batch: usize) -> Option<FleetThroughput> {
-        let point = self.model.throughput(profile, batch);
-        let per_replica = point.tokens_per_s?;
-        Some(FleetThroughput {
-            replicas: self.replicas,
-            per_replica_batch: batch,
-            per_replica_tokens_per_s: per_replica,
-            tokens_per_s: per_replica * self.replicas as f64,
-        })
-    }
-
-    /// The best fleet throughput over per-replica batches up to `limit`
-    /// (at the per-replica max batch, since per-replica throughput grows
-    /// with batch until OOM), or `None` when even batch 1 does not fit.
-    pub fn max_throughput(
-        &self,
-        profile: &KvCacheProfile,
-        limit: usize,
-    ) -> Option<FleetThroughput> {
-        let batch = self.model.max_batch(profile, limit);
-        self.throughput(profile, batch)
-    }
 }
 
 #[cfg(test)]
@@ -577,39 +485,6 @@ mod tests {
         let values: Vec<f64> = sweep.iter().filter_map(|p| p.tokens_per_s).collect();
         assert!(values.len() >= 4);
         assert!(values.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn a_single_replica_fleet_matches_the_base_model() {
-        let m = model_7b(3968);
-        let profile = KvCacheProfile::cocktail_default();
-        let fleet = m.replicated(1).throughput(&profile, 8).unwrap();
-        let base = m.throughput(&profile, 8).tokens_per_s.unwrap();
-        assert_eq!(fleet.replicas, 1);
-        assert_eq!(fleet.per_replica_batch, 8);
-        assert!((fleet.per_replica_tokens_per_s - base).abs() < 1e-12);
-        assert!((fleet.tokens_per_s - base).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fleet_throughput_scales_linearly_and_monotonically_in_replicas() {
-        let m = model_7b(3968);
-        let profile = KvCacheProfile::cocktail_default();
-        let solo = m.replicated(1).max_throughput(&profile, 64).unwrap();
-        let trio = m.replicated(3).max_throughput(&profile, 64).unwrap();
-        assert_eq!(trio.per_replica_batch, solo.per_replica_batch);
-        assert!((trio.tokens_per_s / solo.tokens_per_s - 3.0).abs() < 1e-9);
-        let duo = m.replicated(2).max_throughput(&profile, 64).unwrap();
-        assert!(solo.tokens_per_s < duo.tokens_per_s && duo.tokens_per_s < trio.tokens_per_s);
-    }
-
-    #[test]
-    fn an_oom_per_replica_batch_yields_no_fleet_point() {
-        let m = model_7b(3968);
-        let profile = KvCacheProfile::fp16();
-        let max = m.max_batch(&profile, 512);
-        assert!(m.replicated(4).throughput(&profile, max + 1).is_none());
-        assert!(m.replicated(4).throughput(&profile, max).is_some());
     }
 
     #[test]

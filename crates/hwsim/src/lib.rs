@@ -47,9 +47,6 @@ mod deployment;
 mod profile;
 mod spec;
 
-pub use deployment::{
-    DeploymentModel, FleetThroughput, LatencyBreakdown, ReplicatedDeployment, RequestShape,
-    ThroughputPoint,
-};
+pub use deployment::{DeploymentModel, LatencyBreakdown, RequestShape, ThroughputPoint};
 pub use profile::{KvCacheProfile, SearchKind};
 pub use spec::AcceleratorSpec;

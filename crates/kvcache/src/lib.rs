@@ -15,9 +15,6 @@
 //!   whole-model cache containers, including the FP16 decode tail for
 //!   output tokens and [`ChunkedLayerCache::attend`], the one streaming
 //!   decode-attention kernel over mixed-precision chunks.
-//! * [`MemoryLayout`] — the physical byte layout of the chunks in a flat
-//!   arena, with the statistics (bitwidth transitions, cache-line waste)
-//!   that the hardware model in `cocktail-hwsim` consumes.
 //! * [`SharedPrefixKv`] — refcounted raw KV blocks of a prompt prefix, the
 //!   unit a serving-side prefix cache shares across requests so a common
 //!   context is prefilled once instead of per request.
@@ -50,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod cache;
 mod chunk;
 mod error;
@@ -59,7 +55,6 @@ mod segmentation;
 mod shared;
 mod snapshot;
 
-pub use arena::{LayoutRegion, LayoutStats, MemoryLayout};
 pub use cache::{ChunkedKvCache, ChunkedLayerCache};
 pub use chunk::{ChunkStorage, KvChunk, OutlierPatch};
 pub use error::KvCacheError;

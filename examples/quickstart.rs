@@ -34,15 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.cache_bytes,
         outcome.compression_ratio()
     );
-    if let Some(plan) = &outcome.plan {
-        println!(
-            "chunk assignment:  {} fp16 / {} int4 / {} int2 (of {} chunks)",
-            plan.count(Bitwidth::Fp16),
-            plan.count(Bitwidth::Int4),
-            plan.count(Bitwidth::Int2),
-            plan.assignments().len()
-        );
-    }
+    let count = |bw| outcome.chunk_plan.iter().filter(|&&b| b == bw).count();
+    println!(
+        "chunk assignment:  {} fp16 / {} int4 / {} int2 (of {} chunks)",
+        count(Bitwidth::Fp16),
+        count(Bitwidth::Int4),
+        count(Bitwidth::Int2),
+        outcome.chunk_plan.len()
+    );
     println!(
         "timings:           prefill {} us, compress {} us, decode {} us",
         outcome.timings.prefill_us, outcome.timings.compress_us, outcome.timings.decode_us

@@ -51,17 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         atom.report.chunks_at(Bitwidth::Fp16)
     );
 
-    if let Some(plan) = &cocktail.plan {
-        let relevant = task.relevant_chunks(config.chunk_size);
-        println!("\nground-truth relevant chunks: {relevant:?}");
-        let kept: Vec<usize> = plan
-            .assignments()
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == Bitwidth::Fp16)
-            .map(|(i, _)| i)
-            .collect();
-        println!("chunks Cocktail kept at FP16: {kept:?}");
-    }
+    let relevant = task.relevant_chunks(config.chunk_size);
+    println!("\nground-truth relevant chunks: {relevant:?}");
+    let kept: Vec<usize> = cocktail
+        .chunk_plan
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == Bitwidth::Fp16)
+        .map(|(i, _)| i)
+        .collect();
+    println!("chunks Cocktail kept at FP16: {kept:?}");
     Ok(())
 }

@@ -91,23 +91,69 @@ fn cocktail_keeps_the_ground_truth_relevant_chunks_at_high_precision() {
     let task = sample_task();
     let pipeline = small_pipeline();
     let outcome = pipeline.run(&task.context, &task.query, 2).unwrap();
-    let plan = outcome.plan.expect("cocktail produces a plan");
+    let plan = &outcome.chunk_plan;
     // The chunk containing each needle's anchor (where the retrieval signal
     // lives) must never be crushed to INT2; a needle whose answer span
     // spills into the following chunk may leave that continuation chunk at
     // low precision, which the search cannot know about.
     for needle in &task.needles {
         let chunk = needle.word_offset / pipeline.config().chunk_size;
-        if chunk < plan.assignments().len() {
+        if chunk < plan.len() {
             assert_ne!(
-                plan.assignments()[chunk],
+                plan[chunk],
                 Bitwidth::Int2,
                 "the anchor-bearing chunk must not be crushed to INT2"
             );
         }
     }
     // And most chunks are still aggressively compressed.
-    assert!(plan.count(Bitwidth::Int2) * 2 > plan.assignments().len());
+    let int2 = plan.iter().filter(|&&bw| bw == Bitwidth::Int2).count();
+    assert!(int2 * 2 > plan.len());
+}
+
+#[test]
+fn the_outcome_reports_the_plan_the_request_policy_stored() {
+    // The request brings its own Cocktail policy, with thresholds the
+    // engine's default config does not share: the outcome must report the
+    // plan this policy stored, not one re-derived from the engine's config.
+    let task = TaskGenerator::qmsum(WorkloadConfig::small()).generate(5);
+    let request_config = CocktailConfig::default()
+        .with_alpha(0.05)
+        .unwrap()
+        .with_beta(0.05)
+        .unwrap();
+    let policy = || CocktailPolicy::new(request_config.clone()).unwrap();
+    let profile = ModelProfile::llama2_7b_sim();
+    let slots = profile.sim().n_layers * profile.sim().n_kv_heads;
+    let chunk_texts =
+        cocktail::retrieval::chunking::chunk_words(&task.context, request_config.chunk_size);
+    let expected = ChunkQuantSearch::new(request_config.clone())
+        .plan(&task.query, &chunk_texts)
+        .unwrap();
+    assert!(expected.count(Bitwidth::Int4) > 0);
+
+    let pipeline = CocktailPipeline::new(profile.clone(), CocktailConfig::default()).unwrap();
+    let solo = pipeline
+        .run_with_policy(&task.context, &task.query, &policy(), 2)
+        .unwrap();
+    let mut serving = ServingEngine::new(profile, CocktailConfig::default()).unwrap();
+    serving.submit(
+        ServeRequest::builder()
+            .context(task.context.clone())
+            .query(task.query.clone())
+            .max_new_tokens(2)
+            .policy(Box::new(policy()))
+            .build(),
+    );
+    let served = serving.run_until_idle().unwrap().remove(0).outcome;
+
+    for outcome in [&solo, &served] {
+        assert_eq!(outcome.chunk_plan, expected.assignments());
+        for bw in [Bitwidth::Fp16, Bitwidth::Int4, Bitwidth::Int2] {
+            let per_slot = outcome.chunk_plan.iter().filter(|&&b| b == bw).count();
+            assert_eq!(per_slot * slots, outcome.report.chunks_at(bw), "{bw:?}");
+        }
+    }
 }
 
 #[test]
@@ -145,14 +191,7 @@ fn batched_serving_is_byte_identical_to_sequential_pipeline_runs() {
         assert_eq!(batched.outcome.cache_bytes, seq.cache_bytes);
         assert_eq!(batched.outcome.fp16_cache_bytes, seq.fp16_cache_bytes);
         assert_eq!(batched.outcome.report, seq.report);
-        assert_eq!(
-            batched
-                .outcome
-                .plan
-                .as_ref()
-                .map(|p| p.assignments().to_vec()),
-            seq.plan.as_ref().map(|p| p.assignments().to_vec()),
-        );
+        assert_eq!(batched.outcome.chunk_plan, seq.chunk_plan);
     }
 }
 
