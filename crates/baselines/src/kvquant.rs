@@ -75,16 +75,6 @@ impl KvQuantPolicy {
         })
     }
 
-    /// The quantization bitwidth of non-outlier tokens.
-    pub fn bitwidth(&self) -> Bitwidth {
-        self.bitwidth
-    }
-
-    /// The quantization group size.
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
     /// Fraction of tokens kept at FP16.
     pub fn outlier_fraction(&self) -> f32 {
         self.outlier_fraction

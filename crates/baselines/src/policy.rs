@@ -124,7 +124,7 @@ impl PolicyReport {
     /// Merges another report (e.g. per-layer reports into a model-level
     /// one). The search granularity of `other` is ignored; the receiver's
     /// is kept.
-    pub fn merge(&mut self, other: &PolicyReport) {
+    pub(crate) fn merge(&mut self, other: &PolicyReport) {
         for (&bw, &count) in &other.chunk_bitwidths {
             self.record_chunks(bw, count);
         }

@@ -13,7 +13,7 @@ pub mod experiments;
 
 use cocktail_baselines::{AtomPolicy, CachePolicy, Fp16Policy, KiviPolicy, KvQuantPolicy};
 use cocktail_core::{CocktailConfig, CocktailPolicy};
-use cocktail_hwsim::{KvCacheProfile, SearchKind};
+use cocktail_hwsim::KvCacheProfile;
 use cocktail_model::ModelProfile;
 use cocktail_workloads::eval::{EvalConfig, Evaluator};
 use cocktail_workloads::{TaskGenerator, TaskKind, WorkloadConfig};
@@ -25,10 +25,10 @@ use std::path::PathBuf;
 /// Number of task instances averaged per (method, dataset, model) cell in
 /// the accuracy experiments. More instances tighten the estimates at the
 /// cost of runtime.
-pub const INSTANCES_PER_CELL: usize = 4;
+pub(crate) const INSTANCES_PER_CELL: usize = 4;
 
 /// The five methods compared throughout the paper, in table order.
-pub fn method_names() -> Vec<&'static str> {
+pub(crate) fn method_names() -> Vec<&'static str> {
     vec!["FP16", "Atom", "KIVI", "KVQuant", "Cocktail"]
 }
 
@@ -38,7 +38,7 @@ pub fn method_names() -> Vec<&'static str> {
 /// # Panics
 ///
 /// Panics if the method name is unknown or the configuration is invalid.
-pub fn build_policy(method: &str, config: &CocktailConfig) -> Box<dyn CachePolicy> {
+pub(crate) fn build_policy(method: &str, config: &CocktailConfig) -> Box<dyn CachePolicy> {
     match method {
         "FP16" => Box::new(Fp16Policy::new()),
         "Atom" => Box::new(AtomPolicy::default()),
@@ -57,7 +57,7 @@ pub fn build_policy(method: &str, config: &CocktailConfig) -> Box<dyn CachePolic
 /// # Panics
 ///
 /// Panics if the method name is unknown.
-pub fn build_hw_profile(method: &str) -> KvCacheProfile {
+pub(crate) fn build_hw_profile(method: &str) -> KvCacheProfile {
     match method {
         "FP16" => KvCacheProfile::fp16(),
         "Atom" => KvCacheProfile::atom_int4(),
@@ -71,14 +71,14 @@ pub fn build_hw_profile(method: &str) -> KvCacheProfile {
 }
 
 /// The four simulated model profiles of Table II, in paper order.
-pub fn model_suite() -> Vec<ModelProfile> {
+pub(crate) fn model_suite() -> Vec<ModelProfile> {
     ModelProfile::paper_suite()
 }
 
 /// Per-model embedding seed used by the accuracy harness, so the four
 /// "models" of Table II correspond to four distinct extraction-model
 /// instantiations (see the README's "Reproducing the paper's experiments").
-pub fn accuracy_evaluator_for(model: &ModelProfile, chunk_size: usize) -> Evaluator {
+pub(crate) fn accuracy_evaluator_for(model: &ModelProfile, chunk_size: usize) -> Evaluator {
     let config = EvalConfig {
         embedding_seed: model.seed(),
         ..EvalConfig::new(chunk_size)
@@ -91,7 +91,7 @@ pub fn accuracy_evaluator_for(model: &ModelProfile, chunk_size: usize) -> Evalua
 /// # Panics
 ///
 /// Panics if the evaluation fails (the harness treats that as a bug).
-pub fn accuracy_cell(
+pub(crate) fn accuracy_cell(
     model: &ModelProfile,
     kind: TaskKind,
     method: &str,
@@ -105,15 +105,6 @@ pub fn accuracy_cell(
     evaluator
         .mean_score(&tasks, policy.as_ref())
         .expect("accuracy evaluation must not fail")
-}
-
-/// The search kind the hardware model should charge for a method.
-pub fn search_kind(method: &str) -> SearchKind {
-    match method {
-        "Cocktail" => SearchKind::ChunkLevel,
-        "KVQuant" => SearchKind::TokenLevel,
-        _ => SearchKind::None,
-    }
 }
 
 /// One machine-readable experiment record written to `results/`.
@@ -135,7 +126,12 @@ struct ExperimentRecord<'a, T: Serialize + ?Sized> {
 /// # Panics
 ///
 /// Panics if the rows cannot be serialized.
-pub fn record_json<T: Serialize + ?Sized>(id: &str, title: &str, note: &str, rows: &T) -> String {
+pub(crate) fn record_json<T: Serialize + ?Sized>(
+    id: &str,
+    title: &str,
+    note: &str,
+    rows: &T,
+) -> String {
     let record = ExperimentRecord {
         id,
         title,
@@ -170,7 +166,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Renders a fixed-width text table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -251,6 +247,16 @@ pub(crate) fn print_fields<T: Serialize>(title: &str, report: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocktail_hwsim::SearchKind;
+
+    /// The search kind the hardware model should charge for a method.
+    fn search_kind(method: &str) -> SearchKind {
+        match method {
+            "Cocktail" => SearchKind::ChunkLevel,
+            "KVQuant" => SearchKind::TokenLevel,
+            _ => SearchKind::None,
+        }
+    }
 
     #[test]
     fn policy_suite_builds_every_method() {

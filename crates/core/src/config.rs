@@ -47,7 +47,7 @@ pub struct CocktailConfig {
 
 impl CocktailConfig {
     /// Creates the paper's headline configuration.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self {
             alpha: 0.6,
             beta: 0.1,

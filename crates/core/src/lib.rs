@@ -91,7 +91,7 @@ pub use config::CocktailConfig;
 pub use error::CocktailError;
 pub use pipeline::{CocktailOutcome, CocktailPipeline, PipelineTimings};
 pub use policy::CocktailPolicy;
-pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixHit, PrefixLease};
+pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixHit};
 pub use router::{PrefixFingerprintIndex, RouteDecision, RouterConfig, RouterStats};
 pub use scheduler::{AdmitDecision, BatchScheduler, RequestId, SchedulerConfig};
 pub use search::{BitwidthPlan, ChunkQuantSearch};

@@ -106,20 +106,6 @@ impl CocktailPipeline {
         Ok(Self { engine, config })
     }
 
-    /// Builds a pipeline around an existing engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CocktailError::InvalidConfig`] if the configuration is
-    /// invalid.
-    pub fn with_engine(
-        engine: InferenceEngine,
-        config: CocktailConfig,
-    ) -> Result<Self, CocktailError> {
-        config.validate()?;
-        Ok(Self { engine, config })
-    }
-
     /// The underlying inference engine.
     pub fn engine(&self) -> &InferenceEngine {
         &self.engine

@@ -62,11 +62,6 @@ impl CocktailPolicy {
         Ok(Self { config, search })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CocktailConfig {
-        &self.config
-    }
-
     /// Computes the bitwidth plan for a request, honouring the Module I
     /// switch.
     ///
@@ -74,7 +69,7 @@ impl CocktailPolicy {
     ///
     /// Returns [`PolicyError::InvalidInput`] if the number of chunk texts
     /// does not match `chunk_count`.
-    pub fn plan_for(
+    pub(crate) fn plan_for(
         &self,
         ctx: &PolicyContext,
         chunk_count: usize,

@@ -157,7 +157,7 @@ impl PrefixHit {
     /// into the request's own cache during prefill) should downgrade to
     /// the lease and drop the hit, keeping the path pinned without also
     /// keeping the assembled prefix rows alive.
-    pub fn lease(&self) -> PrefixLease {
+    pub(crate) fn lease(&self) -> PrefixLease {
         PrefixLease {
             _lease: self.lease.clone(),
         }
@@ -170,7 +170,7 @@ impl PrefixHit {
 /// completes, is cancelled, or the engine needs the memory — the pin is
 /// advisory, so releasing it is always safe.
 #[derive(Debug, Clone)]
-pub struct PrefixLease {
+pub(crate) struct PrefixLease {
     /// Held only for its [`Arc`] refcount — the cache's [`Weak`] sees the
     /// path as pinned while any clone is alive.
     _lease: Arc<Vec<u32>>,
@@ -449,7 +449,7 @@ impl PrefixCache {
     }
 
     /// Number of resident leaf nodes (distinct cached context branches).
-    pub fn leaves(&self) -> usize {
+    pub(crate) fn leaves(&self) -> usize {
         self.live_nodes()
             .filter(|(_, n)| n.children.is_empty())
             .count()
@@ -494,7 +494,7 @@ impl PrefixCache {
     }
 
     /// Whether the disk cold tier is enabled.
-    pub fn cold_tier_enabled(&self) -> bool {
+    pub(crate) fn cold_tier_enabled(&self) -> bool {
         self.cold.is_some()
     }
 
@@ -539,7 +539,7 @@ impl PrefixCache {
     /// or hit/miss counters — a probe for planning (e.g. deciding which
     /// admission pass a request belongs to) ahead of the real
     /// [`PrefixCache::lookup`].
-    pub fn peek_prefix_len(&self, tokens: &[u32]) -> usize {
+    pub(crate) fn peek_prefix_len(&self, tokens: &[u32]) -> usize {
         self.walk(tokens).matched
     }
 
@@ -816,7 +816,7 @@ impl PrefixCache {
     /// tier disabled, or when the index has no overlapping record. Like
     /// [`PrefixCache::peek_prefix_len`] this is a planning probe: it does
     /// no I/O and changes nothing.
-    pub fn cold_match(&self, tokens: &[u32]) -> Option<(usize, usize)> {
+    pub(crate) fn cold_match(&self, tokens: &[u32]) -> Option<(usize, usize)> {
         let tier = self.cold.as_ref()?;
         tier.index
             .iter()
@@ -833,7 +833,7 @@ impl PrefixCache {
     /// `None`, never a panic), sliced to the matched prefix, and inserted
     /// through the normal insert path (so splits, LRU bookkeeping and the
     /// node cap apply). The caller is responsible for budget admission —
-    /// probe with [`PrefixCache::cold_match`] first.
+    /// probe with `PrefixCache::cold_match` first.
     pub fn repromote(&mut self, tokens: &[u32]) -> Option<usize> {
         let tier = self.cold.as_ref()?;
         let (pos, matched) = tier

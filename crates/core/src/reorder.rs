@@ -35,16 +35,6 @@ pub fn group_by_bitwidth(assignments: &[Bitwidth]) -> ChunkPermutation {
     ChunkPermutation::stable_sort_by_key(assignments)
 }
 
-/// Number of chunks in each contiguous precision group after reordering,
-/// in ascending precision order: `(int2, int4, fp16)`. These are the
-/// `len_2` / `len_4` block lengths of Algorithm 1.
-pub fn group_lengths(assignments: &[Bitwidth]) -> (usize, usize, usize) {
-    let int2 = assignments.iter().filter(|&&b| b == Bitwidth::Int2).count();
-    let int4 = assignments.iter().filter(|&&b| b == Bitwidth::Int4).count();
-    let fp16 = assignments.iter().filter(|&&b| b == Bitwidth::Fp16).count();
-    (int2, int4, fp16)
-}
-
 /// Applies a bitwidth plan to one layer cache: optionally reorders the
 /// chunks so equal-precision chunks are contiguous, then quantizes every
 /// chunk according to its assignment.
@@ -93,6 +83,16 @@ mod tests {
     use cocktail_kvcache::ChunkSegmentation;
     use cocktail_tensor::rng;
     use proptest::prelude::*;
+
+    /// Number of chunks in each contiguous precision group after reordering,
+    /// in ascending precision order: `(int2, int4, fp16)`. These are the
+    /// `len_2` / `len_4` block lengths of Algorithm 1.
+    fn group_lengths(assignments: &[Bitwidth]) -> (usize, usize, usize) {
+        let int2 = assignments.iter().filter(|&&b| b == Bitwidth::Int2).count();
+        let int4 = assignments.iter().filter(|&&b| b == Bitwidth::Int4).count();
+        let fp16 = assignments.iter().filter(|&&b| b == Bitwidth::Fp16).count();
+        (int2, int4, fp16)
+    }
 
     fn cache(tokens: usize, chunk: usize, seed: u64) -> ChunkedLayerCache {
         let k = rng::gaussian_matrix(tokens, 16, 1.0, seed);

@@ -139,11 +139,6 @@ impl PrefixFingerprintIndex {
         }
     }
 
-    /// Number of replicas routed over.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// Cumulative routing counters.
     pub fn stats(&self) -> RouterStats {
         self.stats

@@ -60,7 +60,7 @@ pub struct SchedulerConfig {
 
 impl SchedulerConfig {
     /// Unlimited memory and a practically unlimited batch.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         Self {
             kv_budget_bytes: None,
             max_batch: usize::MAX,
@@ -208,7 +208,7 @@ impl BatchScheduler {
     /// # Panics
     ///
     /// Panics if `id` is not the head of the queue.
-    pub fn drop_head(&mut self, id: RequestId) {
+    pub(crate) fn drop_head(&mut self, id: RequestId) {
         assert_eq!(
             self.head(),
             Some(id),
@@ -220,7 +220,7 @@ impl BatchScheduler {
     /// Removes a request from anywhere in the admission queue (the
     /// cancellation path: FIFO constrains *admission* order, but a
     /// cancelled request simply departs). Returns whether it was queued.
-    pub fn remove_queued(&mut self, id: RequestId) -> bool {
+    pub(crate) fn remove_queued(&mut self, id: RequestId) -> bool {
         let before = self.queue.len();
         self.queue.retain(|&queued| queued != id);
         self.queue.len() != before
@@ -248,7 +248,7 @@ impl BatchScheduler {
     }
 
     /// Ids of the queued requests in FIFO order (head first).
-    pub fn queued_ids(&self) -> Vec<RequestId> {
+    pub(crate) fn queued_ids(&self) -> Vec<RequestId> {
         self.queue.iter().copied().collect()
     }
 
@@ -264,18 +264,8 @@ impl BatchScheduler {
 
     /// Bytes currently charged against the budget: admitted request costs
     /// plus resident shared prefix-cache blocks.
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         self.request_bytes + self.shared_bytes
-    }
-
-    /// Bytes charged for admitted requests only.
-    pub fn request_bytes(&self) -> usize {
-        self.request_bytes
-    }
-
-    /// Bytes charged for shared prefix-cache blocks.
-    pub fn shared_bytes(&self) -> usize {
-        self.shared_bytes
     }
 
     /// Replaces the shared-block charge with the prefix cache's current
@@ -284,23 +274,16 @@ impl BatchScheduler {
     /// branches pass through it or how many requests reference it; the
     /// owner (the serving engine) reports the cache's total after every
     /// insertion or eviction.
-    pub fn set_shared_bytes(&mut self, bytes: usize) {
+    pub(crate) fn set_shared_bytes(&mut self, bytes: usize) {
         self.shared_bytes = bytes;
     }
 
     /// Whether `additional` more shared bytes would still fit the budget
     /// alongside everything currently charged.
-    pub fn would_fit_shared(&self, additional: usize) -> bool {
+    pub(crate) fn would_fit_shared(&self, additional: usize) -> bool {
         self.config
             .kv_budget_bytes
             .map_or(true, |budget| self.used_bytes() + additional <= budget)
-    }
-
-    /// Bytes still available under the budget (`None` when unlimited).
-    pub fn remaining_bytes(&self) -> Option<usize> {
-        self.config
-            .kv_budget_bytes
-            .map(|b| b.saturating_sub(self.used_bytes()))
     }
 
     /// Whether the scheduler has no queued or running requests.
@@ -327,9 +310,9 @@ mod tests {
         assert!(s.would_fit_shared(100));
         assert!(!s.would_fit_shared(101));
         s.set_shared_bytes(40);
-        assert_eq!(s.shared_bytes(), 40);
+        assert_eq!(s.shared_bytes, 40);
         assert_eq!(s.used_bytes(), 40);
-        assert_eq!(s.remaining_bytes(), Some(60));
+        assert!(s.would_fit_shared(60));
         assert!(s.would_fit_shared(20));
         assert!(!s.would_fit_shared(61));
 
@@ -341,7 +324,7 @@ mod tests {
         s.set_shared_bytes(10);
         assert_eq!(s.try_admit(id, 70), AdmitDecision::Admitted);
         assert_eq!(s.used_bytes(), 80);
-        assert_eq!(s.request_bytes(), 70);
+        assert_eq!(s.request_bytes, 70);
         s.complete(id);
         assert_eq!(s.used_bytes(), 10);
     }

@@ -28,16 +28,6 @@ impl BitwidthPlan {
         &self.scores
     }
 
-    /// The low threshold `T_low` (Eq. 2).
-    pub fn t_low(&self) -> f32 {
-        self.t_low
-    }
-
-    /// The high threshold `T_high` (Eq. 3).
-    pub fn t_high(&self) -> f32 {
-        self.t_high
-    }
-
     /// The bitwidth assigned to each chunk, in logical chunk order.
     pub fn assignments(&self) -> &[Bitwidth] {
         &self.assignments
@@ -46,19 +36,6 @@ impl BitwidthPlan {
     /// Number of chunks assigned to the given bitwidth.
     pub fn count(&self, bitwidth: Bitwidth) -> usize {
         self.assignments.iter().filter(|&&b| b == bitwidth).count()
-    }
-
-    /// Average bits per element across all chunks under this plan (a quick
-    /// proxy for the compression the plan achieves on the chunked portion).
-    pub fn mean_bits(&self) -> f32 {
-        if self.assignments.is_empty() {
-            return 0.0;
-        }
-        self.assignments
-            .iter()
-            .map(|b| b.bits() as f32)
-            .sum::<f32>()
-            / self.assignments.len() as f32
     }
 }
 
@@ -116,7 +93,7 @@ impl ChunkQuantSearch {
     /// Returns [`CocktailError::InvalidConfig`] if the configuration fails
     /// validation, or [`CocktailError::InvalidInput`] if any score is not
     /// finite.
-    pub fn plan_from_scores(&self, scores: &[f32]) -> Result<BitwidthPlan, CocktailError> {
+    pub(crate) fn plan_from_scores(&self, scores: &[f32]) -> Result<BitwidthPlan, CocktailError> {
         self.config.validate()?;
         if scores.iter().any(|s| !s.is_finite()) {
             return Err(CocktailError::InvalidInput(
@@ -189,6 +166,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Average bits per element across all chunks under this plan (a quick
+    /// proxy for the compression the plan achieves on the chunked portion).
+    fn mean_bits(plan: &BitwidthPlan) -> f32 {
+        if plan.assignments.is_empty() {
+            return 0.0;
+        }
+        plan.assignments
+            .iter()
+            .map(|b| b.bits() as f32)
+            .sum::<f32>()
+            / plan.assignments.len() as f32
+    }
+
     fn search_with(alpha: f32, beta: f32) -> ChunkQuantSearch {
         ChunkQuantSearch::new(
             CocktailConfig::default()
@@ -203,8 +193,8 @@ mod tests {
     fn thresholds_follow_equations_2_and_3() {
         let search = search_with(0.6, 0.1);
         let plan = search.plan_from_scores(&[0.0, 0.5, 1.0]).unwrap();
-        assert!((plan.t_low() - 0.6).abs() < 1e-6);
-        assert!((plan.t_high() - 0.9).abs() < 1e-6);
+        assert!((plan.t_low - 0.6).abs() < 1e-6);
+        assert!((plan.t_high - 0.9).abs() < 1e-6);
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
         let low_alpha = search_with(0.2, 0.1).plan_from_scores(&scores).unwrap();
         let high_alpha = search_with(0.8, 0.1).plan_from_scores(&scores).unwrap();
         assert!(high_alpha.count(Bitwidth::Int2) > low_alpha.count(Bitwidth::Int2));
-        assert!(high_alpha.mean_bits() < low_alpha.mean_bits());
+        assert!(mean_bits(&high_alpha) < mean_bits(&low_alpha));
     }
 
     #[test]
@@ -257,7 +247,7 @@ mod tests {
         let search = search_with(0.6, 0.1);
         let empty = search.plan_from_scores(&[]).unwrap();
         assert!(empty.assignments().is_empty());
-        assert_eq!(empty.mean_bits(), 0.0);
+        assert_eq!(mean_bits(&empty), 0.0);
         assert!(search.plan_from_scores(&[0.1, f32::NAN]).is_err());
     }
 

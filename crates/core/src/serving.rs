@@ -95,7 +95,6 @@ pub struct ServeRequest {
     pub max_new_tokens: usize,
     policy: Option<Box<dyn CachePolicy>>,
     stop_sequences: Vec<String>,
-    prefix_reuse: bool,
     sampling: Option<SamplingParams>,
 }
 
@@ -113,7 +112,6 @@ impl ServeRequest {
             max_new_tokens,
             policy: None,
             stop_sequences: Vec::new(),
-            prefix_reuse: true,
             sampling: None,
         }
     }
@@ -136,7 +134,6 @@ impl fmt::Debug for ServeRequest {
                 &self.policy.as_ref().map_or("engine default", |p| p.name()),
             )
             .field("stop_sequences", &self.stop_sequences)
-            .field("prefix_reuse", &self.prefix_reuse)
             .field("sampling", &self.sampling)
             .finish()
     }
@@ -146,7 +143,7 @@ impl fmt::Debug for ServeRequest {
 /// used to live in scattered `with_*` constructors.
 ///
 /// Defaults: engine-default (Cocktail) cache policy, no stop sequences,
-/// prefix reuse enabled, greedy decode (no sampling).
+/// greedy decode (no sampling).
 ///
 /// # Example
 ///
@@ -193,28 +190,14 @@ impl fmt::Debug for ServeRequest {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Default)]
 pub struct ServeRequestBuilder {
     context: String,
     query: String,
     max_new_tokens: usize,
     policy: Option<Box<dyn CachePolicy>>,
     stop_sequences: Vec<String>,
-    prefix_reuse: bool,
     sampling: Option<SamplingParams>,
-}
-
-impl Default for ServeRequestBuilder {
-    fn default() -> Self {
-        Self {
-            context: String::new(),
-            query: String::new(),
-            max_new_tokens: 0,
-            policy: None,
-            stop_sequences: Vec::new(),
-            prefix_reuse: true,
-            sampling: None,
-        }
-    }
 }
 
 impl fmt::Debug for ServeRequestBuilder {
@@ -228,7 +211,6 @@ impl fmt::Debug for ServeRequestBuilder {
                 &self.policy.as_ref().map_or("engine default", |p| p.name()),
             )
             .field("stop_sequences", &self.stop_sequences)
-            .field("prefix_reuse", &self.prefix_reuse)
             .field("sampling", &self.sampling)
             .finish()
     }
@@ -273,17 +255,6 @@ impl ServeRequestBuilder {
         self
     }
 
-    /// Whether this request may read from (and publish to) the engine's
-    /// shared prefix trie — including the snapshot-restored and cold-tier
-    /// paths. Defaults to `true`; turning it off forces a fully cold
-    /// prefill for this request and keeps its context out of snapshots,
-    /// which is the right call for contexts that must not persist across
-    /// restarts or leak into other tenants' warm hits.
-    pub fn prefix_reuse(mut self, enabled: bool) -> Self {
-        self.prefix_reuse = enabled;
-        self
-    }
-
     /// Decodes with the given sampling chain instead of greedy argmax.
     /// The chain's seeded ChaCha stream is private to this request, so a
     /// resubmission with identical params (including
@@ -304,7 +275,6 @@ impl ServeRequestBuilder {
             max_new_tokens: self.max_new_tokens,
             policy: self.policy,
             stop_sequences: self.stop_sequences,
-            prefix_reuse: self.prefix_reuse,
             sampling: self.sampling,
         }
     }
@@ -864,6 +834,9 @@ enum Phase {
     Failed(String),
     /// Cancelled by the client; the task (cache, prefix pin) is dropped.
     Cancelled,
+    /// The phase's payload is being moved into the next phase. Only held
+    /// inside one `&mut self` call, so no public method ever sees it.
+    Moving,
 }
 
 struct Slot {
@@ -933,7 +906,6 @@ struct PrepCandidate {
     policy: Box<dyn CachePolicy>,
     max_new_tokens: usize,
     stop_sequences: Vec<String>,
-    prefix_reuse: bool,
     sampling: Option<SamplingParams>,
     encoded: EncodedPrompt,
     prefix: Option<PrefixHit>,
@@ -1006,7 +978,7 @@ impl ServingEngine {
     ///
     /// Returns [`CocktailError::InvalidConfig`] if the configuration is
     /// invalid.
-    pub fn with_engine(
+    pub(crate) fn with_engine(
         engine: InferenceEngine,
         config: CocktailConfig,
     ) -> Result<Self, CocktailError> {
@@ -1217,11 +1189,6 @@ impl ServingEngine {
         &self.engine
     }
 
-    /// The Cocktail configuration.
-    pub fn config(&self) -> &CocktailConfig {
-        &self.config
-    }
-
     /// The scheduler (budget accounting, queue/batch occupancy).
     pub fn scheduler(&self) -> &BatchScheduler {
         &self.scheduler
@@ -1278,6 +1245,7 @@ impl ServingEngine {
             Phase::Completed(_) => RequestState::Completed,
             Phase::Failed(_) => RequestState::Failed,
             Phase::Cancelled => RequestState::Cancelled,
+            Phase::Moving => unreachable!("no phase is moving between calls"),
         })
     }
 
@@ -1395,6 +1363,7 @@ impl ServingEngine {
                 self.scheduler.complete(id);
             }
             Phase::Completed(_) | Phase::Failed(_) | Phase::Cancelled => return false,
+            Phase::Moving => unreachable!("no phase is moving between calls"),
         }
         slot.stats.cancelled = true;
         slot.stats.finished_step = Some(now);
@@ -1451,23 +1420,6 @@ impl ServingEngine {
         });
     }
 
-    /// Compressed KV bytes held by prepared-but-not-yet-admitted requests.
-    /// These bytes are *not* part of [`ServingEngine::kv_bytes_in_use`]:
-    /// the budget governs admitted requests (and resident prefix-cache
-    /// blocks), while prepared caches are kept across deferrals so a
-    /// prefill is never repeated. Up to four requests (the prefill window)
-    /// can be prepared ahead of admission, so operators sizing real memory
-    /// should add this headroom to the budget.
-    pub fn prepared_kv_bytes(&self) -> usize {
-        self.slots
-            .values()
-            .map(|slot| match &slot.phase {
-                Phase::Prepared(task) => task.cache_bytes(),
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Runs one engine step: admit whatever fits from the queue head
     /// (prefilling newly admitted requests), then one decode round in which
     /// every running request generates one token via a single batched
@@ -1477,10 +1429,11 @@ impl ServingEngine {
     /// [`ServingEngine::step_events`], which additionally streams every
     /// committed token.
     ///
-    /// Note that the queue head is prepared (prefilled + compressed) before
-    /// its budget check, so up to one deferred request's compressed cache
-    /// can be resident beyond the budget — see
-    /// [`ServingEngine::prepared_kv_bytes`].
+    /// Note that admission prepares (prefills + compresses) up to four
+    /// requests at the queue head before their budget checks, and a
+    /// prepared request keeps its compressed cache while it waits, so up to
+    /// four deferred requests' compressed caches can be resident beyond the
+    /// budget.
     ///
     /// # Errors
     ///
@@ -1554,18 +1507,19 @@ impl ServingEngine {
             return Ok(());
         }
 
+        let default_policy = CocktailPolicy::new(self.config.clone())?;
         let mut candidates: Vec<PrepCandidate> = Vec::with_capacity(ids.len());
         for id in ids {
             let phase = {
                 let slot = self.slots.get_mut(&id).expect("queued request has a slot");
-                std::mem::replace(&mut slot.phase, Phase::Failed("preparing".into()))
+                std::mem::replace(&mut slot.phase, Phase::Moving)
             };
             let Phase::Queued(request) = phase else {
                 unreachable!("window contains queued phases only");
             };
             let policy: Box<dyn CachePolicy> = match request.policy {
                 Some(policy) => policy,
-                None => Box::new(CocktailPolicy::new(self.config.clone())?),
+                None => Box::new(default_policy.clone()),
             };
             match EncodedPrompt::encode(&self.engine, &request.context, &request.query) {
                 Ok(encoded) => candidates.push(PrepCandidate {
@@ -1575,7 +1529,6 @@ impl ServingEngine {
                     policy,
                     max_new_tokens: request.max_new_tokens,
                     stop_sequences: request.stop_sequences,
-                    prefix_reuse: request.prefix_reuse,
                     sampling: request.sampling,
                     encoded,
                     prefix: None,
@@ -1596,7 +1549,6 @@ impl ServingEngine {
         {
             let contexts: Vec<Vec<u32>> = candidates
                 .iter()
-                .filter(|cand| cand.prefix_reuse)
                 .map(|cand| cand.encoded.context_tokens.clone())
                 .collect();
             for tokens in contexts {
@@ -1617,24 +1569,17 @@ impl ServingEngine {
         let mut warm: Vec<PrepCandidate> = Vec::new();
         for cand in candidates {
             match min_prefix {
-                // A request that opted out of prefix reuse always prefills
-                // cold and never reads the trie (no counted miss either —
-                // it never asked the cache for anything).
-                _ if !cand.prefix_reuse => cold.push(cand),
                 None => cold.push(cand),
                 Some(min) => {
                     let cached = self.prefix_cache.as_ref().map_or(0, |cache| {
                         cache.peek_prefix_len(&cand.encoded.context_tokens)
                     });
-                    // Only reuse-enabled batchmates publish their contexts,
-                    // so only they can warm a same-prefix candidate.
-                    let shares_cold_batchmate =
-                        cold.iter().filter(|o| o.prefix_reuse).any(|other| {
-                            common_prefix_len(
-                                &other.encoded.context_tokens,
-                                &cand.encoded.context_tokens,
-                            ) >= min
-                        });
+                    let shares_cold_batchmate = cold.iter().any(|other| {
+                        common_prefix_len(
+                            &other.encoded.context_tokens,
+                            &cand.encoded.context_tokens,
+                        ) >= min
+                    });
                     if cached >= min || shares_cold_batchmate {
                         warm.push(cand);
                     } else {
@@ -1649,7 +1594,12 @@ impl ServingEngine {
             }
         }
 
-        self.prefill_candidates(cold, now)?;
+        if let Err(err) = self.prefill_candidates(cold, now) {
+            for cand in warm {
+                self.fail_request(cand.id, now, err.to_string());
+            }
+            return Err(err);
+        }
         for cand in &mut warm {
             cand.prefix = self
                 .prefix_cache
@@ -1670,7 +1620,7 @@ impl ServingEngine {
         if candidates.is_empty() {
             return Ok(());
         }
-        let outputs = {
+        let (outputs, elapsed_us) = {
             let slots: Vec<PrefillSlot<'_>> = candidates
                 .iter()
                 .map(|cand| match &cand.prefix {
@@ -1681,10 +1631,18 @@ impl ServingEngine {
                 })
                 .collect();
             let start = Instant::now();
-            let outputs = self.engine.prefill_batch(&slots)?;
+            let outputs = self.engine.prefill_batch(&slots);
             (outputs, start.elapsed().as_micros() as u64)
         };
-        let (outputs, elapsed_us) = outputs;
+        let outputs = match outputs {
+            Ok(outputs) => outputs,
+            Err(err) => {
+                for cand in &candidates {
+                    self.fail_request(cand.id, now, err.to_string());
+                }
+                return Err(err.into());
+            }
+        };
 
         // Attribute the batch wall time per request in proportion to its
         // share of the attention work (computed suffix rows x full prompt
@@ -1703,8 +1661,7 @@ impl ServingEngine {
             let reused = cand.prefix.as_ref().map_or(0, PrefixHit::tokens);
             let want_blocks = match &self.prefix_cache {
                 Some(cache) => {
-                    cand.prefix_reuse
-                        && cand.encoded.context_tokens.len() >= cache.config().min_prefix_tokens
+                    cand.encoded.context_tokens.len() >= cache.config().min_prefix_tokens
                         && !cache.covers(&cand.encoded.context_tokens)
                 }
                 None => false,
@@ -1886,7 +1843,7 @@ impl ServingEngine {
                             reserved,
                         }
                     }
-                    Phase::Running(_) | Phase::Completed(_) | Phase::Cancelled => {
+                    Phase::Running(_) | Phase::Completed(_) | Phase::Cancelled | Phase::Moving => {
                         unreachable!("queued requests are not running, completed or cancelled")
                     }
                 }
@@ -1900,8 +1857,7 @@ impl ServingEngine {
                             let slot = self.slots.get_mut(&head).expect("slot still present");
                             slot.stats.reserved_tail_bytes = reserved;
                             slot.stats.admitted_step = Some(now);
-                            let phase =
-                                std::mem::replace(&mut slot.phase, Phase::Failed(String::new()));
+                            let phase = std::mem::replace(&mut slot.phase, Phase::Moving);
                             let Phase::Prepared(task) = phase else {
                                 unreachable!("phase checked above");
                             };
@@ -2036,7 +1992,7 @@ impl ServingEngine {
         for id in &finished {
             self.scheduler.complete(*id);
             let slot = self.slots.get_mut(id).expect("finished request has a slot");
-            let phase = std::mem::replace(&mut slot.phase, Phase::Failed(String::new()));
+            let phase = std::mem::replace(&mut slot.phase, Phase::Moving);
             let Phase::Running(task) = phase else {
                 unreachable!("finished request was running");
             };
@@ -3027,43 +2983,6 @@ mod tests {
         let missing = restarted.restore_from(&path);
         assert!(!missing.restored);
         assert!(missing.reason.as_deref().unwrap().contains("read snapshot"));
-    }
-
-    #[test]
-    fn prefix_reuse_opt_out_forces_cold_prefill_without_publishing() {
-        let (ctx, q) = &contexts()[2];
-        let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
-            .unwrap()
-            .with_prefix_cache(PrefixCacheConfig::default());
-
-        let build = |reuse: bool| {
-            ServeRequest::builder()
-                .context(ctx.clone())
-                .query(q.clone())
-                .max_new_tokens(6)
-                .prefix_reuse(reuse)
-                .build()
-        };
-
-        // Opted-out requests neither publish to the cache ...
-        engine.submit(build(false));
-        let outcomes = engine.run_until_idle().unwrap();
-        assert_eq!(engine.prefix_cache_stats().unwrap().nodes, 0);
-        assert_eq!(outcomes[0].stats.prefix_reused_tokens, 0);
-
-        // ... nor read from it, even once a reusing request has warmed it.
-        engine.submit(build(true));
-        let outcomes = engine.run_until_idle().unwrap();
-        assert!(engine.prefix_cache_stats().unwrap().nodes > 0);
-        assert_eq!(outcomes[0].stats.prefix_reused_tokens, 0);
-
-        engine.submit(build(false));
-        engine.submit(build(true));
-        let outcomes = engine.run_until_idle().unwrap();
-        assert_eq!(outcomes[0].stats.prefix_reused_tokens, 0);
-        assert!(outcomes[1].stats.prefix_reused_tokens > 0);
-        // Opting out never changes bytes, only where they come from.
-        assert_eq!(outcomes[0].outcome.answer, outcomes[1].outcome.answer);
     }
 
     #[test]

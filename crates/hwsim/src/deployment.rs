@@ -131,13 +131,13 @@ impl DeploymentModel {
 
     /// Number of KV scalars cached per token (keys + values, all layers and
     /// KV heads).
-    pub fn kv_values_per_token(&self) -> usize {
+    pub(crate) fn kv_values_per_token(&self) -> usize {
         2 * self.model.n_layers * self.model.n_kv_heads * self.model.head_dim()
     }
 
     /// KV-cache bytes for the *context* portion of one request under the
     /// given profile.
-    pub fn context_kv_bytes(&self, profile: &KvCacheProfile) -> f64 {
+    pub(crate) fn context_kv_bytes(&self, profile: &KvCacheProfile) -> f64 {
         self.kv_values_per_token() as f64
             * self.request.context_len as f64
             * profile.bytes_per_value()
@@ -145,7 +145,7 @@ impl DeploymentModel {
 
     /// KV-cache bytes for the generated output tokens (always FP16, as in
     /// the paper).
-    pub fn output_kv_bytes(&self, generated_so_far: usize) -> f64 {
+    pub(crate) fn output_kv_bytes(&self, generated_so_far: usize) -> f64 {
         self.kv_values_per_token() as f64 * generated_so_far as f64 * 2.0
     }
 
@@ -168,7 +168,7 @@ impl DeploymentModel {
     }
 
     /// Whether a batch of requests fits in usable HBM.
-    pub fn fits(&self, profile: &KvCacheProfile, batch: usize) -> bool {
+    pub(crate) fn fits(&self, profile: &KvCacheProfile, batch: usize) -> bool {
         self.gpu_memory_bytes(profile, batch) <= self.spec.usable_capacity_bytes()
     }
 
@@ -187,7 +187,7 @@ impl DeploymentModel {
     /// the batch grows. KVQuant's token-level search scans every cached
     /// token of every layer per request and scales linearly with the batch,
     /// which is why its throughput never catches up (Figure 6).
-    pub fn search_latency_s(&self, profile: &KvCacheProfile, batch: usize) -> f64 {
+    pub(crate) fn search_latency_s(&self, profile: &KvCacheProfile, batch: usize) -> f64 {
         if batch == 0 {
             return 0.0;
         }
@@ -267,7 +267,7 @@ impl DeploymentModel {
     }
 
     /// Prefill latency estimate (compute-bound): `2 · params · tokens / FLOPs`.
-    pub fn prefill_latency_s(&self, batch: usize) -> f64 {
+    pub(crate) fn prefill_latency_s(&self, batch: usize) -> f64 {
         2.0 * self.model.parameter_count() as f64 * self.request.context_len as f64 * batch as f64
             / self.spec.fp16_flops_per_s
     }

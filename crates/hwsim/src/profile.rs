@@ -230,7 +230,7 @@ impl KvCacheProfile {
 
     /// Number of distinct precision levels present (the number of
     /// contiguous blocks after reordering).
-    pub fn precision_levels(&self) -> usize {
+    pub(crate) fn precision_levels(&self) -> usize {
         self.fractions.iter().filter(|(_, &f)| f > 0.0).count()
     }
 

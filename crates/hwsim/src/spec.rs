@@ -73,19 +73,8 @@ impl AcceleratorSpec {
         }
     }
 
-    /// A smaller 40 GB accelerator, useful for OOM-sensitivity ablations.
-    pub fn a100_40g() -> Self {
-        Self {
-            name: "NVIDIA A100 40GB".to_string(),
-            hbm_capacity_bytes: 40 * 1024 * 1024 * 1024,
-            hbm_bandwidth_bytes_per_s: 1.25e12,
-            fp16_flops_per_s: 2.4e14,
-            ..Self::a800()
-        }
-    }
-
     /// Usable HBM bytes after the reserved fraction.
-    pub fn usable_capacity_bytes(&self) -> usize {
+    pub(crate) fn usable_capacity_bytes(&self) -> usize {
         (self.hbm_capacity_bytes as f64 * (1.0 - self.reserved_fraction)) as usize
     }
 }
@@ -100,6 +89,17 @@ impl Default for AcceleratorSpec {
 mod tests {
     use super::*;
 
+    /// A smaller 40 GB accelerator, useful for OOM-sensitivity ablations.
+    fn a100_40g() -> AcceleratorSpec {
+        AcceleratorSpec {
+            name: "NVIDIA A100 40GB".to_string(),
+            hbm_capacity_bytes: 40 * 1024 * 1024 * 1024,
+            hbm_bandwidth_bytes_per_s: 1.25e12,
+            fp16_flops_per_s: 2.4e14,
+            ..AcceleratorSpec::a800()
+        }
+    }
+
     #[test]
     fn a800_matches_datasheet_scale() {
         let spec = AcceleratorSpec::a800();
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn a100_40g_is_smaller() {
         let a800 = AcceleratorSpec::a800();
-        let a100 = AcceleratorSpec::a100_40g();
+        let a100 = a100_40g();
         assert!(a100.hbm_capacity_bytes < a800.hbm_capacity_bytes);
         assert!(a100.hbm_bandwidth_bytes_per_s < a800.hbm_bandwidth_bytes_per_s);
         assert_eq!(a100.cache_line_bytes, a800.cache_line_bytes);

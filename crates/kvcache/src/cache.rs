@@ -106,11 +106,6 @@ impl ChunkedLayerCache {
         self.head_dim
     }
 
-    /// The segmentation the cache was built with.
-    pub fn segmentation(&self) -> &ChunkSegmentation {
-        &self.segmentation
-    }
-
     /// Number of context chunks.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
@@ -119,12 +114,6 @@ impl ChunkedLayerCache {
     /// The chunks in their current *physical* order.
     pub fn chunks(&self) -> &[KvChunk] {
         &self.chunks
-    }
-
-    /// The permutation currently applied to the chunks
-    /// (`physical position → logical index`).
-    pub fn permutation(&self) -> &ChunkPermutation {
-        &self.permutation
     }
 
     /// Number of decode-phase tokens appended so far.
@@ -174,7 +163,7 @@ impl ChunkedLayerCache {
     ///
     /// Returns [`KvCacheError::ChunkIndexOutOfRange`] for a bad index or a
     /// quantization error from the kernel.
-    pub fn quantize_chunk_with_axis(
+    pub(crate) fn quantize_chunk_with_axis(
         &mut self,
         physical_index: usize,
         bitwidth: Bitwidth,
@@ -266,17 +255,6 @@ impl ChunkedLayerCache {
         self.permutation =
             ChunkPermutation::new(combined).expect("composition of permutations is a permutation");
         Ok(())
-    }
-
-    /// Restores the original (logical) chunk order.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; kept fallible for symmetry with
-    /// [`ChunkedLayerCache::reorder`].
-    pub fn restore_logical_order(&mut self) -> Result<(), KvCacheError> {
-        let inverse = self.permutation.inverse();
-        self.reorder(&inverse)
     }
 
     /// Appends the key/value vectors of one decode-phase output token. The
@@ -813,10 +791,11 @@ mod tests {
         cache.reorder(&perm).unwrap();
         let logical: Vec<usize> = cache.chunks().iter().map(|c| c.logical_index()).collect();
         assert_eq!(logical, vec![2, 0, 3, 1]);
-        cache.restore_logical_order().unwrap();
+        let inverse = cache.permutation.inverse();
+        cache.reorder(&inverse).unwrap();
         let logical: Vec<usize> = cache.chunks().iter().map(|c| c.logical_index()).collect();
         assert_eq!(logical, vec![0, 1, 2, 3]);
-        assert!(cache.permutation().is_identity());
+        assert_eq!(cache.permutation, ChunkPermutation::identity(4));
     }
 
     #[test]
@@ -831,7 +810,8 @@ mod tests {
         let logical: Vec<usize> = cache.chunks().iter().map(|c| c.logical_index()).collect();
         // First reorder: [1,2,0]; second picks physical [2,1,0] of that = [0,2,1].
         assert_eq!(logical, vec![0, 2, 1]);
-        cache.restore_logical_order().unwrap();
+        let inverse = cache.permutation.inverse();
+        cache.reorder(&inverse).unwrap();
         let logical: Vec<usize> = cache.chunks().iter().map(|c| c.logical_index()).collect();
         assert_eq!(logical, vec![0, 1, 2]);
     }

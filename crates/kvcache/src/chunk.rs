@@ -177,7 +177,7 @@ impl KvChunk {
     ///
     /// Returns [`KvCacheError::Quant`] if the quantization kernel rejects
     /// the configuration.
-    pub fn quantized_with_axis(
+    pub(crate) fn quantized_with_axis(
         self,
         bitwidth: Bitwidth,
         key_axis: QuantAxis,
@@ -213,7 +213,7 @@ impl KvChunk {
     ///
     /// Returns [`KvCacheError::Quant`] if the quantization kernel rejects
     /// the configuration.
-    pub fn quantized_with_outliers(
+    pub(crate) fn quantized_with_outliers(
         self,
         bitwidth: Bitwidth,
         group_size: usize,
@@ -299,7 +299,7 @@ impl KvChunk {
 
     /// Reconstructed (dequantized) value tensor, with any outlier patch
     /// applied.
-    pub fn value_matrix(&self) -> Matrix {
+    pub(crate) fn value_matrix(&self) -> Matrix {
         let mut v = match &self.storage {
             ChunkStorage::Fp16 { v, .. } => v.clone(),
             ChunkStorage::Quantized { v, .. } => v.dequantize(),

@@ -62,6 +62,6 @@ pub use permutation::ChunkPermutation;
 pub use segmentation::ChunkSegmentation;
 pub use shared::{PrefixKvBlock, SharedPrefixKv};
 pub use snapshot::{
-    read_snapshot, write_snapshot, SnapshotError, SnapshotNode, TrieSnapshot, SNAPSHOT_BLOCK_ALIGN,
-    SNAPSHOT_FORMAT_VERSION, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
+    read_snapshot, write_snapshot, SnapshotError, SnapshotNode, TrieSnapshot,
+    SNAPSHOT_FORMAT_VERSION,
 };

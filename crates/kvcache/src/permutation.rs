@@ -2,11 +2,10 @@
 //!
 //! Module II of the paper reorders KV-cache chunks so that chunks sharing a
 //! bitwidth are contiguous in physical memory. A [`ChunkPermutation`] is the
-//! validated carrier of such a reordering: it knows the mapping in both
-//! directions and can be expanded from chunk level to token level.
+//! validated carrier of such a reordering: it maps each new position to
+//! the old one, and its inverse maps back.
 
 use crate::error::KvCacheError;
-use crate::segmentation::ChunkSegmentation;
 use serde::{Deserialize, Serialize};
 
 /// A permutation of `n` chunk indices.
@@ -74,32 +73,9 @@ impl ChunkPermutation {
         self.order.is_empty()
     }
 
-    /// Returns `true` if this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.order.iter().enumerate().all(|(i, &o)| i == o)
-    }
-
     /// The underlying `new → old` mapping.
     pub fn as_slice(&self) -> &[usize] {
         &self.order
-    }
-
-    /// The original index of the chunk now at `new_position`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_position >= len()`.
-    pub fn old_index(&self, new_position: usize) -> usize {
-        self.order[new_position]
-    }
-
-    /// The new position of the chunk originally at `old_index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `old_index >= len()`.
-    pub fn new_position(&self, old_index: usize) -> usize {
-        self.inverse().order[old_index]
     }
 
     /// The inverse permutation (`old → new` becomes `new → old`).
@@ -122,37 +98,6 @@ impl ChunkPermutation {
         self.order.iter().map(|&old| items[old].clone()).collect()
     }
 
-    /// Expands the chunk-level permutation to a token-level index list for
-    /// a context described by `segmentation`, appending the (unpermuted)
-    /// remainder tokens at the end.
-    ///
-    /// The result maps *new* token position → *old* token position and can
-    /// be fed to `Matrix::gather_rows` or
-    /// `cocktail_tensor::ops::permute_mask_columns`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvCacheError::InvalidPermutation`] if the permutation
-    /// length does not match the segmentation's chunk count.
-    pub fn token_order(
-        &self,
-        segmentation: &ChunkSegmentation,
-    ) -> Result<Vec<usize>, KvCacheError> {
-        if self.order.len() != segmentation.chunk_count() {
-            return Err(KvCacheError::InvalidPermutation(format!(
-                "permutation of {} chunks does not match segmentation with {} chunks",
-                self.order.len(),
-                segmentation.chunk_count()
-            )));
-        }
-        let mut tokens = Vec::with_capacity(segmentation.context_len());
-        for &old_chunk in &self.order {
-            tokens.extend(segmentation.chunk_range(old_chunk));
-        }
-        tokens.extend(segmentation.remainder_range());
-        Ok(tokens)
-    }
-
     /// Builds the permutation that sorts chunks by the given key while
     /// preserving the original order within equal keys (stable grouping).
     ///
@@ -168,7 +113,39 @@ impl ChunkPermutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segmentation::ChunkSegmentation;
     use proptest::prelude::*;
+
+    /// Expands the chunk-level permutation to a token-level index list for
+    /// a context described by `segmentation`, appending the (unpermuted)
+    /// remainder tokens at the end.
+    ///
+    /// The result maps *new* token position → *old* token position and can
+    /// be fed to `Matrix::gather_rows` or
+    /// `cocktail_tensor::ops::permute_mask_columns`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvCacheError::InvalidPermutation`] if the permutation
+    /// length does not match the segmentation's chunk count.
+    fn token_order(
+        perm: &ChunkPermutation,
+        segmentation: &ChunkSegmentation,
+    ) -> Result<Vec<usize>, KvCacheError> {
+        if perm.order.len() != segmentation.chunk_count() {
+            return Err(KvCacheError::InvalidPermutation(format!(
+                "permutation of {} chunks does not match segmentation with {} chunks",
+                perm.order.len(),
+                segmentation.chunk_count()
+            )));
+        }
+        let mut tokens = Vec::with_capacity(segmentation.context_len());
+        for &old_chunk in &perm.order {
+            tokens.extend(segmentation.chunk_range(old_chunk));
+        }
+        tokens.extend(segmentation.remainder_range());
+        Ok(tokens)
+    }
 
     #[test]
     fn rejects_duplicate_and_out_of_range() {
@@ -180,7 +157,7 @@ mod tests {
     #[test]
     fn identity_is_identity() {
         let p = ChunkPermutation::identity(4);
-        assert!(p.is_identity());
+        assert_eq!(p.as_slice(), &[0, 1, 2, 3]);
         assert_eq!(p.apply(&[10, 20, 30, 40]), vec![10, 20, 30, 40]);
     }
 
@@ -197,8 +174,8 @@ mod tests {
     fn old_and_new_positions_agree() {
         let p = ChunkPermutation::new(vec![2, 0, 1]).unwrap();
         for new_pos in 0..3 {
-            let old = p.old_index(new_pos);
-            assert_eq!(p.new_position(old), new_pos);
+            let old = p.as_slice()[new_pos];
+            assert_eq!(p.inverse().as_slice()[old], new_pos);
         }
     }
 
@@ -206,7 +183,7 @@ mod tests {
     fn token_order_expands_chunks_and_appends_remainder() {
         let seg = ChunkSegmentation::new(10, 4).unwrap(); // chunks [0..4),[4..8), rem [8..10)
         let p = ChunkPermutation::new(vec![1, 0]).unwrap();
-        let tokens = p.token_order(&seg).unwrap();
+        let tokens = token_order(&p, &seg).unwrap();
         assert_eq!(tokens, vec![4, 5, 6, 7, 0, 1, 2, 3, 8, 9]);
     }
 
@@ -214,7 +191,7 @@ mod tests {
     fn token_order_length_mismatch_is_error() {
         let seg = ChunkSegmentation::new(12, 4).unwrap(); // 3 chunks
         let p = ChunkPermutation::new(vec![1, 0]).unwrap();
-        assert!(p.token_order(&seg).is_err());
+        assert!(token_order(&p, &seg).is_err());
     }
 
     #[test]
@@ -229,9 +206,9 @@ mod tests {
     fn empty_permutation_is_valid() {
         let p = ChunkPermutation::identity(0);
         assert!(p.is_empty());
-        assert!(p.is_identity());
+        assert!(p.as_slice().is_empty());
         let seg = ChunkSegmentation::new(3, 8).unwrap();
-        assert_eq!(p.token_order(&seg).unwrap(), vec![0, 1, 2]);
+        assert_eq!(token_order(&p, &seg).unwrap(), vec![0, 1, 2]);
     }
 
     proptest! {

@@ -79,23 +79,13 @@ impl ChunkSegmentation {
     }
 
     /// Token range of the FP16 remainder (possibly empty).
-    pub fn remainder_range(&self) -> Range<usize> {
+    pub(crate) fn remainder_range(&self) -> Range<usize> {
         self.chunk_count() * self.chunk_size..self.context_len
     }
 
     /// Iterator over all chunk token ranges.
-    pub fn iter_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+    pub(crate) fn iter_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         (0..self.chunk_count()).map(move |i| self.chunk_range(i))
-    }
-
-    /// The chunk containing token `pos`, or `None` if the token falls in
-    /// the remainder or beyond the context.
-    pub fn chunk_of_token(&self, pos: usize) -> Option<usize> {
-        if pos >= self.chunk_count() * self.chunk_size {
-            None
-        } else {
-            Some(pos / self.chunk_size)
-        }
     }
 }
 
@@ -150,13 +140,16 @@ mod tests {
 
     #[test]
     fn chunk_of_token_maps_correctly() {
+        let chunk_of_token = |seg: &ChunkSegmentation, pos: usize| {
+            (0..seg.chunk_count()).find(|&c| seg.chunk_range(c).contains(&pos))
+        };
         let seg = ChunkSegmentation::new(100, 32).unwrap();
-        assert_eq!(seg.chunk_of_token(0), Some(0));
-        assert_eq!(seg.chunk_of_token(31), Some(0));
-        assert_eq!(seg.chunk_of_token(32), Some(1));
-        assert_eq!(seg.chunk_of_token(95), Some(2));
-        assert_eq!(seg.chunk_of_token(96), None); // remainder
-        assert_eq!(seg.chunk_of_token(1000), None);
+        assert_eq!(chunk_of_token(&seg, 0), Some(0));
+        assert_eq!(chunk_of_token(&seg, 31), Some(0));
+        assert_eq!(chunk_of_token(&seg, 32), Some(1));
+        assert_eq!(chunk_of_token(&seg, 95), Some(2));
+        assert_eq!(chunk_of_token(&seg, 96), None); // remainder
+        assert_eq!(chunk_of_token(&seg, 1000), None);
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl SharedPrefixKv {
         self.blocks.first().map(Arc::strong_count).unwrap_or(0)
     }
 
-    /// Whether any handle beyond this one is alive.
-    pub fn is_pinned(&self) -> bool {
-        self.ref_count() > 1
-    }
-
     /// Copies the token rows `start..end` of every block into a new,
     /// independently refcounted prefix — the primitive a token-trie prefix
     /// cache uses to split one cached run at a divergence point (each trie
@@ -312,11 +307,9 @@ mod tests {
     fn clone_shares_blocks_and_tracks_refcount() {
         let shared = SharedPrefixKv::from_blocks(2, 2, blocks(2, 2, 6)).unwrap();
         assert_eq!(shared.ref_count(), 1);
-        assert!(!shared.is_pinned());
         let a = shared.clone();
         let b = shared.clone();
         assert_eq!(shared.ref_count(), 3);
-        assert!(shared.is_pinned());
         // Cloned handles see the same data.
         assert_eq!(a.block(1, 1).k(), shared.block(1, 1).k());
         drop(a);

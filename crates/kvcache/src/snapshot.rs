@@ -49,17 +49,17 @@ use cocktail_tensor::Matrix;
 use std::fmt;
 
 /// Magic bytes identifying a Cocktail trie snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CKTLSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"CKTLSNAP";
 
 /// Current snapshot format version. Bump this (and regenerate the committed
 /// golden fixture in `tests/fixtures/`) whenever the byte layout changes.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// Byte length of the fixed snapshot header.
-pub const SNAPSHOT_HEADER_LEN: usize = 64;
+pub(crate) const SNAPSHOT_HEADER_LEN: usize = 64;
 
 /// Alignment (in bytes) of every block payload inside the block region.
-pub const SNAPSHOT_BLOCK_ALIGN: usize = 64;
+pub(crate) const SNAPSHOT_BLOCK_ALIGN: usize = 64;
 
 const CHECKSUM_OFFSET: usize = 56;
 
@@ -68,7 +68,7 @@ const CHECKSUM_OFFSET: usize = 56;
 pub enum SnapshotError {
     /// The buffer ended before a complete record could be read.
     Truncated,
-    /// The buffer does not start with [`SNAPSHOT_MAGIC`].
+    /// The buffer does not start with the magic bytes `CKTLSNAP`.
     BadMagic,
     /// The format version is not [`SNAPSHOT_FORMAT_VERSION`].
     UnsupportedVersion(u32),

@@ -128,7 +128,7 @@ impl ModelConfig {
     }
 
     /// Number of query heads that share one KV head.
-    pub fn gqa_group_size(&self) -> usize {
+    pub(crate) fn gqa_group_size(&self) -> usize {
         self.n_heads / self.n_kv_heads
     }
 

@@ -114,7 +114,7 @@ impl<'a> PrefillSlot<'a> {
     }
 
     /// Number of prompt tokens actually computed (not served from cache).
-    pub fn suffix_len(&self) -> usize {
+    pub(crate) fn suffix_len(&self) -> usize {
         self.tokens.len().saturating_sub(self.prefix_len)
     }
 }
@@ -140,11 +140,6 @@ impl BatchPrefill {
     /// Greedy next token after the prompt.
     pub fn next_token(&self) -> u32 {
         argmax(&self.last_logits)
-    }
-
-    /// Number of computed suffix rows: the rows of each KV tensor.
-    pub fn suffix_len(&self) -> usize {
-        kv_rows(&self.suffix_kv)
     }
 }
 
@@ -360,7 +355,7 @@ impl PrefillSlotMeta {
 /// A decoder-only transformer inference engine with deterministic seeded
 /// weights and a pluggable chunked KV cache.
 ///
-/// The engine separates the two phases exactly as the paper describes:
+/// The engine separates the two phases:
 /// [`InferenceEngine::prefill`] runs full causal attention over the prompt
 /// in FP32 and returns the raw per-layer KV tensors;
 /// [`InferenceEngine::build_cache`] segments those tensors into a
@@ -368,6 +363,12 @@ impl PrefillSlotMeta {
 /// rewrites the cache in place; and [`InferenceEngine::decode_step`] /
 /// [`InferenceEngine::generate_with_cache`] run decode-phase attention over
 /// the (possibly quantized, possibly reordered) cache.
+///
+/// `build_cache` segments the whole prompt, query tokens included, so a
+/// query token that falls in a full chunk gets quantized with it. The
+/// paper keeps the query in FP16; the Cocktail request path
+/// (`build_context_cache` in `cocktail_core::serving`) does so by chunking
+/// only the context and appending the query tokens to the FP16 tail.
 ///
 /// The engine owns no threads. Its parallel work runs on the process-wide
 /// kernel pool of `cocktail_quant::parallel`, sized and tiled by
@@ -416,7 +417,7 @@ impl InferenceEngine {
     ///
     /// Returns [`ModelError::InvalidConfig`] if the configuration fails
     /// validation.
-    pub fn from_config(config: ModelConfig, seed: u64) -> Result<Self, ModelError> {
+    pub(crate) fn from_config(config: ModelConfig, seed: u64) -> Result<Self, ModelError> {
         config.validate()?;
         let weights = ModelWeights::seeded(&config, seed);
         let tokenizer = Tokenizer::new(config.vocab_size);
@@ -1615,7 +1616,7 @@ mod tests {
         let batched = engine.prefill_batch(&slots).unwrap();
         for ((seq, batch), prompt) in sequential.iter().zip(&batched).zip(&prompts) {
             assert_eq!(batch.prefix_len, 0);
-            assert_eq!(batch.suffix_len(), prompt.len());
+            assert_eq!(kv_rows(&batch.suffix_kv), prompt.len());
             let sequential_bits = handed_on(&seq.kv, 0, &seq.last_logits);
             assert_same_bits(&sequential_bits, &slot_bits(batch), "batched slot");
         }
@@ -1634,7 +1635,7 @@ mod tests {
                 .pop()
                 .unwrap();
             assert_eq!(warm.prefix_len, prefix_len);
-            assert_eq!(warm.suffix_len(), full.len() - prefix_len);
+            assert_eq!(kv_rows(&warm.suffix_kv), full.len() - prefix_len);
             let cold_rows = handed_on(&cold.kv, prefix_len, &cold.last_logits);
             assert_same_bits(
                 &cold_rows,

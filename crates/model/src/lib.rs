@@ -49,5 +49,5 @@ pub use engine::{
 pub use error::ModelError;
 pub use profile::ModelProfile;
 pub use sample::{SamplerChain, SamplingParams};
-pub use tokenizer::{Tokenizer, BOS_TOKEN, UNK_TOKEN};
+pub use tokenizer::Tokenizer;
 pub use weights::{LayerWeights, ModelWeights};

@@ -30,12 +30,6 @@ pub struct ModelProfile {
 }
 
 impl ModelProfile {
-    /// Builds a profile from explicit simulated and full-size
-    /// configurations and a weight seed.
-    pub fn custom(sim: ModelConfig, full: ModelConfig, seed: u64) -> Self {
-        Self { sim, full, seed }
-    }
-
     /// Simulated stand-in for **Llama2-7B** (32 layers, MHA, 4K context).
     pub fn llama2_7b_sim() -> Self {
         Self {
@@ -48,7 +42,7 @@ impl ModelProfile {
     }
 
     /// Simulated stand-in for **Llama2-13B** (40 layers, MHA, 4K context).
-    pub fn llama2_13b_sim() -> Self {
+    pub(crate) fn llama2_13b_sim() -> Self {
         Self {
             sim: ModelConfig::new("llama2-13b-sim", 80, 5, 5, 5, 220, 2048, 4096)
                 .expect("profile config is valid"),

@@ -28,7 +28,7 @@ use serde::Serialize;
 
 /// Temperatures below this behave as greedy argmax (no RNG consumed), so
 /// `temperature: 0.0` is an exact synonym for greedy decode.
-pub const GREEDY_TEMPERATURE_EPSILON: f32 = 1e-6;
+pub(crate) const GREEDY_TEMPERATURE_EPSILON: f32 = 1e-6;
 
 /// Per-request sampling configuration.
 ///
@@ -38,7 +38,7 @@ pub const GREEDY_TEMPERATURE_EPSILON: f32 = 1e-6;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SamplingParams {
     /// Softmax temperature. `0.0` (or anything below
-    /// [`GREEDY_TEMPERATURE_EPSILON`]) means greedy argmax.
+    /// `GREEDY_TEMPERATURE_EPSILON`, 1e-6) means greedy argmax.
     pub temperature: f32,
     /// Keep only the `k` highest-logit tokens before the draw.
     pub top_k: Option<usize>,
@@ -159,7 +159,7 @@ impl SamplingParams {
     }
 
     /// `true` when the chain degenerates to greedy argmax and consumes no
-    /// randomness (temperature below [`GREEDY_TEMPERATURE_EPSILON`]).
+    /// randomness (temperature below `GREEDY_TEMPERATURE_EPSILON`).
     pub fn is_greedy(&self) -> bool {
         self.temperature < GREEDY_TEMPERATURE_EPSILON
     }
@@ -260,7 +260,7 @@ pub fn apply_penalties(
 }
 
 /// Divides every logit by `temperature` in place. `temperature == 1.0`
-/// is a no-op; values below [`GREEDY_TEMPERATURE_EPSILON`] must be
+/// is a no-op; values below `GREEDY_TEMPERATURE_EPSILON` must be
 /// handled by the caller (greedy path) and are ignored here.
 pub fn apply_temperature(logits: &mut [f32], temperature: f32) {
     if temperature == 1.0 || temperature < GREEDY_TEMPERATURE_EPSILON {

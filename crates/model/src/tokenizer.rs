@@ -11,9 +11,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Reserved id for the beginning-of-sequence marker.
-pub const BOS_TOKEN: u32 = 0;
-/// Reserved id for unknown / folded tokens.
-pub const UNK_TOKEN: u32 = 1;
+pub(crate) const BOS_TOKEN: u32 = 0;
 /// Number of reserved ids at the start of the vocabulary.
 const RESERVED: u32 = 2;
 
@@ -63,11 +61,6 @@ impl Tokenizer {
             vocab_size,
             state: Mutex::new(VocabState::default()),
         }
-    }
-
-    /// Maximum vocabulary size (including reserved tokens).
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
     }
 
     /// Number of distinct words interned so far.
@@ -129,13 +122,6 @@ impl Tokenizer {
             .collect()
     }
 
-    /// Encodes text with a leading BOS token.
-    pub fn encode_with_bos(&self, text: &str) -> Vec<u32> {
-        let mut ids = vec![BOS_TOKEN];
-        ids.extend(self.encode(text));
-        ids
-    }
-
     /// Decodes token ids back into text. Unknown or folded ids decode to
     /// `"<unk>"`.
     pub fn decode(&self, ids: &[u32]) -> String {
@@ -175,11 +161,6 @@ impl Tokenizer {
             })
             .collect();
         words.join(" ")
-    }
-
-    /// Decodes a single token id.
-    pub fn decode_token(&self, id: u32) -> String {
-        self.decode(&[id])
     }
 
     /// The interned vocabulary in encounter order — the data a trie
@@ -241,6 +222,16 @@ impl Clone for Tokenizer {
 mod tests {
     use super::*;
 
+    /// Reserved id for unknown / folded tokens.
+    const UNK_TOKEN: u32 = 1;
+
+    /// Encodes text with a leading BOS token.
+    fn encode_with_bos(tok: &Tokenizer, text: &str) -> Vec<u32> {
+        let mut ids = vec![BOS_TOKEN];
+        ids.extend(tok.encode(text));
+        ids
+    }
+
     #[test]
     fn encode_decode_round_trip_for_simple_text() {
         let tok = Tokenizer::new(4096);
@@ -275,7 +266,7 @@ mod tests {
     #[test]
     fn bos_is_prepended() {
         let tok = Tokenizer::new(4096);
-        let ids = tok.encode_with_bos("hi");
+        let ids = encode_with_bos(&tok, "hi");
         assert_eq!(ids[0], BOS_TOKEN);
         assert_eq!(ids.len(), 2);
     }
@@ -293,8 +284,8 @@ mod tests {
     #[test]
     fn decode_unknown_id_is_unk() {
         let tok = Tokenizer::new(64);
-        assert_eq!(tok.decode_token(UNK_TOKEN), "<unk>");
-        assert_eq!(tok.decode_token(63), "<unk>");
+        assert_eq!(tok.decode(&[UNK_TOKEN]), "<unk>");
+        assert_eq!(tok.decode(&[63]), "<unk>");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl ModelWeights {
     /// Standard deviation used for projection initialisation. Matches the
     /// common 0.02 initialisation of GPT/Llama-family models, which keeps
     /// residual-stream activations in a numerically comfortable range.
-    pub const INIT_STD: f32 = 0.02;
+    pub(crate) const INIT_STD: f32 = 0.02;
 
     /// Generates the full weight set for `config` from `seed`.
     pub fn seeded(config: &ModelConfig, seed: u64) -> Self {

@@ -70,7 +70,7 @@ impl Bitwidth {
     }
 
     /// Number of representable integer levels (`2^bits`); 0 for FP16.
-    pub const fn levels(self) -> u32 {
+    pub(crate) const fn levels(self) -> u32 {
         match self {
             Bitwidth::Int2 => 4,
             Bitwidth::Int4 => 16,
@@ -80,7 +80,7 @@ impl Bitwidth {
     }
 
     /// Largest quantized code (`levels - 1`); 0 for FP16.
-    pub const fn max_code(self) -> u32 {
+    pub(crate) const fn max_code(self) -> u32 {
         match self {
             Bitwidth::Fp16 => 0,
             other => other.levels() - 1,

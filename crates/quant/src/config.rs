@@ -120,48 +120,19 @@ impl QuantConfig {
         })
     }
 
-    /// Convenience constructor for the paper's standard per-token INT`n`
-    /// configuration with the default group size.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `bitwidth` is FP16.
-    pub fn per_token(bitwidth: Bitwidth) -> Result<Self, QuantError> {
-        Self::new(bitwidth, QuantAxis::PerToken, Self::DEFAULT_GROUP_SIZE)
-    }
-
-    /// Convenience constructor for KIVI-style per-channel quantization with
-    /// the default group size.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `bitwidth` is FP16.
-    pub fn per_channel(bitwidth: Bitwidth) -> Result<Self, QuantError> {
-        Self::new(bitwidth, QuantAxis::PerChannel, Self::DEFAULT_GROUP_SIZE)
-    }
-
     /// The integer precision.
     pub fn bitwidth(&self) -> Bitwidth {
         self.bitwidth
     }
 
     /// The grouping axis.
-    pub fn axis(&self) -> QuantAxis {
+    pub(crate) fn axis(&self) -> QuantAxis {
         self.axis
     }
 
     /// Number of elements sharing one (scale, zero-point) pair.
     pub fn group_size(&self) -> usize {
         self.group_size
-    }
-
-    /// Returns a copy with a different group size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::ZeroGroupSize`] if `group_size == 0`.
-    pub fn with_group_size(self, group_size: usize) -> Result<Self, QuantError> {
-        Self::new(self.bitwidth, self.axis, group_size)
     }
 }
 
@@ -205,12 +176,17 @@ mod tests {
 
     #[test]
     fn with_group_size_replaces_only_group_size() {
-        let cfg = QuantConfig::per_channel(Bitwidth::Int2).unwrap();
-        let resized = cfg.with_group_size(64).unwrap();
+        let cfg = QuantConfig::new(
+            Bitwidth::Int2,
+            QuantAxis::PerChannel,
+            QuantConfig::DEFAULT_GROUP_SIZE,
+        )
+        .unwrap();
+        let resized = QuantConfig::new(cfg.bitwidth(), cfg.axis(), 64).unwrap();
         assert_eq!(resized.group_size(), 64);
         assert_eq!(resized.axis(), QuantAxis::PerChannel);
         assert_eq!(resized.bitwidth(), Bitwidth::Int2);
-        assert!(cfg.with_group_size(0).is_err());
+        assert!(QuantConfig::new(cfg.bitwidth(), cfg.axis(), 0).is_err());
     }
 
     #[test]

@@ -1,83 +1,62 @@
-//! Quantization error metrics.
-//!
-//! The evaluation harness uses these to quantify how much information each
-//! KV-cache quantization policy destroys, both at the tensor level and at
-//! the attention-output level.
-
-use cocktail_tensor::Matrix;
-
-/// Summary statistics of the difference between a reference tensor and its
-/// quantized-then-dequantized reconstruction.
-///
-/// # Example
-///
-/// ```
-/// use cocktail_quant::error::QuantErrorStats;
-/// use cocktail_tensor::Matrix;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = Matrix::from_rows(&[vec![1.0, 2.0]])?;
-/// let b = Matrix::from_rows(&[vec![1.1, 1.9]])?;
-/// let stats = QuantErrorStats::between(&a, &b)?;
-/// assert!(stats.mse > 0.0 && stats.max_abs < 0.2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantErrorStats {
-    /// Mean squared error.
-    pub mse: f32,
-    /// Maximum absolute element-wise error.
-    pub max_abs: f32,
-    /// Relative Frobenius-norm error `‖a − b‖_F / ‖a‖_F` (0 when `a` is 0).
-    pub relative: f32,
-    /// Signal-to-quantization-noise ratio in dB (∞ when the error is 0).
-    pub sqnr_db: f32,
-}
-
-impl QuantErrorStats {
-    /// Computes the statistics between a reference and a reconstruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`cocktail_tensor::ShapeError`] if the shapes differ.
-    pub fn between(
-        reference: &Matrix,
-        reconstruction: &Matrix,
-    ) -> Result<Self, cocktail_tensor::ShapeError> {
-        let mse = reference.mse(reconstruction)?;
-        let max_abs = reference.max_abs_diff(reconstruction)?;
-        let diff = reference.sub(reconstruction)?;
-        let ref_norm = reference.frobenius_norm();
-        let relative = if ref_norm > 0.0 {
-            diff.frobenius_norm() / ref_norm
-        } else {
-            0.0
-        };
-        let signal_power: f32 = if reference.is_empty() {
-            0.0
-        } else {
-            reference.as_slice().iter().map(|v| v * v).sum::<f32>() / reference.len() as f32
-        };
-        let sqnr_db = if mse > 0.0 && signal_power > 0.0 {
-            10.0 * (signal_power / mse).log10()
-        } else {
-            f32::INFINITY
-        };
-        Ok(Self {
-            mse,
-            max_abs,
-            relative,
-            sqnr_db,
-        })
-    }
-}
+//! Quantization error metrics for the unit tests: how much information a
+//! quantize-then-dequantize round trip destroys.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
-    use cocktail_tensor::rng;
+    use cocktail_tensor::{rng, Matrix};
+
+    /// Summary statistics of the difference between a reference tensor and its
+    /// quantized-then-dequantized reconstruction.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct QuantErrorStats {
+        /// Mean squared error.
+        mse: f32,
+        /// Maximum absolute element-wise error.
+        max_abs: f32,
+        /// Relative Frobenius-norm error `‖a − b‖_F / ‖a‖_F` (0 when `a` is 0).
+        relative: f32,
+        /// Signal-to-quantization-noise ratio in dB (∞ when the error is 0).
+        sqnr_db: f32,
+    }
+
+    impl QuantErrorStats {
+        /// Computes the statistics between a reference and a reconstruction.
+        ///
+        /// # Errors
+        ///
+        /// Returns a [`cocktail_tensor::ShapeError`] if the shapes differ.
+        fn between(
+            reference: &Matrix,
+            reconstruction: &Matrix,
+        ) -> Result<Self, cocktail_tensor::ShapeError> {
+            let mse = reference.mse(reconstruction)?;
+            let max_abs = reference.max_abs_diff(reconstruction)?;
+            let diff = reference.sub(reconstruction)?;
+            let ref_norm = reference.frobenius_norm();
+            let relative = if ref_norm > 0.0 {
+                diff.frobenius_norm() / ref_norm
+            } else {
+                0.0
+            };
+            let signal_power: f32 = if reference.is_empty() {
+                0.0
+            } else {
+                reference.as_slice().iter().map(|v| v * v).sum::<f32>() / reference.len() as f32
+            };
+            let sqnr_db = if mse > 0.0 && signal_power > 0.0 {
+                10.0 * (signal_power / mse).log10()
+            } else {
+                f32::INFINITY
+            };
+            Ok(Self {
+                mse,
+                max_abs,
+                relative,
+                sqnr_db,
+            })
+        }
+    }
 
     #[test]
     fn identical_matrices_have_zero_error_and_infinite_sqnr() {

@@ -168,7 +168,7 @@ pub fn fp_matmul_quant(a: &Matrix, bq: &QuantizedMatrix) -> Result<Matrix, Quant
 ///
 /// Returns [`QuantError::Incompatible`] if the inner dimensions differ.
 #[cfg(any(test, doc))]
-pub fn fp_matmul_quant_transposed_reference(
+pub(crate) fn fp_matmul_quant_transposed_reference(
     a: &Matrix,
     bq: &QuantizedMatrix,
 ) -> Result<Matrix, QuantError> {
@@ -192,7 +192,10 @@ pub fn fp_matmul_quant_transposed_reference(
 ///
 /// Returns [`QuantError::Incompatible`] if the inner dimensions differ.
 #[cfg(any(test, doc))]
-pub fn fp_matmul_quant_reference(a: &Matrix, bq: &QuantizedMatrix) -> Result<Matrix, QuantError> {
+pub(crate) fn fp_matmul_quant_reference(
+    a: &Matrix,
+    bq: &QuantizedMatrix,
+) -> Result<Matrix, QuantError> {
     check_shapes(a, bq)?;
     let dense = bq.dequantize();
     let mut out = Matrix::zeros(a.rows(), bq.cols());

@@ -19,7 +19,6 @@
 //!   deterministic tile order (bit-identical to the scalar paths at every
 //!   thread count), small operands stay scalar and pay no dispatch
 //!   overhead.
-//! * [`error`] — quantization error metrics used by the evaluation harness.
 //!
 //! # Example
 //!
@@ -42,7 +41,6 @@
 
 mod bitwidth;
 mod config;
-pub mod error;
 pub mod gemm;
 mod packed;
 pub mod parallel;
@@ -52,3 +50,6 @@ pub use bitwidth::Bitwidth;
 pub use config::{QuantAxis, QuantConfig, QuantError};
 pub use packed::PackedInts;
 pub use quantized::QuantizedMatrix;
+
+#[cfg(test)]
+mod error;

@@ -34,7 +34,7 @@ impl PackedInts {
     /// # Panics
     ///
     /// Panics if `bitwidth` is [`Bitwidth::Fp16`] or any code exceeds
-    /// [`Bitwidth::max_code`].
+    /// `Bitwidth::max_code`.
     pub fn pack(codes: &[u32], bitwidth: Bitwidth) -> Self {
         assert!(
             bitwidth.is_integer(),
@@ -77,11 +77,6 @@ impl PackedInts {
         self.bytes.len()
     }
 
-    /// The bitwidth the values are packed at.
-    pub fn bitwidth(&self) -> Bitwidth {
-        self.bitwidth
-    }
-
     /// Raw packed bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -115,7 +110,7 @@ impl PackedInts {
     /// # Panics
     ///
     /// Panics if `start + out.len() > len()`.
-    pub fn unpack_f32_into(&self, start: usize, out: &mut [f32]) {
+    pub(crate) fn unpack_f32_into(&self, start: usize, out: &mut [f32]) {
         assert!(
             start
                 .checked_add(out.len())

@@ -275,7 +275,7 @@ fn stitch_cols(parts: &[Matrix]) -> Matrix {
 /// rows of `bq` (columns of the output), stitched in tile order.
 ///
 /// Bit-identical to the scalar kernel (and therefore to
-/// [`gemm::fp_matmul_quant_transposed_reference`]) at every thread count.
+/// `gemm::fp_matmul_quant_transposed_reference`) at every thread count.
 ///
 /// # Errors
 ///
@@ -318,7 +318,7 @@ pub fn fp_matmul_quant_transposed_with_threads(
 /// stitched in tile order.
 ///
 /// Bit-identical to the scalar kernel (and therefore to
-/// [`gemm::fp_matmul_quant_reference`]) at every thread count.
+/// `gemm::fp_matmul_quant_reference`) at every thread count.
 ///
 /// # Errors
 ///
@@ -332,7 +332,7 @@ pub fn fp_matmul_quant(a: &Matrix, bq: &QuantizedMatrix) -> Result<Matrix, Quant
 /// # Errors
 ///
 /// Returns [`QuantError::Incompatible`] if the inner dimensions differ.
-pub fn fp_matmul_quant_with_threads(
+pub(crate) fn fp_matmul_quant_with_threads(
     a: &Matrix,
     bq: &QuantizedMatrix,
     threads: usize,
@@ -375,7 +375,7 @@ pub fn quantize(matrix: &Matrix, config: &QuantConfig) -> Result<QuantizedMatrix
 /// # Errors
 ///
 /// Propagates [`QuantError`] from [`QuantizedMatrix::quantize`].
-pub fn quantize_with_threads(
+pub(crate) fn quantize_with_threads(
     matrix: &Matrix,
     config: &QuantConfig,
     threads: usize,
@@ -420,7 +420,7 @@ pub fn dequantize(bq: &QuantizedMatrix) -> Matrix {
 }
 
 /// [`dequantize`] with an explicit thread (tile) count.
-pub fn dequantize_with_threads(bq: &QuantizedMatrix, threads: usize) -> Matrix {
+pub(crate) fn dequantize_with_threads(bq: &QuantizedMatrix, threads: usize) -> Matrix {
     if threads <= 1 || bq.rows() * bq.cols() < PARALLEL_THRESHOLD || bq.rows() < 2 {
         return bq.dequantize();
     }

@@ -146,27 +146,6 @@ impl QuantizedMatrix {
         }
     }
 
-    #[inline]
-    fn group_index_for(
-        config: &QuantConfig,
-        rows: usize,
-        cols: usize,
-        r: usize,
-        c: usize,
-    ) -> usize {
-        let group = config.group_size();
-        match config.axis() {
-            QuantAxis::PerToken => {
-                let per_row = cols.div_ceil(group);
-                r * per_row + c / group
-            }
-            QuantAxis::PerChannel => {
-                let per_col = rows.div_ceil(group);
-                c * per_col + r / group
-            }
-        }
-    }
-
     /// Number of rows of the original matrix.
     pub fn rows(&self) -> usize {
         self.rows
@@ -192,24 +171,6 @@ impl QuantizedMatrix {
         self.config.bitwidth()
     }
 
-    /// Number of (scale, zero-point) groups.
-    pub fn group_count(&self) -> usize {
-        self.scales.len()
-    }
-
-    /// Reconstructs element `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn dequantize_element(&self, row: usize, col: usize) -> f32 {
-        assert!(row < self.rows && col < self.cols, "index out of bounds");
-        let g = Self::group_index_for(&self.config, self.rows, self.cols, row, col);
-        let code = self.codes.get(row * self.cols + col) as f32;
-        code * self.scales[g] + self.zeros[g]
-    }
-
     /// Reconstructs one row into the provided buffer.
     ///
     /// This is the inner primitive of the fused GEMM kernels in
@@ -222,7 +183,7 @@ impl QuantizedMatrix {
     /// # Panics
     ///
     /// Panics if `row >= rows()` or `out.len() != cols()`.
-    pub fn dequantize_row_into(&self, row: usize, out: &mut [f32]) {
+    pub(crate) fn dequantize_row_into(&self, row: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols, "output buffer length mismatch");
         self.dequantize_row_range_into(row, 0, out);
     }
@@ -234,7 +195,7 @@ impl QuantizedMatrix {
     /// # Panics
     ///
     /// Panics if `row >= rows()` or the column range exceeds `cols()`.
-    pub fn dequantize_row_range_into(&self, row: usize, col_start: usize, out: &mut [f32]) {
+    pub(crate) fn dequantize_row_range_into(&self, row: usize, col_start: usize, out: &mut [f32]) {
         assert!(row < self.rows, "row out of bounds");
         assert!(
             col_start + out.len() <= self.cols,
@@ -285,7 +246,7 @@ impl QuantizedMatrix {
     /// call; then each group's affine step runs with that group's scale and
     /// zero-point loaded once. Every element is still exactly
     /// `code * scale + zero`, so the output is bit-identical to
-    /// [`QuantizedMatrix::dequantize_row_into`] row by row.
+    /// `QuantizedMatrix::dequantize_row_into` row by row.
     ///
     /// # Panics
     ///
@@ -477,6 +438,18 @@ mod tests {
         QuantConfig::new(bw, axis, group).expect("valid test config")
     }
 
+    /// Element-wise reference: `(row, col)`'s code times its group's scale
+    /// plus its group's zero point.
+    fn dequantize_element(q: &QuantizedMatrix, row: usize, col: usize) -> f32 {
+        let group = q.config.group_size();
+        let g = match q.config.axis() {
+            QuantAxis::PerToken => row * q.cols.div_ceil(group) + col / group,
+            QuantAxis::PerChannel => col * q.rows.div_ceil(group) + row / group,
+        };
+        let code = q.codes.get(row * q.cols + col) as f32;
+        code * q.scales[g] + q.zeros[g]
+    }
+
     #[test]
     fn int8_reconstruction_error_is_small() {
         let m = rng::gaussian_matrix(32, 64, 1.0, 1);
@@ -570,7 +543,7 @@ mod tests {
         let m = rng::uniform_matrix(3, 10, 1.0, 9);
         let q =
             QuantizedMatrix::quantize(&m, &cfg(Bitwidth::Int4, QuantAxis::PerToken, 4)).unwrap();
-        assert_eq!(q.group_count(), 3 * 3);
+        assert_eq!(q.scales.len(), 3 * 3);
         let err = q.dequantize().max_abs_diff(&m).unwrap();
         assert!(err < 0.2);
     }
@@ -593,7 +566,7 @@ mod tests {
         let full = q.dequantize();
         for r in 0..8 {
             for c in 0..16 {
-                assert_eq!(q.dequantize_element(r, c), full.get(r, c));
+                assert_eq!(dequantize_element(&q, r, c), full.get(r, c));
             }
         }
     }

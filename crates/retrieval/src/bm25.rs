@@ -34,22 +34,6 @@ impl Bm25 {
         Self { k1: 1.2, b: 0.75 }
     }
 
-    /// Creates a scorer with custom parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k1 < 0` or `b` is outside `[0, 1]`.
-    pub fn with_params(k1: f32, b: f32) -> Self {
-        assert!(k1 >= 0.0, "k1 must be non-negative");
-        assert!((0.0..=1.0).contains(&b), "b must be in [0, 1]");
-        Self { k1, b }
-    }
-
-    /// The `k1` term-frequency saturation parameter.
-    pub fn k1(&self) -> f32 {
-        self.k1
-    }
-
     /// The `b` length-normalisation parameter.
     pub fn b(&self) -> f32 {
         self.b
@@ -118,6 +102,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Creates a scorer with custom parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k1 < 0` or `b` is outside `[0, 1]`.
+    fn with_params(k1: f32, b: f32) -> Bm25 {
+        assert!(k1 >= 0.0, "k1 must be non-negative");
+        assert!((0.0..=1.0).contains(&b), "b must be in [0, 1]");
+        Bm25 { k1, b }
+    }
+
     fn chunks() -> Vec<String> {
         vec![
             "alpha beta gamma delta".to_string(),
@@ -164,15 +159,15 @@ mod tests {
 
     #[test]
     fn custom_params_validate() {
-        let bm = Bm25::with_params(2.0, 0.5);
-        assert_eq!(bm.k1(), 2.0);
+        let bm = with_params(2.0, 0.5);
+        assert_eq!(bm.k1, 2.0);
         assert_eq!(bm.b(), 0.5);
     }
 
     #[test]
     #[should_panic(expected = "b must be in")]
     fn invalid_b_panics() {
-        Bm25::with_params(1.2, 1.5);
+        with_params(1.2, 1.5);
     }
 
     proptest! {

@@ -53,22 +53,22 @@ pub fn chunk_words(text: &str, chunk_size: usize) -> Vec<String> {
         .collect()
 }
 
-/// Like [`chunk_words`] but also returns the trailing remainder words (the
-/// part of the context the paper keeps in FP16).
-pub fn chunk_words_with_remainder(text: &str, chunk_size: usize) -> (Vec<String>, String) {
-    assert!(chunk_size > 0, "chunk size must be nonzero");
-    let words = split_words(text);
-    let full = words.len() / chunk_size * chunk_size;
-    let chunks = words[..full]
-        .chunks_exact(chunk_size)
-        .map(|chunk| chunk.join(" "))
-        .collect();
-    (chunks, words[full..].join(" "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Like [`chunk_words`] but also returns the trailing remainder words (the
+    /// part of the context the paper keeps in FP16).
+    fn chunk_words_with_remainder(text: &str, chunk_size: usize) -> (Vec<String>, String) {
+        assert!(chunk_size > 0, "chunk size must be nonzero");
+        let words = split_words(text);
+        let full = words.len() / chunk_size * chunk_size;
+        let chunks = words[..full]
+            .chunks_exact(chunk_size)
+            .map(|chunk| chunk.join(" "))
+            .collect();
+        (chunks, words[full..].join(" "))
+    }
 
     #[test]
     fn chunking_discards_partial_tail() {

@@ -77,11 +77,6 @@ impl DenseEncoder {
         }
     }
 
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of independent hash rows per feature (count-sketch style).
     /// With a single row, one unlucky bucket collision between a rare
     /// query-defining term and an opposite-signed rare term can cancel the
@@ -134,7 +129,7 @@ impl DenseEncoder {
 
     /// Embeds a single text given externally computed IDF weights (pass an
     /// empty map to fall back to uniform weights).
-    pub fn embed_with_idf(&self, text: &str, idf: &HashMap<String, f32>) -> Vec<f32> {
+    pub(crate) fn embed_with_idf(&self, text: &str, idf: &HashMap<String, f32>) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
         // Aggregate term frequencies first (in first-occurrence order, so
         // accumulation order stays deterministic) so each unique feature is
@@ -281,7 +276,7 @@ impl ChunkScorer for ContrieverSim {
 /// Stand-in for the LLM-Embedder model: slightly narrower feature space and
 /// mild noise, so its retrieval quality sits just below Contriever.
 #[derive(Debug, Clone)]
-pub struct LlmEmbedderSim(DenseEncoder);
+pub(crate) struct LlmEmbedderSim(DenseEncoder);
 
 impl LlmEmbedderSim {
     /// Creates the encoder with its standard parameters.
@@ -316,7 +311,7 @@ impl ChunkScorer for LlmEmbedderSim {
 /// and stronger noise, so it ranks below the other dense encoders on the
 /// synthetic tasks (matching its position in the paper's Table IV).
 #[derive(Debug, Clone)]
-pub struct AdaSim(DenseEncoder);
+pub(crate) struct AdaSim(DenseEncoder);
 
 impl AdaSim {
     /// Creates the encoder with its standard parameters.

@@ -8,7 +8,7 @@
 //! the method: a [`ChunkScorer`] ranks answer-bearing chunks above
 //! irrelevant ones, with encoder-dependent quality.
 //!
-//! * [`ContrieverSim`], [`LlmEmbedderSim`], [`AdaSim`] — hashed
+//! * [`ContrieverSim`], `LlmEmbedderSim`, `AdaSim` — hashed
 //!   bag-of-words dense encoders with IDF weighting and random projection,
 //!   at decreasing embedding width / increasing noise so their retrieval
 //!   quality is ordered the same way as in the paper's Table IV.
@@ -48,6 +48,6 @@ mod scorer;
 mod similarity;
 
 pub use bm25::Bm25;
-pub use dense::{AdaSim, ContrieverSim, DenseEncoder, LlmEmbedderSim};
+pub use dense::{ContrieverSim, DenseEncoder};
 pub use scorer::{ChunkScorer, EncoderKind};
 pub use similarity::similarity_matrix;

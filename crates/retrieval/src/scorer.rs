@@ -1,6 +1,7 @@
 //! The chunk-scoring interface used by the quantization search module.
 
-use crate::{AdaSim, Bm25, ContrieverSim, LlmEmbedderSim};
+use crate::dense::{AdaSim, LlmEmbedderSim};
+use crate::{Bm25, ContrieverSim};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -16,7 +16,7 @@ use serde_json::Value;
 /// additions: bodies that omit all of them decode greedily, exactly as
 /// before, so old clients keep their byte-identical answers. Any present
 /// sampling field switches the request to the seeded sampler chain, with
-/// defaults for the rest (see [`GenerateRequest::sampling_params`]).
+/// defaults for the rest (see `GenerateRequest::sampling_params`).
 #[derive(Debug, Clone, Serialize)]
 pub struct GenerateRequest {
     /// The document/context to condition on.
@@ -51,7 +51,7 @@ pub struct GenerateRequest {
 
 /// Hard cap on `max_new_tokens`; larger asks are rejected with a 400
 /// before touching the engine.
-pub const MAX_NEW_TOKENS_LIMIT: usize = 4096;
+pub(crate) const MAX_NEW_TOKENS_LIMIT: usize = 4096;
 
 impl GenerateRequest {
     /// A non-streaming request with no stop sequence.
@@ -73,12 +73,6 @@ impl GenerateRequest {
             presence_penalty: None,
             seed: None,
         }
-    }
-
-    /// Switches the request to SSE streaming.
-    pub fn streaming(mut self) -> Self {
-        self.stream = true;
-        self
     }
 
     /// Attaches a stop sequence.
@@ -108,7 +102,7 @@ impl GenerateRequest {
     ///
     /// Returns the [`SamplingParams::validate`] message when a present
     /// field is out of range (the gateway answers 400 with it).
-    pub fn sampling_params(&self) -> Result<Option<SamplingParams>, String> {
+    pub(crate) fn sampling_params(&self) -> Result<Option<SamplingParams>, String> {
         let any = self.temperature.is_some()
             || self.top_k.is_some()
             || self.top_p.is_some()
@@ -150,7 +144,7 @@ impl GenerateRequest {
     /// Returns a human-readable message (the gateway answers 400 with it)
     /// when the body is not a JSON object, a required field is missing or
     /// mistyped, or `max_new_tokens` is zero or above
-    /// [`MAX_NEW_TOKENS_LIMIT`].
+    /// 4096 (`MAX_NEW_TOKENS_LIMIT`).
     pub fn from_json(body: &str) -> Result<Self, String> {
         let value = serde_json::from_str(body).map_err(|e| format!("invalid JSON body: {e}"))?;
         let fields = as_object(&value, "request body")?;
@@ -679,7 +673,7 @@ impl ErrorResponse {
     }
 
     /// A 429 backpressure error carrying queue depth and capacity.
-    pub fn backpressure(queued: usize, queue_limit: usize) -> Self {
+    pub(crate) fn backpressure(queued: usize, queue_limit: usize) -> Self {
         Self {
             error: format!(
                 "admission queue is full ({queued}/{queue_limit} waiting); retry shortly"
@@ -791,9 +785,8 @@ mod tests {
 
     #[test]
     fn generate_request_round_trips() {
-        let req = GenerateRequest::new("ctx", "q", 8)
-            .streaming()
-            .with_stop("the");
+        let mut req = GenerateRequest::new("ctx", "q", 8).with_stop("the");
+        req.stream = true;
         let parsed = GenerateRequest::from_json(&req.to_json()).unwrap();
         assert_eq!(parsed.context, "ctx");
         assert_eq!(parsed.query, "q");

@@ -220,13 +220,6 @@ impl GatewayServer {
         self.pool.snapshot(replica, path)
     }
 
-    /// Restores prefix caches from disk, the same operation
-    /// `POST /api/v1/admin/restore` performs. Busy replicas and unusable
-    /// snapshots degrade to `restored: false` rows with a reason.
-    pub fn restore(&self, replica: Option<usize>, path: &str) -> crate::api::AdminRestoreResponse {
-        self.pool.restore(replica, path)
-    }
-
     /// Stops accepting, waits for in-flight connections to finish, shuts
     /// every engine driver down, and returns the final aggregated
     /// snapshot — what the shutdown-cleanliness tests assert zero

@@ -14,9 +14,9 @@
 use std::fmt;
 
 /// Default cap on the request head (request line + headers) in bytes.
-pub const DEFAULT_MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const DEFAULT_MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default cap on the request body in bytes.
-pub const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A fully parsed HTTP/1.1 request.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ impl Request {
 
     /// Whether the client asked to close the connection after this
     /// exchange (`Connection: close`, or HTTP/1.0 without keep-alive).
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         match self.header("connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => true,
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
@@ -148,11 +148,6 @@ impl RequestParser {
     /// Appends raw bytes read from the socket.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buffer.extend_from_slice(bytes);
-    }
-
-    /// Number of bytes currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 
     /// Tries to parse the next complete request out of the buffer.
@@ -303,7 +298,7 @@ fn body_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
 }
 
 /// The standard reason phrase for the status codes the gateway emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -320,7 +315,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Builds a response head (status line + headers + blank line).
-pub fn response_head(status: u16, headers: &[(&str, &str)]) -> Vec<u8> {
+pub(crate) fn response_head(status: u16, headers: &[(&str, &str)]) -> Vec<u8> {
     let mut out = format!("HTTP/1.1 {status} {}\r\n", reason_phrase(status));
     for (name, value) in headers {
         out.push_str(name);
@@ -333,7 +328,7 @@ pub fn response_head(status: u16, headers: &[(&str, &str)]) -> Vec<u8> {
 }
 
 /// Builds a complete fixed-length response (head + body).
-pub fn simple_response(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
+pub(crate) fn simple_response(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
     let length = body.len().to_string();
     let mut out = response_head(
         status,
@@ -486,7 +481,7 @@ impl SseParser {
 
 /// A parsed response head, as seen by the test client.
 #[derive(Debug, Clone)]
-pub struct ResponseHead {
+pub(crate) struct ResponseHead {
     /// The numeric status code.
     pub status: u16,
     /// Header name/value pairs in arrival order.
@@ -510,7 +505,7 @@ impl ResponseHead {
 /// # Errors
 ///
 /// Returns a message when the status line or a header is malformed.
-pub fn parse_response_head(buffer: &[u8]) -> Result<Option<(ResponseHead, usize)>, String> {
+pub(crate) fn parse_response_head(buffer: &[u8]) -> Result<Option<(ResponseHead, usize)>, String> {
     let Some((head_end, consumed)) = find_head_end(buffer) else {
         return Ok(None);
     };

@@ -63,7 +63,7 @@ mod router;
 pub use api::{
     AdminRestoreResponse, AdminSnapshotResponse, ErrorResponse, GenerateRequest, GenerateResponse,
     ReplicaRestoreResult, ReplicaSnapshotResult, ReplicaStats, SnapshotRequest, StatsResponse,
-    StreamEvent, VersionResponse, MAX_NEW_TOKENS_LIMIT,
+    StreamEvent, VersionResponse,
 };
 pub use client::{ClientError, GatewayClient, RawResponse, StreamHandle, StreamOutcome};
 pub use engine::EngineSettings;

@@ -168,7 +168,7 @@ impl ReplicaPool {
 
     /// An RAII guard that keeps `replica`'s in-flight count raised until
     /// the owning connection handler finishes.
-    pub fn inflight_guard(&self, replica: usize) -> InflightGuard<'_> {
+    pub(crate) fn inflight_guard(&self, replica: usize) -> InflightGuard<'_> {
         InflightGuard {
             counter: &self.inflight[replica],
         }
@@ -227,7 +227,7 @@ impl ReplicaPool {
     /// disk. Busy or dead replicas (and unusable snapshots) report
     /// `restored: false` with a reason; the fleet call never fails as a
     /// whole.
-    pub fn restore(&self, replica: Option<usize>, path: &str) -> AdminRestoreResponse {
+    pub(crate) fn restore(&self, replica: Option<usize>, path: &str) -> AdminRestoreResponse {
         let replicas = self
             .admin_targets(replica, path)
             .into_iter()

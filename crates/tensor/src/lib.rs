@@ -40,4 +40,4 @@ mod vector;
 pub use error::ShapeError;
 pub use f16::F16;
 pub use matrix::Matrix;
-pub use vector::{cosine_similarity, dot, l2_norm, Vector};
+pub use vector::{cosine_similarity, dot, l2_norm};

@@ -141,11 +141,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns element `(row, col)`.
     ///
     /// # Panics
@@ -186,21 +181,6 @@ impl Matrix {
     pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
         assert!(row < self.rows, "row index out of bounds");
         &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Copies column `col` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of bounds.
-    pub fn column(&self, col: usize) -> Vec<f32> {
-        assert!(col < self.cols, "column index out of bounds");
-        (0..self.rows).map(|r| self.get(r, col)).collect()
-    }
-
-    /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Returns the transposed matrix.
@@ -288,7 +268,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
+    pub(crate) fn add(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
         if self.shape() != other.shape() {
             return Err(ShapeError::new(
                 "add",
@@ -619,6 +599,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Copies column `col` into a new vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` is out of bounds.
+    fn column(m: &Matrix, col: usize) -> Vec<f32> {
+        assert!(col < m.cols, "column index out of bounds");
+        (0..m.rows).map(|r| m.get(r, col)).collect()
+    }
+
     fn approx_eq(a: f32, b: f32, tol: f32) -> bool {
         (a - b).abs() <= tol
     }
@@ -803,14 +793,14 @@ mod tests {
         let mid = m.slice_rows(1, 2);
         assert_eq!(mid.as_slice(), &[4.0, 5.0, 6.0]);
         let right = m.slice_cols(2, 3);
-        assert_eq!(right.column(0), vec![3.0, 6.0, 9.0]);
+        assert_eq!(column(&right, 0), vec![3.0, 6.0, 9.0]);
     }
 
     #[test]
     fn gather_rows_reorders() {
         let m = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let g = m.gather_rows(&[2, 0, 1]);
-        assert_eq!(g.column(0), vec![3.0, 1.0, 2.0]);
+        assert_eq!(column(&g, 0), vec![3.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -847,13 +837,13 @@ mod tests {
     #[test]
     fn column_extracts_correct_values() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.column(1), vec![2.0, 4.0]);
+        assert_eq!(column(&m, 1), vec![2.0, 4.0]);
     }
 
     #[test]
     fn iter_rows_yields_all_rows() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let rows: Vec<&[f32]> = m.iter_rows().collect();
+        let rows: Vec<&[f32]> = (0..m.rows()).map(|r| m.row(r)).collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], &[3.0, 4.0]);
     }

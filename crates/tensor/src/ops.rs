@@ -66,13 +66,6 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// Applies SiLU element-wise in place.
-pub fn silu_in_place(xs: &mut [f32]) {
-    for x in xs.iter_mut() {
-        *x = silu(*x);
-    }
-}
-
 /// Applies rotary position embeddings (RoPE) to a single head vector in
 /// place, for absolute position `pos`.
 ///
@@ -515,6 +508,13 @@ pub fn mean(xs: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Applies SiLU element-wise in place.
+    fn silu_in_place(xs: &mut [f32]) {
+        for x in xs.iter_mut() {
+            *x = silu(*x);
+        }
+    }
 
     #[test]
     fn rms_norm_produces_unit_rms_with_unit_weight() {

@@ -62,13 +62,6 @@ pub fn gaussian_matrix(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix 
     Matrix::from_vec(rows, cols, data).expect("shape matches generated data")
 }
 
-/// Xavier/Glorot-style initialisation for a projection of shape
-/// `rows × cols`: uniform with scale `sqrt(6 / (rows + cols))`.
-pub fn xavier_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let scale = (6.0 / (rows + cols) as f32).sqrt();
-    uniform_matrix(rows, cols, scale, seed)
-}
-
 /// Generates a vector of samples from `U(-scale, scale)`.
 pub fn uniform_vec(len: usize, scale: f32, seed: u64) -> Vec<f32> {
     let mut rng = seeded_rng(seed);
@@ -79,6 +72,13 @@ pub fn uniform_vec(len: usize, scale: f32, seed: u64) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Xavier/Glorot-style initialisation for a projection of shape
+    /// `rows × cols`: uniform with scale `sqrt(6 / (rows + cols))`.
+    fn xavier_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let scale = (6.0 / (rows + cols) as f32).sqrt();
+        uniform_matrix(rows, cols, scale, seed)
+    }
 
     #[test]
     fn seeded_rng_is_reproducible() {

@@ -3,11 +3,6 @@
 //! Cosine similarity is the scoring function of the paper's chunk-level
 //! quantization search (Eq. 1): `sim(q, cᵢ) = q·cᵢ / (‖q‖·‖cᵢ‖)`.
 
-/// A convenience alias: dense embedding vectors are plain `Vec<f32>`.
-///
-/// The retrieval encoders in `cocktail-retrieval` produce these.
-pub type Vector = Vec<f32>;
-
 /// Dot product of two equal-length slices.
 ///
 /// # Panics

@@ -131,7 +131,7 @@ impl Evaluator {
     }
 
     /// Deterministic unit-norm embedding of a word.
-    pub fn word_embedding(&self, word: &str) -> Vec<f32> {
+    pub(crate) fn word_embedding(&self, word: &str) -> Vec<f32> {
         let seed = derive_seed(self.config.embedding_seed, word);
         let mut rng = seeded_rng(seed);
         let mut v: Vec<f32> = (0..self.config.embed_dim)
@@ -173,7 +173,7 @@ impl Evaluator {
     /// The anchors the extractor will follow: query words that occur in the
     /// context exactly once (everything else is either filler vocabulary or
     /// absent). This needs no ground-truth knowledge of the task.
-    pub fn find_anchors(&self, context_words: &[String], query: &str) -> Vec<String> {
+    pub(crate) fn find_anchors(&self, context_words: &[String], query: &str) -> Vec<String> {
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for w in context_words {
             *counts.entry(w.as_str()).or_insert(0) += 1;

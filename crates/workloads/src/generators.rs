@@ -63,12 +63,6 @@ impl WorkloadConfig {
         self.context_words = words;
         self
     }
-
-    /// Returns a copy with a different needle count.
-    pub fn with_needles(mut self, needles: usize) -> Self {
-        self.needles = needles;
-        self
-    }
 }
 
 impl Default for WorkloadConfig {

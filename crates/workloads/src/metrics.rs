@@ -57,47 +57,8 @@ pub fn token_f1(prediction: &str, reference: &str) -> f64 {
     2.0 * precision * recall / (precision + recall)
 }
 
-/// ROUGE-N F-measure (n-gram overlap), used for the summarization tasks.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn rouge_n(prediction: &str, reference: &str, n: usize) -> f64 {
-    assert!(n > 0, "ROUGE-N requires n >= 1");
-    let pred = tokens(prediction);
-    let reference = tokens(reference);
-    if pred.len() < n || reference.len() < n {
-        return if pred.is_empty() && reference.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let grams = |toks: &[String]| -> HashMap<Vec<String>, usize> {
-        let mut map = HashMap::new();
-        for w in toks.windows(n) {
-            *map.entry(w.to_vec()).or_insert(0) += 1;
-        }
-        map
-    };
-    let pred_grams = grams(&pred);
-    let ref_grams = grams(&reference);
-    let overlap: usize = ref_grams
-        .iter()
-        .map(|(g, &count)| count.min(pred_grams.get(g).copied().unwrap_or(0)))
-        .sum();
-    if overlap == 0 {
-        return 0.0;
-    }
-    let pred_total: usize = pred_grams.values().sum();
-    let ref_total: usize = ref_grams.values().sum();
-    let precision = overlap as f64 / pred_total as f64;
-    let recall = overlap as f64 / ref_total as f64;
-    2.0 * precision * recall / (precision + recall)
-}
-
 /// ROUGE-L F-measure based on the longest common subsequence of tokens.
-pub fn rouge_l(prediction: &str, reference: &str) -> f64 {
+pub(crate) fn rouge_l(prediction: &str, reference: &str) -> f64 {
     let pred = tokens(prediction);
     let reference = tokens(reference);
     if pred.is_empty() || reference.is_empty() {
@@ -135,7 +96,7 @@ fn lcs_length(a: &[String], b: &[String]) -> usize {
 /// Classification accuracy: 1.0 when the predicted label matches the
 /// reference label (compared as the first token of each, case-insensitive),
 /// 0.0 otherwise. Used for TREC.
-pub fn classification_score(prediction: &str, reference: &str) -> f64 {
+pub(crate) fn classification_score(prediction: &str, reference: &str) -> f64 {
     let pred = tokens(prediction);
     let reference = tokens(reference);
     match (pred.first(), reference.first()) {
@@ -147,7 +108,7 @@ pub fn classification_score(prediction: &str, reference: &str) -> f64 {
 
 /// Normalised edit similarity `1 − levenshtein / max_len` over characters,
 /// the metric LongBench uses for the code-completion tasks.
-pub fn edit_similarity(prediction: &str, reference: &str) -> f64 {
+pub(crate) fn edit_similarity(prediction: &str, reference: &str) -> f64 {
     let a: Vec<char> = prediction.trim().chars().collect();
     let b: Vec<char> = reference.trim().chars().collect();
     let max_len = a.len().max(b.len());
@@ -175,6 +136,45 @@ fn levenshtein(a: &[char], b: &[char]) -> usize {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// ROUGE-N F-measure (n-gram overlap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    fn rouge_n(prediction: &str, reference: &str, n: usize) -> f64 {
+        assert!(n > 0, "ROUGE-N requires n >= 1");
+        let pred = tokens(prediction);
+        let reference = tokens(reference);
+        if pred.len() < n || reference.len() < n {
+            return if pred.is_empty() && reference.is_empty() {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        let grams = |toks: &[String]| -> HashMap<Vec<String>, usize> {
+            let mut map = HashMap::new();
+            for w in toks.windows(n) {
+                *map.entry(w.to_vec()).or_insert(0) += 1;
+            }
+            map
+        };
+        let pred_grams = grams(&pred);
+        let ref_grams = grams(&reference);
+        let overlap: usize = ref_grams
+            .iter()
+            .map(|(g, &count)| count.min(pred_grams.get(g).copied().unwrap_or(0)))
+            .sum();
+        if overlap == 0 {
+            return 0.0;
+        }
+        let pred_total: usize = pred_grams.values().sum();
+        let ref_total: usize = ref_grams.values().sum();
+        let precision = overlap as f64 / pred_total as f64;
+        let recall = overlap as f64 / ref_total as f64;
+        2.0 * precision * recall / (precision + recall)
+    }
 
     #[test]
     fn f1_exact_match_is_one() {

@@ -6,7 +6,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Subjects used in generic filler sentences.
-pub const FILLER_SUBJECTS: &[&str] = &[
+pub(crate) const FILLER_SUBJECTS: &[&str] = &[
     "the committee",
     "the engineering team",
     "the quarterly report",
@@ -20,7 +20,7 @@ pub const FILLER_SUBJECTS: &[&str] = &[
 ];
 
 /// Verbs used in generic filler sentences.
-pub const FILLER_VERBS: &[&str] = &[
+pub(crate) const FILLER_VERBS: &[&str] = &[
     "reviewed",
     "documented",
     "postponed",
@@ -34,7 +34,7 @@ pub const FILLER_VERBS: &[&str] = &[
 ];
 
 /// Objects used in generic filler sentences.
-pub const FILLER_OBJECTS: &[&str] = &[
+pub(crate) const FILLER_OBJECTS: &[&str] = &[
     "the inventory levels",
     "the ventilation system",
     "the staffing rotation",
@@ -48,7 +48,7 @@ pub const FILLER_OBJECTS: &[&str] = &[
 ];
 
 /// Trailing clauses for filler sentences.
-pub const FILLER_TAILS: &[&str] = &[
+pub(crate) const FILLER_TAILS: &[&str] = &[
     "without any unusual findings",
     "as part of the routine cycle",
     "ahead of the next review",
@@ -61,7 +61,7 @@ pub const FILLER_TAILS: &[&str] = &[
 
 /// Distinctive answer words. These never appear in filler text, so a
 /// correct extraction is unambiguous and an incorrect one scores zero.
-pub const ANSWER_WORDS: &[&str] = &[
+pub(crate) const ANSWER_WORDS: &[&str] = &[
     "crimson",
     "falcon",
     "zenith",
@@ -98,7 +98,7 @@ pub const ANSWER_WORDS: &[&str] = &[
 
 /// Anchor stems: combined with an index they form the unique cue word that
 /// precedes an answer span (e.g. `"passphrase-3"`).
-pub const ANCHOR_STEMS: &[&str] = &[
+pub(crate) const ANCHOR_STEMS: &[&str] = &[
     "passphrase",
     "override",
     "directive",
@@ -112,7 +112,7 @@ pub const ANCHOR_STEMS: &[&str] = &[
 ];
 
 /// TREC-style classification labels.
-pub const TREC_LABELS: &[&str] = &[
+pub(crate) const TREC_LABELS: &[&str] = &[
     "location",
     "number",
     "person",
@@ -122,13 +122,13 @@ pub const TREC_LABELS: &[&str] = &[
 ];
 
 /// Identifier fragments for code-like filler.
-pub const CODE_IDENTS: &[&str] = &[
+pub(crate) const CODE_IDENTS: &[&str] = &[
     "batch", "buffer", "config", "cursor", "handle", "index", "offset", "payload", "queue",
     "record", "stream", "token", "worker", "cache", "frame",
 ];
 
 /// Speaker names for dialogue filler.
-pub const SPEAKERS: &[&str] = &["alice", "bob", "carol", "dave", "erin", "frank"];
+pub(crate) const SPEAKERS: &[&str] = &["alice", "bob", "carol", "dave", "erin", "frank"];
 
 /// Picks one item from a slice deterministically.
 pub fn pick<'a>(rng: &mut ChaCha8Rng, items: &'a [&'a str]) -> &'a str {
@@ -136,7 +136,7 @@ pub fn pick<'a>(rng: &mut ChaCha8Rng, items: &'a [&'a str]) -> &'a str {
 }
 
 /// Generates one generic filler sentence (8–12 words).
-pub fn filler_sentence(rng: &mut ChaCha8Rng) -> String {
+pub(crate) fn filler_sentence(rng: &mut ChaCha8Rng) -> String {
     format!(
         "{} {} {} {} .",
         pick(rng, FILLER_SUBJECTS),
@@ -147,7 +147,7 @@ pub fn filler_sentence(rng: &mut ChaCha8Rng) -> String {
 }
 
 /// Generates one meeting-transcript filler line.
-pub fn meeting_sentence(rng: &mut ChaCha8Rng) -> String {
+pub(crate) fn meeting_sentence(rng: &mut ChaCha8Rng) -> String {
     format!(
         "{} : i think {} {} {} .",
         pick(rng, SPEAKERS),
@@ -158,7 +158,7 @@ pub fn meeting_sentence(rng: &mut ChaCha8Rng) -> String {
 }
 
 /// Generates one news-style filler sentence.
-pub fn news_sentence(rng: &mut ChaCha8Rng) -> String {
+pub(crate) fn news_sentence(rng: &mut ChaCha8Rng) -> String {
     format!(
         "officials said {} {} {} {} .",
         pick(rng, FILLER_SUBJECTS),
@@ -169,7 +169,7 @@ pub fn news_sentence(rng: &mut ChaCha8Rng) -> String {
 }
 
 /// Generates one code-like filler line.
-pub fn code_line(rng: &mut ChaCha8Rng) -> String {
+pub(crate) fn code_line(rng: &mut ChaCha8Rng) -> String {
     let a = pick(rng, CODE_IDENTS);
     let b = pick(rng, CODE_IDENTS);
     let n: u32 = rng.gen_range(0..64);
@@ -177,7 +177,7 @@ pub fn code_line(rng: &mut ChaCha8Rng) -> String {
 }
 
 /// Generates one dialogue filler line.
-pub fn dialogue_line(rng: &mut ChaCha8Rng) -> String {
+pub(crate) fn dialogue_line(rng: &mut ChaCha8Rng) -> String {
     format!(
         "{} : did you see that {} {} ?",
         pick(rng, SPEAKERS),
@@ -187,7 +187,7 @@ pub fn dialogue_line(rng: &mut ChaCha8Rng) -> String {
 }
 
 /// Draws `count` distinct answer words deterministically.
-pub fn draw_answer_words(rng: &mut ChaCha8Rng, count: usize) -> Vec<String> {
+pub(crate) fn draw_answer_words(rng: &mut ChaCha8Rng, count: usize) -> Vec<String> {
     let mut pool: Vec<&str> = ANSWER_WORDS.to_vec();
     let mut out = Vec::with_capacity(count);
     for _ in 0..count.min(pool.len()) {
@@ -208,14 +208,14 @@ pub fn draw_answer_words(rng: &mut ChaCha8Rng, count: usize) -> Vec<String> {
 }
 
 /// Builds the unique anchor token for needle `index` of a task instance.
-pub fn anchor_token(rng: &mut ChaCha8Rng, index: usize) -> String {
+pub(crate) fn anchor_token(rng: &mut ChaCha8Rng, index: usize) -> String {
     let stem = pick(rng, ANCHOR_STEMS);
     let tag: u32 = rng.gen_range(10..100);
     format!("{stem}-{tag}-{index}")
 }
 
 /// Convenience wrapper building a seeded RNG for text generation.
-pub fn text_rng(seed: u64) -> ChaCha8Rng {
+pub(crate) fn text_rng(seed: u64) -> ChaCha8Rng {
     seeded_rng(seed ^ 0x7e87_00d5_eed5)
 }
 

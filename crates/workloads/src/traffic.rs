@@ -108,7 +108,7 @@ impl ChatSpec {
     /// Words a completed turn appends to the transcript: the user
     /// message, the tool-result segment (tool-loop only), and the canned
     /// assistant reply.
-    pub fn turn_increment_words(&self) -> usize {
+    pub(crate) fn turn_increment_words(&self) -> usize {
         let segments = if self.tool_loop { 3 } else { 2 };
         segments * self.words_per_turn
     }
@@ -354,7 +354,7 @@ impl TrafficGenerator {
     /// sequence drawn from the base seed and the group index only, so every
     /// request of the group — in any trace length — opens with identical
     /// tokens.
-    pub fn group_preamble(&self, group: usize) -> String {
+    pub(crate) fn group_preamble(&self, group: usize) -> String {
         let words = self.config.prefix_words;
         if words == 0 {
             return String::new();
@@ -378,7 +378,7 @@ impl TrafficGenerator {
     /// a Zipf-ish weighted draw from the request's own seed, so hot
     /// tenants issue most of the branching traffic. Depends only on the
     /// request's index/seed and the config, never on the trace length.
-    pub fn prefix_group_of(&self, index: usize, seed: u64) -> Option<usize> {
+    pub(crate) fn prefix_group_of(&self, index: usize, seed: u64) -> Option<usize> {
         let groups = self.config.prefix_groups;
         if groups == 0 {
             return None;
@@ -405,7 +405,7 @@ impl TrafficGenerator {
     /// seed, so the request diverges from its group's preamble at its very
     /// first post-preamble token and stays stable under trace growth.
     /// `None` when the branching mode is disabled.
-    pub fn branch_segment(&self, index: usize, seed: u64) -> Option<String> {
+    pub(crate) fn branch_segment(&self, index: usize, seed: u64) -> Option<String> {
         let words = self.config.branch_words;
         if words == 0 {
             return None;
@@ -450,7 +450,7 @@ impl TrafficGenerator {
     /// document): fixed words drawn from the base seed and the
     /// conversation index only, so every turn of the conversation opens
     /// with identical tokens. Empty outside chat mode.
-    pub fn chat_preamble(&self, conversation: usize) -> String {
+    pub(crate) fn chat_preamble(&self, conversation: usize) -> String {
         let Some(spec) = &self.config.chat else {
             return String::new();
         };
@@ -466,7 +466,7 @@ impl TrafficGenerator {
 
     /// Turn `turn`'s user message (the request's query; earlier turns'
     /// messages are part of the transcript). Empty outside chat mode.
-    pub fn chat_user_message(&self, conversation: usize, turn: usize) -> String {
+    pub(crate) fn chat_user_message(&self, conversation: usize, turn: usize) -> String {
         let Some(spec) = &self.config.chat else {
             return String::new();
         };
@@ -481,7 +481,7 @@ impl TrafficGenerator {
     /// `turn` completes. A deterministic stand-in for the served answer,
     /// so greedy and sampled runs of the same trace share their
     /// transcripts token-for-token. Empty outside chat mode.
-    pub fn chat_assistant_segment(&self, conversation: usize, turn: usize) -> String {
+    pub(crate) fn chat_assistant_segment(&self, conversation: usize, turn: usize) -> String {
         let Some(spec) = &self.config.chat else {
             return String::new();
         };
@@ -495,7 +495,7 @@ impl TrafficGenerator {
     /// The fixed tool-result segment the tool-loop variant interleaves
     /// between turn `turn`'s user message and assistant reply. `None`
     /// outside the tool-loop chat mode.
-    pub fn chat_tool_segment(&self, conversation: usize, turn: usize) -> Option<String> {
+    pub(crate) fn chat_tool_segment(&self, conversation: usize, turn: usize) -> Option<String> {
         let spec = self.config.chat.as_ref()?;
         if !spec.tool_loop {
             return None;
@@ -512,7 +512,7 @@ impl TrafficGenerator {
     /// (tool-loop only), and assistant reply. Turn `t`'s transcript is a
     /// strict word-level extension of turn `t - 1`'s, so each turn hits
     /// the prefix trie on its entire prior transcript.
-    pub fn chat_transcript(&self, conversation: usize, turn: usize) -> String {
+    pub(crate) fn chat_transcript(&self, conversation: usize, turn: usize) -> String {
         let mut parts = vec![self.chat_preamble(conversation)];
         for earlier in 0..turn {
             parts.push(self.chat_user_message(conversation, earlier));
@@ -656,15 +656,6 @@ impl TrafficGenerator {
         }
         requests
     }
-
-    /// The requests arriving at exactly `step`, in submission order.
-    pub fn arrivals_at(&self, trace: &[TrafficRequest], step: usize) -> Vec<TrafficRequest> {
-        trace
-            .iter()
-            .filter(|r| r.arrival_step == step)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -713,9 +704,8 @@ mod tests {
         let config = TrafficConfig::small(4).with_arrival_window(0);
         let generator = TrafficGenerator::new(config, 11);
         let trace = generator.generate();
+        assert_eq!(trace.len(), 4);
         assert!(trace.iter().all(|r| r.arrival_step == 0));
-        assert_eq!(generator.arrivals_at(&trace, 0).len(), 4);
-        assert!(generator.arrivals_at(&trace, 1).is_empty());
     }
 
     #[test]
