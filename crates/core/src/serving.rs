@@ -23,15 +23,18 @@
 //! prompts (the prefill window) are prefilled together through one
 //! [`prefill_batch`](cocktail_model::InferenceEngine::prefill_batch) call,
 //! amortizing QKV/MLP weight streaming over the arriving prompts exactly as
-//! the decode path does over the running batch. With
+//! the decode path does over the running batch. While requests decode, a
+//! step prefills at most a fixed budget of prompt tokens, so a long prompt
+//! is prefilled in slices over several steps and stalls the running batch
+//! for one slice at a time. With
 //! [`ServingEngine::with_prefix_cache`] enabled, requests whose context
 //! opens with previously served tokens reuse the token-trie prefix cache's
 //! KV blocks instead of re-prefilling them — divergent branches share
 //! their common preamble's blocks exactly once, the budget is charged per
 //! trie node, and pressure trims the tree leaf-ward (partial eviction)
 //! rather than dropping whole contexts.
-//! Both optimizations are bit-exact: prefill is causal and row-wise, so a
-//! batched or prefix-resumed prefill produces byte-identical outputs to a
+//! All three are bit-exact: prefill is causal and row-wise, so a batched,
+//! sliced or prefix-resumed prefill produces byte-identical outputs to a
 //! cold sequential one (asserted by tests and property tests).
 
 use crate::config::CocktailConfig;
@@ -66,6 +69,15 @@ use std::time::Instant;
 /// compressed cache resident until admitted, so this also bounds how many
 /// prepared caches can sit outside the budget at once.
 const PREFILL_WINDOW: usize = 4;
+
+/// While any request decodes, admission computes at most this many prompt
+/// tokens per engine step, so a long prompt stalls the running batch for
+/// one slice, not its whole prefill. Queued prompts take the budget FIFO;
+/// the first that does not fit computes a slice of what is left and
+/// resumes from those rows next step (bit-identical to prefilling it
+/// whole). An idle engine has no decode to stall and prefills whole
+/// prompts, which is cheaper than slices.
+const PREFILL_SLICE_TOKENS: usize = 256;
 
 /// One serving request: a context, a query and a generation budget.
 ///
@@ -284,7 +296,7 @@ impl ServeRequestBuilder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestState {
     /// Submitted but not yet admitted by the scheduler (it may already be
-    /// prefilled and waiting for memory).
+    /// part- or wholly prefilled and, if whole, waiting for memory).
     Queued,
     /// Admitted: its compressed cache is charged against the budget and it
     /// decodes one token per engine step.
@@ -526,6 +538,7 @@ impl RequestTask {
             None,
             &encoded,
             None,
+            None,
             &prefill,
             prefill_us,
             false,
@@ -533,12 +546,15 @@ impl RequestTask {
         Ok(task)
     }
 
-    /// Builds the task from an already-encoded prompt and its prefill
-    /// output (which may come from a batched and/or prefix-reusing
-    /// prefill). When `want_prefix_blocks` is set, the raw full-context KV
-    /// assembled for the chunked cache is also returned as shareable
-    /// prefix blocks, so the caller can publish them to a prefix cache
-    /// without re-deriving them.
+    /// Builds the task from an already-encoded prompt and the prefill
+    /// output of its last computed rows (which may come from a batched
+    /// and/or prefix-resumed prefill). `prefix` holds the KV rows of the
+    /// prompt tokens that output resumed from — a trie hit's, earlier
+    /// slices' or both — and how many of them it covers; `lease` is the
+    /// trie pin the task keeps. When `want_prefix_blocks` is set, the raw
+    /// full-context KV assembled for the chunked cache is also returned as
+    /// shareable prefix blocks, so the caller can publish them to a prefix
+    /// cache without re-deriving them.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         engine: &InferenceEngine,
@@ -550,7 +566,8 @@ impl RequestTask {
         stop_sequences: Vec<String>,
         sampling: Option<SamplingParams>,
         encoded: &EncodedPrompt,
-        prefix: Option<&PrefixHit>,
+        prefix: Option<(&SharedPrefixKv, usize)>,
+        lease: Option<PrefixLease>,
         prefill: &BatchPrefill,
         prefill_us: u64,
         want_prefix_blocks: bool,
@@ -561,7 +578,7 @@ impl RequestTask {
         let (mut cache, prefix_blocks) = build_context_cache(
             engine,
             config,
-            prefix.map(|hit| (hit.kv(), hit.tokens())),
+            prefix,
             prefill,
             encoded.context_tokens.len(),
             want_prefix_blocks,
@@ -594,7 +611,7 @@ impl RequestTask {
                 .collect(),
             next_token: first_token,
             sampler,
-            prefix: prefix.map(PrefixHit::lease),
+            prefix: lease,
             report,
             cache_bytes,
             fp16_cache_bytes,
@@ -824,6 +841,10 @@ fn build_context_cache(
 enum Phase {
     /// Submitted, not yet prefilled.
     Queued(ServeRequest),
+    /// Encoded, with the KV rows of its first prompt tokens computed (or
+    /// reused); the rest is prefilled in later steps. At most one request
+    /// is in this phase, at the front of the unprefilled queue.
+    Prefilling(Box<PrepCandidate>),
     /// Prefilled and compressed, waiting for the scheduler to admit it.
     Prepared(Box<RequestTask>),
     /// Admitted and decoding.
@@ -898,7 +919,7 @@ impl fmt::Debug for ServingEngine {
 }
 
 /// One queued request taken out of its slot for a batched admission
-/// prefill.
+/// prefill, with whatever of its prompt is already computed.
 struct PrepCandidate {
     id: RequestId,
     context: String,
@@ -908,7 +929,88 @@ struct PrepCandidate {
     stop_sequences: Vec<String>,
     sampling: Option<SamplingParams>,
     encoded: EncodedPrompt,
-    prefix: Option<PrefixHit>,
+    /// KV rows covering (at least) the first `done` prompt tokens: a trie
+    /// hit's rows, extended by every slice computed since. `None` while
+    /// `done` is 0.
+    kv: Option<SharedPrefixKv>,
+    /// Leading prompt tokens whose KV rows are in `kv`.
+    done: usize,
+    /// Leading prompt tokens served from the trie hit (0 for a cold start).
+    reused: usize,
+    /// The trie hit's pin, kept apart from the rows.
+    lease: Option<PrefixLease>,
+    /// Wall-clock share of the slices computed so far.
+    prefill_us: u64,
+}
+
+impl PrepCandidate {
+    /// Resumes from a trie hit instead of computing its tokens.
+    fn resume_from(&mut self, hit: &PrefixHit) {
+        self.kv = Some(hit.kv().clone());
+        self.done = hit.tokens();
+        self.reused = hit.tokens();
+        self.lease = Some(hit.lease());
+    }
+
+    /// The prefill slot computing prompt tokens `done..end`.
+    fn slot(&self, end: usize) -> PrefillSlot<'_> {
+        let tokens = &self.encoded.prompt[..end];
+        match &self.kv {
+            Some(kv) => PrefillSlot::with_prefix(tokens, kv, self.done),
+            None => PrefillSlot::cold(tokens),
+        }
+    }
+
+    /// Appends the rows of a computed slice, which now covers `..end`.
+    fn extend(&mut self, slice: BatchPrefill, end: usize) -> Result<(), CocktailError> {
+        let layers = slice.suffix_kv.len();
+        let heads = slice.suffix_kv.first().map_or(0, Vec::len);
+        let blocks = slice
+            .suffix_kv
+            .into_iter()
+            .flatten()
+            .map(|raw| PrefixKvBlock::new(raw.k, raw.v))
+            .collect::<Result<Vec<_>, _>>()?;
+        let rows = SharedPrefixKv::from_blocks(layers, heads, blocks)?;
+        self.kv = Some(match self.kv.take() {
+            // A trie hit's rows may run past the matched tokens.
+            Some(kv) if kv.tokens() > self.done => {
+                SharedPrefixKv::concat(&[&kv.slice_tokens(0, self.done)?, &rows])?
+            }
+            Some(kv) => SharedPrefixKv::concat(&[&kv, &rows])?,
+            None => rows,
+        });
+        self.done = end;
+        Ok(())
+    }
+}
+
+/// Candidates to prefill whole: each up to its prompt's end.
+fn whole(candidates: Vec<PrepCandidate>) -> Vec<(PrepCandidate, usize)> {
+    candidates
+        .into_iter()
+        .map(|cand| {
+            let end = cand.encoded.prompt.len();
+            (cand, end)
+        })
+        .collect()
+}
+
+/// Where a prefill that has computed `done` of `prompt_len` tokens stops
+/// when it may compute `budget` more: the whole prompt if the rest fits,
+/// else `budget` tokens but never past the context, so the final slice
+/// carries the whole query (`build_context_cache` reads resumed rows as
+/// context). A prefill already at the context's end takes the query whole.
+fn slice_end(done: usize, budget: usize, context_len: usize, prompt_len: usize) -> usize {
+    if prompt_len - done <= budget {
+        return prompt_len;
+    }
+    let end = (done + budget).min(context_len);
+    if end > done {
+        end
+    } else {
+        prompt_len
+    }
 }
 
 /// How one FIFO admission sweep over the queue head ended.
@@ -917,7 +1019,7 @@ enum AdmitSweep {
     Drained,
     /// The head is prepared but deferred (budget or batch cap).
     Deferred,
-    /// The head has not been prefilled yet; another prepare pass is needed.
+    /// The head is not wholly prefilled yet; another prepare pass is needed.
     NeedsPrepare,
 }
 
@@ -1240,7 +1342,7 @@ impl ServingEngine {
     /// Current lifecycle state of a request.
     pub fn state(&self, id: RequestId) -> Option<RequestState> {
         self.slots.get(&id).map(|slot| match slot.phase {
-            Phase::Queued(_) | Phase::Prepared(_) => RequestState::Queued,
+            Phase::Queued(_) | Phase::Prefilling(_) | Phase::Prepared(_) => RequestState::Queued,
             Phase::Running(_) => RequestState::Running,
             Phase::Completed(_) => RequestState::Completed,
             Phase::Failed(_) => RequestState::Failed,
@@ -1356,7 +1458,7 @@ impl ServingEngine {
             return false;
         };
         match &slot.phase {
-            Phase::Queued(_) | Phase::Prepared(_) => {
+            Phase::Queued(_) | Phase::Prefilling(_) | Phase::Prepared(_) => {
                 self.scheduler.remove_queued(id);
             }
             Phase::Running(_) => {
@@ -1380,8 +1482,9 @@ impl ServingEngine {
             piece: String::new(),
             finish: Some(FinishReason::Cancelled),
         });
-        // Dropping the phase drops the task: its compressed cache and its
-        // shared-prefix pin go with it.
+        // Dropping the phase drops the task: its compressed cache (or a
+        // part-prefilled request's rows) and its shared-prefix pin go with
+        // it.
         slot.phase = Phase::Cancelled;
         true
     }
@@ -1433,7 +1536,10 @@ impl ServingEngine {
     /// requests at the queue head before their budget checks, and a
     /// prepared request keeps its compressed cache while it waits, so up to
     /// four deferred requests' compressed caches can be resident beyond the
-    /// budget.
+    /// budget. So are the FP32 rows of the one request whose prefill is
+    /// split across steps (while others decode, a step computes at most a
+    /// fixed token budget of prompts): they are held between its slices
+    /// until its final slice builds its compressed cache.
     ///
     /// # Errors
     ///
@@ -1472,14 +1578,123 @@ impl ServingEngine {
     /// FIFO admission with batched prefill: prefill up to a window of
     /// queued requests in one pass, then admit prepared heads until one no
     /// longer fits, repeating while the queue keeps yielding unprepared
-    /// heads.
+    /// heads. While requests decode, the passes of one step share
+    /// [`PREFILL_SLICE_TOKENS`] and the repeat ends when it is spent.
     fn admit(&mut self, now: usize) -> Result<(), CocktailError> {
+        let mut budget = (self.scheduler.running_len() > 0).then_some(PREFILL_SLICE_TOKENS);
         loop {
-            self.prepare_window(now)?;
-            if !matches!(self.admit_prepared(now), AdmitSweep::NeedsPrepare) {
+            match budget.as_mut() {
+                Some(left) => self.prepare_slices(now, left)?,
+                None => self.prepare_window(now)?,
+            }
+            if !matches!(self.admit_prepared(now), AdmitSweep::NeedsPrepare) || budget == Some(0) {
                 return Ok(());
             }
         }
+    }
+
+    /// The unprefilled requests among the first [`PREFILL_WINDOW`] queue
+    /// entries, in queue order.
+    fn window_ids(&self) -> Vec<RequestId> {
+        self.scheduler
+            .queued_ids()
+            .into_iter()
+            .take(PREFILL_WINDOW)
+            .filter(|id| {
+                self.slots.get(id).is_some_and(|slot| {
+                    matches!(slot.phase, Phase::Queued(_) | Phase::Prefilling(_))
+                })
+            })
+            .collect()
+    }
+
+    /// Takes an unprefilled request out of its slot: a part-prefilled one
+    /// as it stands (`done > 0`), a queued one freshly encoded
+    /// (`done == 0`). `None` when encoding failed the request.
+    fn take_candidate(
+        &mut self,
+        id: RequestId,
+        now: usize,
+        default_policy: &CocktailPolicy,
+    ) -> Option<PrepCandidate> {
+        let phase = {
+            let slot = self.slots.get_mut(&id).expect("queued request has a slot");
+            std::mem::replace(&mut slot.phase, Phase::Moving)
+        };
+        let request = match phase {
+            Phase::Prefilling(cand) => return Some(*cand),
+            Phase::Queued(request) => request,
+            _ => unreachable!("the window holds unprefilled phases only"),
+        };
+        let policy: Box<dyn CachePolicy> = match request.policy {
+            Some(policy) => policy,
+            None => Box::new(default_policy.clone()),
+        };
+        match EncodedPrompt::encode(&self.engine, &request.context, &request.query) {
+            Ok(encoded) => Some(PrepCandidate {
+                id,
+                context: request.context,
+                query: request.query,
+                policy,
+                max_new_tokens: request.max_new_tokens,
+                stop_sequences: request.stop_sequences,
+                sampling: request.sampling,
+                encoded,
+                kv: None,
+                done: 0,
+                reused: 0,
+                lease: None,
+                prefill_us: 0,
+            }),
+            Err(err) => {
+                self.fail_request(id, now, err.to_string());
+                None
+            }
+        }
+    }
+
+    /// The budgeted admission pass, run while requests decode: takes the
+    /// window's requests in queue order, each resuming from its own rows
+    /// or its trie hit, and gives each its uncovered tokens out of
+    /// `budget`. The first that does not fit gets a slice of what is left
+    /// and ends the pass, so at most one request is ever part-prefilled
+    /// and no request behind it is encoded. All slices run as one batch.
+    fn prepare_slices(&mut self, now: usize, budget: &mut usize) -> Result<(), CocktailError> {
+        let default_policy = CocktailPolicy::new(self.config.clone())?;
+        let mut batch: Vec<(PrepCandidate, usize)> = Vec::new();
+        for id in self.window_ids() {
+            if *budget == 0 {
+                break;
+            }
+            let Some(mut cand) = self.take_candidate(id, now, &default_policy) else {
+                continue;
+            };
+            if cand.done == 0 {
+                self.try_repromote(&cand.encoded.context_tokens);
+                let hit = self
+                    .prefix_cache
+                    .as_mut()
+                    .and_then(|cache| cache.lookup(&cand.encoded.context_tokens));
+                if let Some(hit) = hit {
+                    cand.resume_from(&hit);
+                }
+            }
+            let end = slice_end(
+                cand.done,
+                *budget,
+                cand.encoded.context_tokens.len(),
+                cand.encoded.prompt.len(),
+            );
+            // A request cut short spends the step's budget, even when the
+            // context's end cut it shorter still.
+            *budget = if end < cand.encoded.prompt.len() {
+                0
+            } else {
+                budget.saturating_sub(end - cand.done)
+            };
+            batch.push((cand, end));
+        }
+        self.prefill_candidates(batch, now)
     }
 
     /// Takes up to [`PREFILL_WINDOW`] queued requests from the front of the
@@ -1490,50 +1705,23 @@ impl ServingEngine {
     /// cold pass has published its contexts to the prefix cache — the
     /// requests that can resume from a cached prefix. The two-pass split is
     /// what lets simultaneously arriving requests with a common context
-    /// share its prefill within a single engine step.
+    /// share its prefill within a single engine step. A request left
+    /// part-prefilled by an earlier step finishes in the cold pass, from
+    /// its own rows.
     fn prepare_window(&mut self, now: usize) -> Result<(), CocktailError> {
-        let ids: Vec<RequestId> = self
-            .scheduler
-            .queued_ids()
-            .into_iter()
-            .take(PREFILL_WINDOW)
-            .filter(|id| {
-                self.slots
-                    .get(id)
-                    .is_some_and(|slot| matches!(slot.phase, Phase::Queued(_)))
-            })
-            .collect();
+        let ids = self.window_ids();
         if ids.is_empty() {
             return Ok(());
         }
 
         let default_policy = CocktailPolicy::new(self.config.clone())?;
         let mut candidates: Vec<PrepCandidate> = Vec::with_capacity(ids.len());
+        let mut resumed: Vec<PrepCandidate> = Vec::new();
         for id in ids {
-            let phase = {
-                let slot = self.slots.get_mut(&id).expect("queued request has a slot");
-                std::mem::replace(&mut slot.phase, Phase::Moving)
-            };
-            let Phase::Queued(request) = phase else {
-                unreachable!("window contains queued phases only");
-            };
-            let policy: Box<dyn CachePolicy> = match request.policy {
-                Some(policy) => policy,
-                None => Box::new(default_policy.clone()),
-            };
-            match EncodedPrompt::encode(&self.engine, &request.context, &request.query) {
-                Ok(encoded) => candidates.push(PrepCandidate {
-                    id,
-                    context: request.context,
-                    query: request.query,
-                    policy,
-                    max_new_tokens: request.max_new_tokens,
-                    stop_sequences: request.stop_sequences,
-                    sampling: request.sampling,
-                    encoded,
-                    prefix: None,
-                }),
-                Err(err) => self.fail_request(id, now, err.to_string()),
+            match self.take_candidate(id, now, &default_policy) {
+                Some(cand) if cand.done == 0 => candidates.push(cand),
+                Some(cand) => resumed.push(cand),
+                None => {}
             }
         }
 
@@ -1565,7 +1753,7 @@ impl ServingEngine {
             .prefix_cache
             .as_ref()
             .map(|cache| cache.config().min_prefix_tokens);
-        let mut cold: Vec<PrepCandidate> = Vec::new();
+        let mut cold: Vec<PrepCandidate> = resumed;
         let mut warm: Vec<PrepCandidate> = Vec::new();
         for cand in candidates {
             match min_prefix {
@@ -1594,27 +1782,33 @@ impl ServingEngine {
             }
         }
 
-        if let Err(err) = self.prefill_candidates(cold, now) {
+        if let Err(err) = self.prefill_candidates(whole(cold), now) {
             for cand in warm {
                 self.fail_request(cand.id, now, err.to_string());
             }
             return Err(err);
         }
         for cand in &mut warm {
-            cand.prefix = self
+            let hit = self
                 .prefix_cache
                 .as_mut()
                 .and_then(|cache| cache.lookup(&cand.encoded.context_tokens));
+            if let Some(hit) = hit {
+                cand.resume_from(&hit);
+            }
         }
-        self.prefill_candidates(warm, now)
+        self.prefill_candidates(whole(warm), now)
     }
 
     /// Prefills one batch of candidates through a single
-    /// `InferenceEngine::prefill_batch` call, builds their compressed
-    /// caches, and publishes shareable context blocks to the prefix cache.
+    /// `InferenceEngine::prefill_batch` call, each over its prompt tokens
+    /// `done..end`. A candidate whose `end` is its prompt's builds its
+    /// compressed cache and publishes shareable context blocks to the
+    /// prefix cache; the one cut short keeps its rows and waits in
+    /// [`Phase::Prefilling`] for its next slice.
     fn prefill_candidates(
         &mut self,
-        candidates: Vec<PrepCandidate>,
+        candidates: Vec<(PrepCandidate, usize)>,
         now: usize,
     ) -> Result<(), CocktailError> {
         if candidates.is_empty() {
@@ -1623,12 +1817,7 @@ impl ServingEngine {
         let (outputs, elapsed_us) = {
             let slots: Vec<PrefillSlot<'_>> = candidates
                 .iter()
-                .map(|cand| match &cand.prefix {
-                    Some(hit) => {
-                        PrefillSlot::with_prefix(&cand.encoded.prompt, hit.kv(), hit.tokens())
-                    }
-                    None => PrefillSlot::cold(&cand.encoded.prompt),
-                })
+                .map(|(cand, end)| cand.slot(*end))
                 .collect();
             let start = Instant::now();
             let outputs = self.engine.prefill_batch(&slots);
@@ -1637,7 +1826,7 @@ impl ServingEngine {
         let outputs = match outputs {
             Ok(outputs) => outputs,
             Err(err) => {
-                for cand in &candidates {
+                for (cand, _) in &candidates {
                     self.fail_request(cand.id, now, err.to_string());
                 }
                 return Err(err.into());
@@ -1645,20 +1834,33 @@ impl ServingEngine {
         };
 
         // Attribute the batch wall time per request in proportion to its
-        // share of the attention work (computed suffix rows x full prompt
-        // length), the quadratic part batching does not amortize.
+        // share of the attention work (computed rows x prefix length seen
+        // by the last of them), the quadratic part batching does not
+        // amortize. A sliced request sums its shares over its slices.
         let weights: Vec<u128> = candidates
             .iter()
-            .map(|cand| {
-                let reused = cand.prefix.as_ref().map_or(0, PrefixHit::tokens);
-                ((cand.encoded.prompt.len() - reused) * cand.encoded.prompt.len()) as u128
-            })
+            .map(|(cand, end)| ((end - cand.done) * end) as u128)
             .collect();
         let total_weight: u128 = weights.iter().sum::<u128>().max(1);
 
-        for ((cand, output), weight) in candidates.into_iter().zip(outputs).zip(weights) {
-            let prefill_us = ((u128::from(elapsed_us) * weight) / total_weight) as u64;
-            let reused = cand.prefix.as_ref().map_or(0, PrefixHit::tokens);
+        for (((mut cand, end), output), weight) in candidates.into_iter().zip(outputs).zip(weights)
+        {
+            cand.prefill_us += ((u128::from(elapsed_us) * weight) / total_weight) as u64;
+            if end < cand.encoded.prompt.len() {
+                let id = cand.id;
+                match cand.extend(output, end) {
+                    Ok(()) => {
+                        let slot = self
+                            .slots
+                            .get_mut(&id)
+                            .expect("prefilling request has a slot");
+                        slot.stats.timings.prefill_us = cand.prefill_us;
+                        slot.phase = Phase::Prefilling(Box::new(cand));
+                    }
+                    Err(err) => self.fail_request(id, now, err.to_string()),
+                }
+                continue;
+            }
             let want_blocks = match &self.prefix_cache {
                 Some(cache) => {
                     cand.encoded.context_tokens.len() >= cache.config().min_prefix_tokens
@@ -1676,9 +1878,10 @@ impl ServingEngine {
                 cand.stop_sequences,
                 cand.sampling,
                 &cand.encoded,
-                cand.prefix.as_ref(),
+                cand.kv.as_ref().map(|kv| (kv, cand.done)),
+                cand.lease,
                 &output,
-                prefill_us,
+                cand.prefill_us,
                 want_blocks,
             );
             let mut publish: Option<(Vec<u32>, SharedPrefixKv)> = None;
@@ -1694,7 +1897,7 @@ impl ServingEngine {
                         slot.stats.query_tokens = task.query_tokens;
                         slot.stats.cache_bytes = task.cache_bytes;
                         slot.stats.fp16_cache_bytes = task.fp16_cache_bytes;
-                        slot.stats.prefix_reused_tokens = reused;
+                        slot.stats.prefix_reused_tokens = cand.reused;
                         slot.stats.timings = task.timings;
                         slot.phase = Phase::Prepared(Box::new(task));
                         if let Some(blocks) = blocks {
@@ -1768,8 +1971,12 @@ impl ServingEngine {
         if !evicted {
             let mut released = false;
             for slot in self.slots.values_mut() {
-                if let Phase::Prepared(task) | Phase::Running(task) = &mut slot.phase {
-                    released |= task.release_prefix();
+                match &mut slot.phase {
+                    Phase::Prepared(task) | Phase::Running(task) => {
+                        released |= task.release_prefix();
+                    }
+                    Phase::Prefilling(cand) => released |= cand.lease.take().is_some(),
+                    _ => {}
                 }
             }
             if released {
@@ -1797,7 +2004,7 @@ impl ServingEngine {
     /// misses, or loses the budget fight — the request then prefills the
     /// uncovered tail like any other partial hit.
     fn try_repromote(&mut self, tokens: &[u32]) {
-        let Some(cache) = self.prefix_cache.as_ref() else {
+        let Some(cache) = self.prefix_cache.as_ref().filter(|c| c.cold_tier_enabled()) else {
             return;
         };
         let resident = cache.peek_prefix_len(tokens);
@@ -1833,7 +2040,7 @@ impl ServingEngine {
             let kind = {
                 let slot = self.slots.get(&head).expect("queued request has a slot");
                 match &slot.phase {
-                    Phase::Queued(_) => HeadKind::Queued,
+                    Phase::Queued(_) | Phase::Prefilling(_) => HeadKind::Queued,
                     Phase::Failed(_) => HeadKind::Failed,
                     Phase::Prepared(task) => {
                         let tail_tokens = task.max_new_tokens.saturating_sub(1);
@@ -2033,6 +2240,7 @@ mod tests {
     use super::*;
     use crate::pipeline::CocktailPipeline;
     use cocktail_baselines::Fp16Policy;
+    use cocktail_model::Tokenizer;
     use proptest::prelude::*;
     use std::collections::BTreeMap as Map;
 
@@ -2645,6 +2853,198 @@ mod tests {
         assert!(engine.is_idle());
     }
 
+    /// A context of exactly `words` tokens: `preamble`'s words, then
+    /// words tagged `tag` up to the count.
+    fn context_of(preamble: &str, tag: &str, words: usize) -> String {
+        let mut text: Vec<String> = preamble.split_whitespace().map(str::to_string).collect();
+        let start = text.len();
+        text.extend((start..words).map(|i| format!("{tag}{}", i % 29)));
+        text.truncate(words);
+        text.join(" ")
+    }
+
+    const QUERY: &str = "which tally comes last";
+
+    /// The 40-token preamble a runner publishes for the warm cases.
+    fn preamble() -> String {
+        context_of("", "harbor", 40)
+    }
+
+    /// Serves a short runner alone for one step, then submits a long
+    /// request beside it and steps until that request is admitted.
+    /// Asserts that the runner commits a token every step and that both
+    /// answers equal their solo pipeline runs; returns the long request's
+    /// stats.
+    fn serve_beside_runner(runner_ctx: &str, long_ctx: &str) -> ServingStats {
+        let pipeline = CocktailPipeline::new(ModelProfile::tiny(), config()).unwrap();
+        let solo_runner = pipeline.run(runner_ctx, QUERY, 12).unwrap();
+        let solo_long = pipeline.run(long_ctx, QUERY, 4).unwrap();
+
+        let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
+            .unwrap()
+            .with_prefix_cache(PrefixCacheConfig::default());
+        let runner = engine.submit(ServeRequest::new(runner_ctx, QUERY, 12));
+        engine.step().unwrap();
+        assert_eq!(engine.state(runner), Some(RequestState::Running));
+        let long = engine.submit(ServeRequest::new(long_ctx, QUERY, 4));
+        while engine.state(long) == Some(RequestState::Queued) {
+            let events = engine.step_events().unwrap();
+            assert!(
+                events.iter().any(|e| e.id == runner && e.token.is_some()),
+                "the runner must commit a token every step"
+            );
+        }
+        let stats = engine.stats(long).unwrap().clone();
+        let outcomes = engine.run_until_idle().unwrap();
+        let by_id = |id: RequestId| outcomes.iter().find(|o| o.id == id).unwrap();
+        assert_eq!(by_id(runner).outcome.answer, solo_runner.answer);
+        assert_eq!(
+            by_id(runner).outcome.generated_tokens,
+            solo_runner.generated_tokens
+        );
+        assert_eq!(by_id(long).outcome.answer, solo_long.answer);
+        assert_eq!(
+            by_id(long).outcome.generated_tokens,
+            solo_long.generated_tokens
+        );
+        assert_eq!(by_id(long).outcome.cache_bytes, solo_long.cache_bytes);
+        stats
+    }
+
+    #[test]
+    fn a_long_prefill_beside_decodes_takes_one_slice_per_step() {
+        let budget = PREFILL_SLICE_TOKENS;
+        let query = Tokenizer::split_words(QUERY).len();
+        // Uncovered contexts ending one before, at and one after a slice
+        // boundary, so a slice stops short at the context's end, exactly
+        // at it, or one token before it.
+        for context in [
+            budget - 1,
+            budget,
+            budget + 1,
+            2 * budget - 1,
+            2 * budget,
+            2 * budget + 1,
+        ] {
+            // Cold: the runner shares nothing with the long request.
+            let runner_ctx = context_of("", "beacon", 40);
+            let stats = serve_beside_runner(&runner_ctx, &context_of("", "tally", context));
+            let uncovered = context + query;
+            assert_eq!(stats.prefix_reused_tokens, 0);
+            assert_eq!(
+                stats.admitted_step.unwrap() - stats.submitted_step,
+                uncovered.div_ceil(budget),
+                "cold context of {context} tokens"
+            );
+
+            // Warm: the runner publishes a 40-token preamble the long
+            // request resumes from.
+            let shared = preamble();
+            let runner_ctx = context_of(&format!("{shared} beacon"), "beacon", 60);
+            let long_ctx = context_of(&shared, "tally", 40 + context);
+            let stats = serve_beside_runner(&runner_ctx, &long_ctx);
+            assert_eq!(stats.prefix_reused_tokens, 40);
+            assert_eq!(
+                stats.admitted_step.unwrap() - stats.submitted_step,
+                uncovered.div_ceil(budget),
+                "warm context of 40 + {context} tokens"
+            );
+        }
+    }
+
+    #[test]
+    fn an_idle_engine_prefills_a_long_prompt_whole_in_one_step() {
+        let profile = ModelProfile::llama2_7b_sim();
+        let mut engine = ServingEngine::new(profile, config()).unwrap();
+        let query = Tokenizer::split_words(QUERY).len();
+        let id = engine.submit(ServeRequest::new(
+            context_of("", "tally", 2048 - query),
+            QUERY,
+            1,
+        ));
+        engine.step().unwrap();
+        let stats = engine.stats(id).unwrap();
+        assert_eq!(stats.context_tokens + stats.query_tokens, 2048);
+        assert_eq!(stats.admitted_step, Some(stats.submitted_step + 1));
+    }
+
+    #[test]
+    fn a_sliced_prefill_is_timed_as_the_sum_of_its_slices() {
+        // Two 256-token slices, then a last slice of one context token
+        // plus the query: the last share alone is far below the sum.
+        let mut engine = ServingEngine::new(ModelProfile::tiny(), config()).unwrap();
+        engine.submit(ServeRequest::new(context_of("", "beacon", 40), QUERY, 12));
+        engine.step().unwrap();
+        let long = engine.submit(ServeRequest::new(
+            context_of("", "tally", 2 * PREFILL_SLICE_TOKENS + 1),
+            QUERY,
+            4,
+        ));
+        let mut seen = Vec::new();
+        while engine.state(long) == Some(RequestState::Queued) {
+            engine.step().unwrap();
+            seen.push(engine.stats(long).unwrap().timings.prefill_us);
+        }
+        assert_eq!(seen.len(), 3, "three slices");
+        assert!(seen[0] > 0, "the first slice is timed");
+        assert!(
+            seen.windows(2).all(|w| w[0] <= w[1]),
+            "each slice adds its share: {seen:?}"
+        );
+        let outcome = engine
+            .run_until_idle()
+            .unwrap()
+            .into_iter()
+            .find(|o| o.id == long)
+            .unwrap();
+        assert_eq!(outcome.outcome.timings.prefill_us, seen[2]);
+    }
+
+    #[test]
+    fn cancelling_mid_prefill_drops_the_rows_and_the_lease() {
+        let shared = preamble();
+        let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
+            .unwrap()
+            .with_prefix_cache(PrefixCacheConfig::default());
+        let runner = engine.submit(ServeRequest::new(
+            context_of(&format!("{shared} beacon"), "beacon", 60),
+            QUERY,
+            12,
+        ));
+        engine.step().unwrap();
+        let long = engine.submit(ServeRequest::new(
+            context_of(&shared, "tally", 40 + 2 * PREFILL_SLICE_TOKENS),
+            QUERY,
+            4,
+        ));
+        engine.step().unwrap();
+        assert_eq!(engine.state(long), Some(RequestState::Queued));
+        assert!(matches!(
+            &engine.slots[&long].phase,
+            Phase::Prefilling(cand) if cand.lease.is_some() && cand.done > 40
+        ));
+        let pinned = engine.prefix_cache_stats().unwrap().pinned_entries;
+        assert!(pinned > 0, "the part-prefilled request pins its hit");
+        assert!(engine.cancel(long));
+        assert!(matches!(engine.slots[&long].phase, Phase::Cancelled));
+        assert_eq!(engine.prefix_cache_stats().unwrap().pinned_entries, 0);
+        let events = engine.step_events().unwrap();
+        let terminal: Vec<&TokenEvent> = events.iter().filter(|e| e.id == long).collect();
+        assert_eq!(terminal.len(), 1);
+        assert_eq!(terminal[0].finish, Some(FinishReason::Cancelled));
+        assert_eq!(terminal[0].token, None);
+        engine.run_until_idle().unwrap();
+        assert_eq!(
+            engine.state(runner),
+            None,
+            "the runner completed and was taken"
+        );
+        assert_eq!(
+            engine.kv_bytes_in_use(),
+            engine.prefix_cache_stats().unwrap().resident_bytes
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -2739,6 +3139,103 @@ mod tests {
                         &outcome.outcome.answer, &solo[i].answer,
                         "survivor diverged from its solo sequential run"
                     );
+                    prop_assert_eq!(&outcome.outcome.generated_tokens, &solo[i].generated_tokens);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Cancellations landing while long prompts are prefilled in
+        /// slices beside a decoding runner: a cancelled request's partial
+        /// rows and trie pin go with it, its stream closes with one
+        /// `Cancelled` event, an idle engine holds no request bytes and no
+        /// pins, and every survivor equals its solo pipeline run.
+        #[test]
+        fn random_cancellations_mid_prefill_free_rows_pins_and_budget(
+            cancel_seed in 0u64..500,
+            cancel_count in 1usize..4,
+        ) {
+            let shared = preamble();
+            // A runner, then three warm prompts of 244 to 544 tokens that
+            // take one to three slices each, one after another.
+            let mut requests = vec![(context_of(&format!("{shared} beacon"), "beacon", 60), 10)];
+            requests.extend(
+                (0..3).map(|i| (context_of(&shared, &format!("tally{i}x"), 240 + 150 * i), 4)),
+            );
+            let pipeline = CocktailPipeline::new(ModelProfile::tiny(), config()).unwrap();
+            let solo: Vec<CocktailOutcome> = requests
+                .iter()
+                .map(|(ctx, max_new)| pipeline.run(ctx, QUERY, *max_new).unwrap())
+                .collect();
+
+            let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
+                .unwrap()
+                .with_prefix_cache(PrefixCacheConfig::default());
+            let submit = |engine: &mut ServingEngine, (ctx, max_new): &(String, usize)| {
+                engine.submit(ServeRequest::new(ctx.clone(), QUERY, *max_new))
+            };
+            let mut ids = vec![submit(&mut engine, &requests[0])];
+            engine.step().unwrap();
+            ids.extend(requests[1..].iter().map(|r| submit(&mut engine, r)));
+
+            // Victims among every request, cancelled at steps 2..=6, while
+            // the long prompts are being sliced.
+            let schedule: Vec<(usize, RequestId)> = (0..cancel_count)
+                .map(|i| {
+                    let mix = cancel_seed
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(i as u64);
+                    ((mix % 5) as usize + 2, ids[(mix >> 8) as usize % ids.len()])
+                })
+                .collect();
+            let mut cancelled: Vec<RequestId> = Vec::new();
+            let mut finishes: Map<RequestId, FinishReason> = Map::new();
+            let mut guard = 0;
+            while !engine.is_idle() {
+                guard += 1;
+                prop_assert!(guard < 10_000, "serving failed to quiesce");
+                let step = engine.clock();
+                for (at, id) in &schedule {
+                    if *at <= step && !cancelled.contains(id) && engine.cancel(*id) {
+                        cancelled.push(*id);
+                        prop_assert!(matches!(engine.slots[id].phase, Phase::Cancelled));
+                    }
+                }
+                for event in engine.step_events().unwrap() {
+                    if let Some(reason) = event.finish {
+                        prop_assert!(
+                            finishes.insert(event.id, reason).is_none(),
+                            "{} finished twice",
+                            event.id
+                        );
+                    }
+                }
+                let prefilling = engine
+                    .slots
+                    .values()
+                    .filter(|slot| matches!(slot.phase, Phase::Prefilling(_)))
+                    .count();
+                prop_assert!(prefilling <= 1, "{prefilling} requests part-prefilled");
+            }
+
+            let cache_stats = engine.prefix_cache_stats().expect("cache enabled");
+            prop_assert_eq!(cache_stats.pinned_entries, 0, "idle engine holds pins");
+            prop_assert_eq!(
+                engine.kv_bytes_in_use(),
+                cache_stats.resident_bytes,
+                "idle engine still charges request bytes"
+            );
+            for (i, id) in ids.iter().enumerate() {
+                if cancelled.contains(id) {
+                    prop_assert_eq!(finishes[id], FinishReason::Cancelled);
+                    prop_assert!(engine.take_cancelled(*id).expect("cancelled stats").cancelled);
+                } else {
+                    prop_assert_eq!(finishes[id], FinishReason::Length);
+                    let outcome = engine.take_outcome(*id).expect("survivor completed");
+                    prop_assert_eq!(&outcome.outcome.answer, &solo[i].answer);
                     prop_assert_eq!(&outcome.outcome.generated_tokens, &solo[i].generated_tokens);
                 }
             }
