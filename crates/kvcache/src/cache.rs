@@ -531,6 +531,17 @@ impl ChunkedKvCache {
         self.entries[idx].as_mut()
     }
 
+    /// Moves one (layer, head) slot's cache out, leaving the slot empty
+    /// until [`ChunkedKvCache::set`] puts it back; `None` if it was empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot indices are out of range.
+    pub fn take(&mut self, layer: usize, head: usize) -> Option<ChunkedLayerCache> {
+        let idx = self.index(layer, head);
+        self.entries[idx].take()
+    }
+
     /// Iterator over all populated slots as `(layer, head, cache)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &ChunkedLayerCache)> {
         self.entries.iter().enumerate().filter_map(move |(i, e)| {
@@ -1011,6 +1022,12 @@ mod tests {
             .try_for_each_mut(|_, _, layer| layer.quantize_chunk(0, Bitwidth::Int2, 16))
             .unwrap();
         assert!(cache.total_storage_bytes() < cache.total_fp16_reference_bytes());
+
+        let taken = cache.take(1, 0).expect("populated");
+        assert!(cache.get(1, 0).is_none());
+        assert!(cache.take(1, 0).is_none());
+        cache.set(1, 0, taken);
+        assert_eq!(cache.iter().count(), 4);
     }
 
     #[test]

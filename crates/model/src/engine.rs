@@ -14,6 +14,29 @@ use cocktail_tensor::Matrix;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
+/// Least attention work of one layer, in QK multiply-adds (causally
+/// visible (query, key) pairs × `hidden_dim`), for which the engine forks
+/// the layer's prefill tiles or decode units onto the kernel pool.
+///
+/// It is the lower edge of the fork's measured winning region. On decode
+/// rounds over Cocktail-compressed caches (b1–b8, 32–2048-token contexts,
+/// one kernel thread against two on a 2-vCPU host; the table is in
+/// `ROADMAP.md`), rounds of ~66k or less ran slower forked in 24 of 28
+/// readings and rounds of ~131k or more ran faster in all 23. Between
+/// them, served lone decodes at ~100–120k read from 0.75x to 1.04x
+/// forked over inline. A pool dispatch wakes idle workers, which costs
+/// more than the kernel dispatchers' `PARALLEL_THRESHOLD` assumes. At
+/// 128 Ki a lone request's decode forks from position 2047 on, while two
+/// short prompts of up to 32 tokens (2 × 528 pairs × 64 = 67,584)
+/// prefill inline.
+const ATTENTION_FORK_WORK: usize = 128 * 1024;
+
+/// Whether a layer's attention of `work` QK multiply-adds forks onto the
+/// kernel pool under the current `kernel_threads()`.
+fn fork_attention(work: usize) -> bool {
+    kernel_parallel::kernel_threads() > 1 && work >= ATTENTION_FORK_WORK
+}
+
 /// Raw (unquantized) key/value tensors of one (layer, KV-head) pair
 /// produced by the prefill phase, shape `(tokens, head_dim)` each.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,61 +226,44 @@ impl EngineShared {
         Ok(())
     }
 
-    /// RoPE-rotates and appends one request's token KV to its cache, then
-    /// computes its decode attention for one layer: the per-request section
-    /// of a batched decode step. The arithmetic is exactly the single-
-    /// request [`InferenceEngine::decode_step`] path, so results never
-    /// depend on the batch composition — or on whether a kernel-pool job
-    /// or the caller's thread ran it. It runs inside such a job, so it must
-    /// never fork: `append_decode_token` and `attend` dispatch nothing.
-    ///
-    /// The query heads sharing a KV head go to its cache as one
-    /// `(gqa_group_size, head_dim)` block, so each cached row is
-    /// reconstructed once per group rather than once per head; query rows
-    /// are independent in `attend`, so every output bit is the per-head
-    /// result.
-    fn token_attention(
+    /// One (request, KV-head) unit of a decode layer: RoPE-rotates the
+    /// token's key at `pos` and appends it with its value to the unit's
+    /// cache entry, so the token attends to itself as in standard causal
+    /// decoding, then rotates each query head of the group at `pos` and
+    /// attends the group over the entry. The query heads sharing a KV head
+    /// go to `attend` as one `(gqa_group_size, head_dim)` block, so each
+    /// cached row is reconstructed once per group rather than once per
+    /// head; query rows are independent in `attend`, so every output bit is
+    /// the per-head result, and no result depends on which other units ran
+    /// beside it or on which thread. It runs inside a kernel-pool job, so it
+    /// must never fork: `append_decode_token` and `attend` dispatch nothing.
+    fn unit_attention(
         &self,
         layer_idx: usize,
-        cache: &mut ChunkedKvCache,
-        pos: usize,
-        q_row: &Matrix,
-        k_row: &Matrix,
-        v_row: &Matrix,
+        unit: &mut DecodeUnit,
     ) -> Result<Matrix, ModelError> {
+        let DecodeUnit {
+            entry,
+            kv_head,
+            pos,
+            q,
+            k,
+            v,
+        } = unit;
+        let entry = entry.as_mut().ok_or_else(|| {
+            ModelError::CacheMismatch(format!(
+                "cache slot (layer {layer_idx}, head {kv_head}) is not populated"
+            ))
+        })?;
+        let theta = self.config.rope_theta;
+        rope_in_place(k, *pos, theta);
+        entry.append_decode_token(k, v)?;
         let head = self.config.head_dim();
-        let scale = self.attention_scale();
-        // Append this token's KV to every KV-head cache first so the token
-        // attends to itself, as in standard causal decoding.
-        for j in 0..self.config.n_kv_heads {
-            let mut k_j = k_row.slice_cols(j * head, (j + 1) * head);
-            rope_rows(&mut k_j, pos, self.config.rope_theta);
-            let v_j = v_row.slice_cols(j * head, (j + 1) * head);
-            let entry = cache.get_mut(layer_idx, j).ok_or_else(|| {
-                ModelError::CacheMismatch(format!(
-                    "cache slot (layer {layer_idx}, head {j}) is not populated"
-                ))
-            })?;
-            entry.append_decode_token(k_j.row(0), v_j.row(0))?;
+        for query in q.chunks_exact_mut(head) {
+            rope_in_place(query, *pos, theta);
         }
-        // The token's query row as one `(n_heads, head_dim)` matrix, each
-        // head rotated at `pos`; its rows are the heads in order.
-        let mut q_heads = Matrix::from_vec(self.config.n_heads, head, q_row.row(0).to_vec())?;
-        for h in 0..self.config.n_heads {
-            rope_in_place(q_heads.row_mut(h), pos, self.config.rope_theta);
-        }
-        let group = self.config.gqa_group_size();
-        let mut out = Vec::with_capacity(self.config.n_heads * head);
-        for kv_head in 0..self.config.n_kv_heads {
-            let entry = cache.get(layer_idx, kv_head).ok_or_else(|| {
-                ModelError::CacheMismatch(format!(
-                    "cache slot (layer {layer_idx}, head {kv_head}) is not populated"
-                ))
-            })?;
-            let q_group = q_heads.slice_rows(kv_head * group, (kv_head + 1) * group);
-            out.extend_from_slice(entry.attend(&q_group, scale)?.as_slice());
-        }
-        Matrix::from_vec(1, out.len(), out).map_err(ModelError::from)
+        let q_group = Matrix::from_vec(q.len() / head, head, std::mem::take(q))?;
+        Ok(entry.attend(&q_group, self.attention_scale())?)
     }
 
     /// One (slot, head) tile of a prefill layer: RoPE the head's queries
@@ -290,34 +296,18 @@ impl EngineShared {
     }
 }
 
-/// The caches (and token positions) of one contiguous chunk of a decode
-/// batch. Ownership of the caches is taken from the borrowed slots at the
-/// start of a round, moves into the chunk's kernel-pool job and back once
-/// per layer, and returns to the slots when the round ends.
-struct DecodeChunk {
-    caches: Vec<ChunkedKvCache>,
-    positions: Vec<usize>,
-}
-
-impl DecodeChunk {
-    /// The chunk's attention rows for one layer, slot by slot; `rows` are
-    /// the chunk's Q, K and V projection rows.
-    fn attention(
-        &mut self,
-        shared: &EngineShared,
-        layer_idx: usize,
-        [q, k, v]: &[Matrix; 3],
-    ) -> Result<Vec<Matrix>, ModelError> {
-        let row = |m: &Matrix, i: usize| m.slice_rows(i, i + 1);
-        self.caches
-            .iter_mut()
-            .zip(&self.positions)
-            .enumerate()
-            .map(|(i, (cache, &pos))| {
-                shared.token_attention(layer_idx, cache, pos, &row(q, i), &row(k, i), &row(v, i))
-            })
-            .collect()
-    }
+/// One (request, KV-head) unit of a decode layer. Its cache entry moves
+/// out of the request's [`ChunkedKvCache`] for the layer, into the unit's
+/// kernel-pool job and back into the same slot afterwards, error or not;
+/// the rows are the token's query heads that share the KV head and the KV
+/// head's slices of the token's key and value, all before RoPE.
+struct DecodeUnit {
+    entry: Option<ChunkedLayerCache>,
+    kv_head: usize,
+    pos: usize,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
 }
 
 /// One prefill slot in an owned form a tile job can capture (the
@@ -372,9 +362,10 @@ impl PrefillSlotMeta {
 ///
 /// The engine owns no threads. Its parallel work runs on the process-wide
 /// kernel pool of `cocktail_quant::parallel`, sized and tiled by
-/// `COCKTAIL_KERNEL_THREADS`: a lone prefill slot's (slot, head) attention
-/// tiles, and a decode batch's per-request attention cut into contiguous
-/// chunks. Work is stitched back in order, so every output is
+/// `COCKTAIL_KERNEL_THREADS`: a prefill batch's (slot, head) attention
+/// tiles, and a decode batch's (request, KV-head) attention units cut into
+/// contiguous jobs, each whenever a layer's attention work clears one
+/// measured gate. Work is stitched back in order, so every output is
 /// bit-identical at every thread count.
 ///
 /// # Example
@@ -549,11 +540,11 @@ impl InferenceEngine {
     /// by its own suffix keys, causally, through
     /// [`cocktail_tensor::ops::causal_attention`] — no score, mask or
     /// probability matrix exists. Each layer's tiles form one flat,
-    /// slot-major list. A lone slot's list runs on the process-wide kernel
-    /// pool when its visible-pair work clears
-    /// [`cocktail_quant::parallel::PARALLEL_THRESHOLD`] (under
-    /// `COCKTAIL_KERNEL_THREADS`); a batch of several slots, and anything
-    /// below the threshold, runs the same list inline.
+    /// slot-major list. The list runs on the process-wide kernel pool
+    /// (under `COCKTAIL_KERNEL_THREADS`) when its visible-pair work, summed
+    /// over every slot, clears the engine's attention fork gate, the same
+    /// one [`InferenceEngine::decode_step_batch`] uses (128 Ki QK
+    /// multiply-adds); below it the same list runs inline.
     ///
     /// A prefill hands on each layer's K/V and the logits after each
     /// slot's final row, nothing else. So the last layer norms every row
@@ -662,21 +653,14 @@ impl InferenceEngine {
     /// `prompt_len − 1`. The KV is always every suffix row's.
     ///
     /// The work is one flat, slot-major list of (slot, head) tiles, each
-    /// owning its head's queries and sharing its slot's suffix KV.
-    /// A lone slot above the threshold hands the list to
+    /// owning its head's queries and sharing its slot's suffix KV. When the
+    /// causally visible pairs of every slot, times `hidden_dim`, clear
+    /// [`ATTENTION_FORK_WORK`], the list goes to
     /// [`kernel_parallel::run_jobs`] (job `i` on worker `i % workers`, so
-    /// its heads alternate between workers); every other batch runs the
-    /// same tiles inline in the same order. A tile's arithmetic does not
-    /// depend on where it runs, and tiles are stitched in list order, so
-    /// the output is bit-identical either way.
-    ///
-    /// Several slots arrive together when a scheduler admits a burst,
-    /// usually beside its running decode batch, and there the fork was
-    /// measured to cost more than it buys: on the 2-vCPU reference box two
-    /// computing threads each run about 1.3x slower, in regimes that last
-    /// seconds, so forking those batches made `admission_storm` a further
-    /// 1.3x faster per run but spread its runs from 3.5% to 8-12% of
-    /// `tok_s` (inter-quartile), wider than the benchmark's bound.
+    /// heads alternate between workers), however many slots it holds; a
+    /// smaller list runs inline in the same order. A tile's arithmetic does
+    /// not depend on where it runs, and tiles are stitched in list order,
+    /// so the output is bit-identical either way.
     fn prefill_layer_attention(
         &self,
         layer_idx: usize,
@@ -730,9 +714,7 @@ impl InferenceEngine {
             .iter()
             .map(|meta| meta.visible_pairs(final_row_only))
             .sum();
-        let fork =
-            metas.len() == 1 && kernel_parallel::should_parallelize(pairs * config.hidden_dim);
-        let outputs = if fork {
+        let outputs = if fork_attention(pairs * config.hidden_dim) {
             kernel_parallel::run_jobs(tiles)
         } else {
             tiles.into_iter().map(|tile| tile()).collect()
@@ -818,22 +800,27 @@ impl InferenceEngine {
     /// so batching never changes any request's logits: batched serving is
     /// bit-identical to sequential serving.
     ///
-    /// The per-request attention, the request-level parallelism continuous
-    /// batching exposes, runs on the process-wide kernel pool. The batch is
-    /// cut into `kernel_threads().min(batch)` contiguous chunks whose caches
-    /// move out of the slots for the round (an O(1) move each). Per layer
-    /// the caller's thread streams the QKV/MLP weights for the whole batch,
-    /// and [`kernel_parallel::run_jobs`] runs one job per chunk that owns
-    /// the chunk's caches and hands them back with its attention rows; a
-    /// lone chunk (a batch of one, or one kernel thread) runs inline. Rows
-    /// are stitched in chunk order, so the output is bit-identical at every
-    /// thread count. Error or not, every cache is back in its slot when
-    /// this returns, and a panic inside a job is caught there and returned
-    /// as [`ModelError::Numeric`], so no pool worker dies of it.
+    /// Attention is one list of (request, KV-head) units per layer, in
+    /// request-major order. A unit's cache entry moves out of its request's
+    /// cache for the layer (an O(1) move) together with the token's position,
+    /// the query rows of the heads sharing that KV head and the KV head's
+    /// key and value slices. When the round's QK work, `Σ(pos + 1) ·
+    /// hidden_dim` multiply-adds per layer, clears the engine's attention
+    /// fork gate (128 Ki, measured on Cocktail-compressed caches, shared
+    /// with [`InferenceEngine::prefill_batch`]), the list is
+    /// cut by [`kernel_parallel::tile_ranges`] into `kernel_threads()`
+    /// contiguous jobs on [`kernel_parallel::run_jobs`], so even a lone
+    /// request's heads fill every kernel thread; below the gate it runs
+    /// inline as one job. The caller's thread streams the QKV/MLP weights
+    /// for the whole batch in between. Unit outputs are stitched in (request,
+    /// head) order, so the output is bit-identical at every thread count.
+    /// Error or not, every entry is back in its slot when this returns, and
+    /// a panic inside a job is caught there and returned as
+    /// [`ModelError::Numeric`].
     ///
     /// A decode job must never fork: the job would wait on the pool it runs
     /// on. Jobs call only `append_decode_token` and `attend`, and neither
-    /// dispatches to the pool; any change to the per-request attention must
+    /// dispatches to the pool; any change to the per-unit attention must
     /// keep it so.
     ///
     /// # Errors
@@ -863,30 +850,22 @@ impl InferenceEngine {
         }
         let tokens: Vec<u32> = slots.iter().map(|s| s.token).collect();
         let mut x = self.embed(&tokens)?;
-
-        let n = slots.len();
-        let chunk_len = n.div_ceil(kernel_parallel::kernel_threads().min(n));
-        let mut chunks: Vec<DecodeChunk> = slots
-            .chunks_mut(chunk_len)
-            .map(|chunk| DecodeChunk {
-                caches: chunk
-                    .iter_mut()
-                    .map(|slot| std::mem::replace(slot.cache, ChunkedKvCache::new(0, 0)))
-                    .collect(),
-                positions: chunk.iter().map(|slot| slot.pos).collect(),
-            })
-            .collect();
-        let round = self.decode_layers(&mut chunks, &mut x);
-        for (chunk_slots, chunk) in slots.chunks_mut(chunk_len).zip(chunks) {
-            for (slot, cache) in chunk_slots.iter_mut().zip(chunk.caches) {
-                *slot.cache = cache;
-            }
+        let qk_work: usize =
+            slots.iter().map(|slot| slot.pos + 1).sum::<usize>() * config.hidden_dim;
+        let jobs = if fork_attention(qk_work) {
+            kernel_parallel::kernel_threads()
+        } else {
+            1
+        };
+        for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
+            let (q, k, v) = self.shared.layer_qkv(layer, &x, None)?;
+            let attn = self.decode_layer_attention(layer_idx, slots, jobs, [&q, &k, &v])?;
+            self.shared.finish_layer(layer, &mut x, vec![attn])?;
         }
-        round?;
 
         rms_norm_rows(&mut x, &self.shared.weights.final_norm, config.rms_eps);
         let logits = x.matmul(&self.shared.weights.lm_head)?;
-        Ok((0..n)
+        Ok((0..slots.len())
             .map(|i| {
                 let logits_vec = logits.row(i).to_vec();
                 let next_token = argmax(&logits_vec);
@@ -898,50 +877,79 @@ impl InferenceEngine {
             .collect())
     }
 
-    /// Every layer of one decode round: each chunk's attention is one
-    /// [`kernel_parallel::run_jobs`] job, and every job hands its chunk
-    /// back into `chunks` before the first error, if any, returns.
-    fn decode_layers(
+    /// One decode layer's attention rows, one per slot: the layer's
+    /// (request, KV-head) units cut into `jobs` contiguous
+    /// [`kernel_parallel::run_jobs`] jobs. Every job hands its units back,
+    /// and every entry is set back into its slot before the first error, if
+    /// any, returns.
+    fn decode_layer_attention(
         &self,
-        chunks: &mut Vec<DecodeChunk>,
-        x: &mut Matrix,
-    ) -> Result<(), ModelError> {
-        for (layer_idx, layer) in self.shared.weights.layers.iter().enumerate() {
-            let (q_all, k_all, v_all) = self.shared.layer_qkv(layer, x, None)?;
-            let mut start = 0;
-            let jobs: Vec<_> = chunks
-                .drain(..)
-                .map(|mut chunk| {
-                    let end = start + chunk.caches.len();
-                    let rows = [&q_all, &k_all, &v_all].map(|m| m.slice_rows(start, end));
-                    let rows_range = start..end;
-                    start = end;
-                    let shared = Arc::clone(&self.shared);
-                    move || {
-                        let attention = panic::catch_unwind(AssertUnwindSafe(|| {
-                            chunk.attention(&shared, layer_idx, &rows)
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(ModelError::Numeric(format!(
-                                "decode job for batch rows {rows_range:?} panicked"
-                            )))
-                        });
-                        (attention, chunk)
-                    }
-                })
-                .collect();
-            let attention: Vec<_> = kernel_parallel::run_jobs(jobs)
-                .into_iter()
-                .map(|(rows, chunk)| {
-                    chunks.push(chunk);
-                    rows
-                })
-                .collect();
-            let attn_rows = attention.into_iter().collect::<Result<Vec<_>, _>>()?;
-            self.shared
-                .finish_layer(layer, x, attn_rows.into_iter().flatten().collect())?;
+        layer_idx: usize,
+        slots: &mut [DecodeSlot<'_>],
+        jobs: usize,
+        [q, k, v]: [&Matrix; 3],
+    ) -> Result<Matrix, ModelError> {
+        let config = &self.shared.config;
+        let head = config.head_dim();
+        let q_width = config.gqa_group_size() * head;
+        let mut units = Vec::with_capacity(slots.len() * config.n_kv_heads);
+        for (i, slot) in slots.iter_mut().enumerate() {
+            for j in 0..config.n_kv_heads {
+                units.push(DecodeUnit {
+                    entry: slot.cache.take(layer_idx, j),
+                    kv_head: j,
+                    pos: slot.pos,
+                    q: q.row(i)[j * q_width..(j + 1) * q_width].to_vec(),
+                    k: k.row(i)[j * head..(j + 1) * head].to_vec(),
+                    v: v.row(i)[j * head..(j + 1) * head].to_vec(),
+                });
+            }
         }
-        Ok(())
+        let mut remaining = units.into_iter();
+        let jobs: Vec<_> = kernel_parallel::tile_ranges(remaining.len(), jobs)
+            .into_iter()
+            .map(|(start, end)| {
+                let mut units: Vec<DecodeUnit> = remaining.by_ref().take(end - start).collect();
+                let shared = Arc::clone(&self.shared);
+                move || {
+                    let attention = panic::catch_unwind(AssertUnwindSafe(|| {
+                        units
+                            .iter_mut()
+                            .map(|unit| shared.unit_attention(layer_idx, unit))
+                            .collect::<Result<Vec<Matrix>, ModelError>>()
+                    }))
+                    .unwrap_or_else(|_| {
+                        Err(ModelError::Numeric(format!(
+                            "decode job for units {start}..{end} of layer {layer_idx} panicked"
+                        )))
+                    });
+                    (attention, units)
+                }
+            })
+            .collect();
+
+        let mut index = 0;
+        let attention: Vec<_> = kernel_parallel::run_jobs(jobs)
+            .into_iter()
+            .map(|(attention, units)| {
+                for unit in units {
+                    if let Some(entry) = unit.entry {
+                        let slot = &mut slots[index / config.n_kv_heads];
+                        slot.cache.set(layer_idx, unit.kv_head, entry);
+                    }
+                    index += 1;
+                }
+                attention
+            })
+            .collect();
+        let blocks = attention.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let out: Vec<f32> = blocks
+            .iter()
+            .flatten()
+            .flat_map(Matrix::as_slice)
+            .copied()
+            .collect();
+        Matrix::from_vec(slots.len(), config.hidden_dim, out).map_err(ModelError::from)
     }
 
     /// Greedy generation of `max_new_tokens` tokens after the prompt, using
@@ -990,6 +998,7 @@ mod tests {
     use super::*;
     use cocktail_kvcache::ChunkPermutation;
     use cocktail_quant::{Bitwidth, QuantAxis};
+    use cocktail_tensor::rng;
 
     fn tiny_engine() -> InferenceEngine {
         InferenceEngine::new(ModelProfile::tiny()).unwrap()
@@ -1194,21 +1203,25 @@ mod tests {
             assert_same_bits(&slot_bits(got), &reference, &format!("batch slot {i}"));
         }
 
-        // GQA, long enough that the lone slot's one-row last-layer tiles
-        // clear the fork threshold and run on the kernel pool at 4 threads.
+        // GQA, three slots long enough that even the last layer's one-row
+        // tiles (one query row per slot) clear the fork gate together and
+        // run on the kernel pool at 4 threads.
         let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
-        let long = cyclic_prompt(&engine, 1040, 6);
-        assert!(long.len() * engine.config().hidden_dim >= kernel_parallel::PARALLEL_THRESHOLD);
-        let reference = slot_bits(&materialised_prefill(&engine, &PrefillSlot::cold(&long)));
+        let long = [(700, 6), (690, 7), (710, 8)].map(|(n, salt)| cyclic_prompt(&engine, n, salt));
+        assert!((700 + 690 + 710) * engine.config().hidden_dim >= ATTENTION_FORK_WORK);
+        let slots: Vec<PrefillSlot<'_>> = long.iter().map(|p| PrefillSlot::cold(p)).collect();
+        let references: Vec<Vec<Vec<u32>>> = slots
+            .iter()
+            .map(|slot| slot_bits(&materialised_prefill(&engine, slot)))
+            .collect();
         for threads in [1usize, 4] {
             kernel_parallel::set_kernel_thread_override(Some(threads));
-            let got = prefill_one(&engine, PrefillSlot::cold(&long));
+            let outputs = engine.prefill_batch(&slots).unwrap();
             kernel_parallel::set_kernel_thread_override(None);
-            assert_same_bits(
-                &slot_bits(&got),
-                &reference,
-                &format!("GQA, {threads} threads"),
-            );
+            for (i, (got, reference)) in outputs.iter().zip(&references).enumerate() {
+                let context = format!("GQA slot {i}, {threads} threads");
+                assert_same_bits(&slot_bits(got), reference, &context);
+            }
         }
     }
 
@@ -1463,8 +1476,9 @@ mod tests {
 
     /// Decodes `rounds` greedy steps of every prompt alone through
     /// `decode_step`, then as one batch through `decode_step_batch` under
-    /// kernel-thread overrides of 1 (one inline chunk) and 4 (forked
-    /// chunks), and asserts the logits, next tokens and whole caches agree.
+    /// kernel-thread overrides of 1 (one inline job) and 2 and 4 (forked
+    /// jobs of (request, KV-head) units, when the round clears the gate),
+    /// and asserts the logits, next tokens and whole caches agree.
     fn assert_batched_decode_matches_solo(
         engine: &InferenceEngine,
         prompts: &[Vec<u32>],
@@ -1498,7 +1512,7 @@ mod tests {
             .collect();
 
         let mut kernel_spawns = None;
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             kernel_parallel::set_kernel_thread_override(Some(threads));
             let mut caches = fresh_caches();
             let mut tokens: Vec<u32> = prefills.iter().map(PrefillOutput::next_token).collect();
@@ -1539,49 +1553,190 @@ mod tests {
         assert_batched_decode_matches_solo(&engine, &prompts, 4, 3);
 
         let engine = long_context_engine();
-        let prompts: Vec<Vec<u32>> = [2048usize, 1024, 768]
+        let prompts: Vec<Vec<u32>> = [2048usize, 1536, 768]
             .iter()
             .enumerate()
             .map(|(i, &n)| cyclic_prompt(&engine, n, i as u32))
             .collect();
+        assert_forks(&engine, prompts.iter().map(Vec::len));
         assert_batched_decode_matches_solo(&engine, &prompts, 32, 3);
+    }
+
+    /// Quantizes every slot's chunks to a repeating INT2/FP16/INT4 mix in
+    /// groups of 16 and reorders them into same-bitwidth runs, the shape a
+    /// Cocktail policy leaves a cache in.
+    fn mix_bitwidths(cache: &mut ChunkedKvCache) {
+        const WIDTHS: [Bitwidth; 3] = [Bitwidth::Int2, Bitwidth::Fp16, Bitwidth::Int4];
+        cache
+            .try_for_each_mut(|_, _, layer| {
+                let widths: Vec<Bitwidth> =
+                    (0..layer.chunk_count()).map(|i| WIDTHS[i % 3]).collect();
+                for (i, &bitwidth) in widths.iter().enumerate() {
+                    layer.quantize_chunk(i, bitwidth, 16)?;
+                }
+                let keys: Vec<u32> = widths.iter().map(|b| b.bits()).collect();
+                layer.reorder(&ChunkPermutation::stable_sort_by_key(&keys))
+            })
+            .unwrap();
+    }
+
+    /// A mixed-precision cache of `tokens` seeded K/V rows in 32-token
+    /// chunks for every (layer, KV head) of `engine`: a long request's
+    /// decode state without the cost of its prefill.
+    fn seeded_mixed_cache(engine: &InferenceEngine, tokens: usize, seed: u64) -> ChunkedKvCache {
+        let config = engine.config();
+        let seg = ChunkSegmentation::new(tokens, 32).unwrap();
+        let mut cache = ChunkedKvCache::new(config.n_layers, config.n_kv_heads);
+        for layer in 0..config.n_layers {
+            for head in 0..config.n_kv_heads {
+                let seed = seed + 2 * (layer * config.n_kv_heads + head) as u64;
+                let k = rng::gaussian_matrix(tokens, config.head_dim(), 1.0, seed);
+                let v = rng::gaussian_matrix(tokens, config.head_dim(), 1.0, seed + 1);
+                let entry = ChunkedLayerCache::from_prefill(&k, &v, &seg).unwrap();
+                cache.set(layer, head, entry);
+            }
+        }
+        mix_bitwidths(&mut cache);
+        cache
+    }
+
+    /// The decode slots of one round over `caches`, each request's token
+    /// at the position after its cached tokens.
+    fn round_slots<'a>(caches: &'a mut [ChunkedKvCache], tokens: &[u32]) -> Vec<DecodeSlot<'a>> {
+        caches
+            .iter_mut()
+            .zip(tokens)
+            .map(|(cache, &token)| DecodeSlot {
+                token,
+                pos: cache.get(0, 0).unwrap().total_tokens(),
+                cache,
+            })
+            .collect()
+    }
+
+    /// Asserts a round at `positions` clears the decode fork gate, so that
+    /// more than one kernel thread splits its units over several jobs.
+    #[track_caller]
+    fn assert_forks(engine: &InferenceEngine, positions: impl IntoIterator<Item = usize>) {
+        let qk_work: usize = positions.into_iter().map(|pos| pos + 1).sum();
+        assert!(
+            qk_work * engine.config().hidden_dim >= ATTENTION_FORK_WORK,
+            "the round must clear the fork gate"
+        );
+    }
+
+    /// Decodes `rounds` greedy rounds of one batch over copies of `caches`
+    /// under kernel-thread overrides of 1, 2, 4 and 5, and asserts every
+    /// round's tokens and logits and every final cache entry equal the
+    /// one-thread run's.
+    fn assert_decode_is_thread_count_invariant(
+        engine: &InferenceEngine,
+        caches: &[ChunkedKvCache],
+        rounds: usize,
+    ) {
+        assert_forks(
+            engine,
+            caches.iter().map(|c| c.get(0, 0).unwrap().total_tokens()),
+        );
+        let run = |threads: usize| {
+            kernel_parallel::set_kernel_thread_override(Some(threads));
+            let mut caches = caches.to_vec();
+            let mut tokens: Vec<u32> = (0..caches.len() as u32).map(|i| 3 + 5 * i).collect();
+            let mut bits = Vec::new();
+            for _ in 0..rounds {
+                let mut slots = round_slots(&mut caches, &tokens);
+                let steps = engine.decode_step_batch(&mut slots).unwrap();
+                tokens = steps.iter().map(|step| step.next_token).collect();
+                for step in steps {
+                    let logits: Vec<u32> = step.logits.iter().map(|x| x.to_bits()).collect();
+                    bits.push((step.next_token, logits));
+                }
+            }
+            kernel_parallel::set_kernel_thread_override(None);
+            (bits, caches)
+        };
+        let (reference, reference_caches) = run(1);
+        for threads in [2usize, 4, 5] {
+            let (bits, caches) = run(threads);
+            assert!(
+                bits == reference,
+                "threads {threads}: tokens or logits diverged"
+            );
+            assert!(
+                caches == reference_caches,
+                "threads {threads}: caches diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn unit_decode_is_bit_identical_at_every_thread_count() {
+        // A lone 2048-token request: four units per layer, two jobs of two
+        // heads at two threads.
+        let llama = InferenceEngine::new(ModelProfile::llama2_7b_sim()).unwrap();
+        assert_decode_is_thread_count_invariant(&llama, &[seeded_mixed_cache(&llama, 2048, 1)], 2);
+        // Two KV heads: one unit per job at two threads.
+        let mistral = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
+        assert_eq!(mistral.config().n_kv_heads, 2);
+        let lone = [seeded_mixed_cache(&mistral, 2048, 2)];
+        assert_decode_is_thread_count_invariant(&mistral, &lone, 2);
+        // Three requests, twelve units: jobs straddle requests at 2 and 4
+        // threads and differ in length (3/3/2/2/2) at 5.
+        let caches: Vec<ChunkedKvCache> = [1536usize, 512, 100]
+            .iter()
+            .zip(10u64..)
+            .map(|(&tokens, seed)| seeded_mixed_cache(&llama, tokens, seed))
+            .collect();
+        assert_decode_is_thread_count_invariant(&llama, &caches, 2);
     }
 
     #[test]
     fn failed_forked_decode_returns_every_cache_to_its_slot() {
-        let engine = tiny_engine();
+        // Contexts long enough that the round forks. One entry a column too
+        // wide makes `append_decode_token` fail inside its job: in a b3
+        // batch, the middle request's first head of the last layer (in the
+        // first job at two threads, the second at four); in a b1 request,
+        // its last KV head (in the second job at two threads).
+        let engine = InferenceEngine::new(ModelProfile::llama2_7b_sim()).unwrap();
         let config = engine.config().clone();
-        let prompts: Vec<Vec<u32>> = (0..3).map(|i| sample_prompt(&engine, 6 + 2 * i)).collect();
-        let mut caches: Vec<ChunkedKvCache> = prompts
-            .iter()
-            .map(|p| engine.build_cache(&engine.prefill(p).unwrap(), 4).unwrap())
-            .collect();
-        // The middle slot's last layer holds one entry a column too wide,
-        // so `append_decode_token` fails inside that slot's job.
         let wide = Matrix::zeros(4, config.head_dim() + 1);
         let seg = ChunkSegmentation::new(4, 4).unwrap();
         let bad = ChunkedLayerCache::from_prefill(&wide, &wide, &seg).unwrap();
-        caches[1].set(config.n_layers - 1, 0, bad);
-
-        kernel_parallel::set_kernel_thread_override(Some(4));
-        let mut slots: Vec<DecodeSlot<'_>> = caches
-            .iter_mut()
-            .zip(&prompts)
-            .map(|(cache, prompt)| DecodeSlot {
-                token: 3,
-                pos: prompt.len(),
-                cache,
-            })
-            .collect();
-        let result = engine.decode_step_batch(&mut slots);
-        kernel_parallel::set_kernel_thread_override(None);
-        assert!(
-            result.is_err(),
-            "a too-wide cache entry must fail the batch"
-        );
-        for (i, cache) in caches.iter().enumerate() {
-            assert_eq!(cache.layers(), config.n_layers, "slot {i}");
-            assert_eq!(cache.kv_heads(), config.n_kv_heads, "slot {i}");
+        let last_layer = config.n_layers - 1;
+        let cases = [
+            (vec![700usize, 700, 700], 1, (last_layer, 0)),
+            (vec![2048], 0, (last_layer, config.n_kv_heads - 1)),
+        ];
+        for (lengths, bad_slot, (layer, head)) in cases {
+            assert_forks(&engine, lengths.iter().copied());
+            for threads in [2usize, 4] {
+                let mut caches: Vec<ChunkedKvCache> = lengths
+                    .iter()
+                    .zip(20u64..)
+                    .map(|(&tokens, seed)| seeded_mixed_cache(&engine, tokens, seed))
+                    .collect();
+                caches[bad_slot].set(layer, head, bad.clone());
+                let tokens = vec![3; caches.len()];
+                kernel_parallel::set_kernel_thread_override(Some(threads));
+                let result = engine.decode_step_batch(&mut round_slots(&mut caches, &tokens));
+                kernel_parallel::set_kernel_thread_override(None);
+                let context = format!("b{} at {threads} threads", lengths.len());
+                assert!(
+                    result.is_err(),
+                    "{context}: a too-wide entry must fail the batch"
+                );
+                for (i, cache) in caches.iter().enumerate() {
+                    for (l, h) in (0..config.n_layers)
+                        .flat_map(|l| (0..config.n_kv_heads).map(move |h| (l, h)))
+                    {
+                        assert!(
+                            cache.get(l, h).is_some(),
+                            "{context}: slot {i} lost entry ({l}, {h})"
+                        );
+                    }
+                }
+                assert_eq!(caches[bad_slot].get(layer, head), Some(&bad), "{context}");
+            }
         }
     }
 
@@ -1777,18 +1932,7 @@ mod tests {
         let prompt = cyclic_prompt(&engine, 160, 3);
         let prefill = engine.prefill(&prompt).unwrap();
         let mut cache = engine.build_cache(&prefill, 16).unwrap();
-        const WIDTHS: [Bitwidth; 3] = [Bitwidth::Int2, Bitwidth::Fp16, Bitwidth::Int4];
-        cache
-            .try_for_each_mut(|_, _, layer| {
-                let widths: Vec<Bitwidth> =
-                    (0..layer.chunk_count()).map(|i| WIDTHS[i % 3]).collect();
-                for (i, &bitwidth) in widths.iter().enumerate() {
-                    layer.quantize_chunk(i, bitwidth, 16)?;
-                }
-                let keys: Vec<u32> = widths.iter().map(|b| b.bits()).collect();
-                layer.reorder(&ChunkPermutation::stable_sort_by_key(&keys))
-            })
-            .unwrap();
+        mix_bitwidths(&mut cache);
         let mut reference_cache = cache.clone();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut token = prefill.next_token();

@@ -3,9 +3,10 @@
 //! This is the compute-kernel layer: the process's one persistent thread
 //! pool, reached through [`run_jobs`], plus dispatcher wrappers around the
 //! scalar kernels in [`crate::gemm`] and [`crate::QuantizedMatrix`]. The
-//! model engine hands its prefill attention tiles and its decode batch
-//! chunks to [`run_jobs`] too, so every thread the stack computes on is a
-//! worker of this pool. Every dispatcher follows the same recipe:
+//! model engine hands its prefill attention tiles and its decode
+//! (request, KV-head) units to [`run_jobs`] too, so every thread the stack
+//! computes on is a worker of this pool. Every dispatcher follows the same
+//! recipe:
 //!
 //! 1. **Threshold gate.** Small operands (anything below
 //!    [`PARALLEL_THRESHOLD`] multiply-adds / elements) take the scalar
@@ -34,6 +35,7 @@ use crate::config::{QuantAxis, QuantConfig, QuantError};
 use crate::gemm;
 use crate::quantized::{self, QuantizedMatrix};
 use cocktail_tensor::Matrix;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -68,7 +70,9 @@ struct KernelPool {
 
 impl KernelPool {
     /// Spawns `workers` threads (at least one), each looping over its own
-    /// job channel until the pool is dropped.
+    /// job channel until the pool is dropped. A job that panics is caught
+    /// on its worker, which goes on to its next job: the panic drops the
+    /// job's result sender, and [`run_jobs`] reports it on the caller.
     fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let mut senders = Vec::with_capacity(workers);
@@ -79,7 +83,7 @@ impl KernelPool {
             spawned += 1;
             handles.push(std::thread::spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    job();
+                    let _ = panic::catch_unwind(AssertUnwindSafe(job));
                 }
             }));
             senders.push(tx);
@@ -107,9 +111,8 @@ impl KernelPool {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of range or the worker has died (a
-    /// worker only exits when the pool is dropped, so a dead worker here
-    /// means a previous job panicked).
+    /// Panics if the index is out of range. A worker outlives every job,
+    /// panicking ones included, and exits only when the pool is dropped.
     fn run_on(&self, index: usize, job: Job) {
         self.senders[index]
             .send(job)
@@ -217,11 +220,12 @@ pub fn tile_ranges(n: usize, tiles: usize) -> Vec<(usize, usize)> {
 ///
 /// With one job, or a single-worker pool, the jobs run inline on the
 /// caller's thread — same code, same order, no channel hops. Panics in a
-/// job are surfaced after every other job has been drained.
+/// job are surfaced after every other job has been drained. A job that
+/// panics on a worker is caught there, so the worker keeps serving later
+/// dispatches.
 ///
-/// A job must not call `run_jobs` itself (it would wait on the pool it
-/// runs on), and a job that can panic should catch it: a panic ends its
-/// worker thread, and every later dispatch to that worker panics.
+/// A job must not call `run_jobs` itself: it would wait on the pool it
+/// runs on.
 ///
 /// # Panics
 ///
@@ -514,6 +518,28 @@ mod tests {
         let jobs: Vec<_> = (0..17usize).map(|i| move || i * 3).collect();
         let out = run_jobs(jobs);
         assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_every_worker_serving() {
+        // On a one-worker pool both calls run inline; on a larger one the
+        // panicking job runs on a worker that must then take its share of
+        // the second call.
+        let workers = kernel_pool().workers();
+        let last = workers.max(2) - 1;
+        let jobs: Vec<_> = (0..=last)
+            .map(|i| {
+                move || {
+                    if i == last {
+                        panic!("job {i} fails on purpose");
+                    }
+                    i
+                }
+            })
+            .collect();
+        assert!(panic::catch_unwind(|| run_jobs(jobs)).is_err());
+        let jobs: Vec<_> = (0..2 * workers).map(|i| move || i + 1).collect();
+        assert_eq!(run_jobs(jobs), (1..=2 * workers).collect::<Vec<_>>());
     }
 
     #[test]

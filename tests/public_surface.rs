@@ -17,7 +17,7 @@ const BOUNDS: &[(&str, usize)] = &[
     ("bench", 8),
     ("core", 130),
     ("hwsim", 35),
-    ("kvcache", 86),
+    ("kvcache", 87),
     ("model", 77),
     ("quant", 58),
     ("retrieval", 19),
