@@ -233,10 +233,11 @@ fn prefill_attention() -> (AttentionRow, Vec<usize>) {
     };
     let (cold_prompt, warm_prompt, warm_prefix) = (prompt(192, 7), prompt(128, 11), 64usize);
     let head_start = engine
-        .prefill(&warm_prompt[..warm_prefix])
-        .expect("prefix prefill");
+        .prefill_batch(&[PrefillSlot::cold(&warm_prompt[..warm_prefix])])
+        .expect("prefix prefill")
+        .remove(0);
     let blocks = head_start
-        .kv
+        .suffix_kv
         .iter()
         .flatten()
         .map(|raw| PrefixKvBlock::new(raw.k.clone(), raw.v.clone()).expect("prefix block"))

@@ -240,7 +240,7 @@ pub(super) fn streaming_latency() -> (String, StreamingLatencyReport) {
 
     // Budget for roughly three concurrent requests, so streaming runs under
     // real admission pressure and the invariant is exercised.
-    let tail = (max_new_tokens - 1) * pipeline.engine().config().kv_bytes_per_token_fp16();
+    let tail = (max_new_tokens - 1) * profile().sim().kv_bytes_per_token_fp16();
     let budget = solo
         .iter()
         .map(|o| o.cache_bytes + tail)

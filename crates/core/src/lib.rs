@@ -21,7 +21,7 @@
 //!   [`CachePolicy`](cocktail_baselines::CachePolicy) interface as the
 //!   baselines, and [`CocktailPipeline`] runs the whole flow
 //!   (tokenize → prefill → search → reorder+quantize → decode) on a
-//!   simulated model.
+//!   simulated model, one request per call, through a [`ServingEngine`].
 //! * The **serving layer** ([`ServingEngine`], [`BatchScheduler`],
 //!   [`PrefixCache`]) answers many requests concurrently with continuous
 //!   batching: a FIFO scheduler admits requests under a KV-memory budget

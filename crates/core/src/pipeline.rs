@@ -9,13 +9,12 @@
 
 use crate::config::CocktailConfig;
 use crate::error::CocktailError;
-use crate::policy::CocktailPolicy;
-use crate::serving::RequestTask;
+use crate::serving::{ServeRequest, ServingEngine};
 use cocktail_baselines::{CachePolicy, PolicyReport};
-use cocktail_model::{InferenceEngine, ModelProfile};
+use cocktail_model::ModelProfile;
 use cocktail_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::cell::RefCell;
 
 /// Wall-clock timings of one pipeline run, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -68,7 +67,12 @@ impl CocktailOutcome {
     }
 }
 
-/// The end-to-end pipeline: simulated model + Cocktail policy.
+/// The end-to-end pipeline: simulated model + Cocktail policy, one request
+/// per call.
+///
+/// It is a [`ServingEngine`] (no prefix cache, unlimited budget) fed one
+/// request at a time, so a pipeline run and a batched serving run of the
+/// same request take the same path and return byte-identical answers.
 ///
 /// # Example
 ///
@@ -90,8 +94,7 @@ impl CocktailOutcome {
 /// ```
 #[derive(Debug)]
 pub struct CocktailPipeline {
-    engine: InferenceEngine,
-    config: CocktailConfig,
+    serving: RefCell<ServingEngine>,
 }
 
 impl CocktailPipeline {
@@ -101,19 +104,9 @@ impl CocktailPipeline {
     ///
     /// Returns [`CocktailError`] if the profile or configuration is invalid.
     pub fn new(profile: ModelProfile, config: CocktailConfig) -> Result<Self, CocktailError> {
-        config.validate()?;
-        let engine = InferenceEngine::new(profile)?;
-        Ok(Self { engine, config })
-    }
-
-    /// The underlying inference engine.
-    pub fn engine(&self) -> &InferenceEngine {
-        &self.engine
-    }
-
-    /// The Cocktail configuration.
-    pub fn config(&self) -> &CocktailConfig {
-        &self.config
+        Ok(Self {
+            serving: RefCell::new(ServingEngine::new(profile, config)?),
+        })
     }
 
     /// Runs the full pipeline with the Cocktail policy.
@@ -128,19 +121,12 @@ impl CocktailPipeline {
         query: &str,
         max_new_tokens: usize,
     ) -> Result<CocktailOutcome, CocktailError> {
-        let policy = CocktailPolicy::new(self.config.clone())?;
-        self.run_with_policy(context, query, &policy, max_new_tokens)
+        self.serve(ServeRequest::new(context, query, max_new_tokens))
     }
 
     /// Runs the pipeline with an arbitrary cache policy (FP16, Atom, KIVI,
     /// KVQuant or Cocktail), so methods can be compared on identical
     /// requests.
-    ///
-    /// This is a thin single-request wrapper over the serving machinery:
-    /// the same `RequestTask` state machine the batched
-    /// [`ServingEngine`](crate::ServingEngine) drives, run to completion
-    /// here one decode step at a time. That shared path is what makes
-    /// batched serving byte-identical to sequential pipeline runs.
     ///
     /// # Errors
     ///
@@ -150,27 +136,48 @@ impl CocktailPipeline {
         &self,
         context: &str,
         query: &str,
-        policy: &dyn CachePolicy,
+        policy: Box<dyn CachePolicy>,
         max_new_tokens: usize,
     ) -> Result<CocktailOutcome, CocktailError> {
-        let mut task = RequestTask::prepare(
-            &self.engine,
-            &self.config,
-            context,
-            query,
-            policy,
-            max_new_tokens,
-        )?;
-        let decode_start = Instant::now();
-        while !task.generate_next(&self.engine)? {}
-        task.add_decode_us(decode_start.elapsed().as_micros() as u64);
-        Ok(task.into_outcome(&self.engine))
+        let request = ServeRequest::builder()
+            .context(context)
+            .query(query)
+            .max_new_tokens(max_new_tokens)
+            .policy(policy)
+            .build();
+        self.serve(request)
+    }
+
+    /// Serves one request to its end. A failed request returns its error
+    /// and leaves nothing behind in the engine.
+    fn serve(&self, request: ServeRequest) -> Result<CocktailOutcome, CocktailError> {
+        let mut serving = self.serving.borrow_mut();
+        let id = serving.submit(request);
+        match serving.run_until_idle() {
+            // `run_until_idle` has already taken the outcome out.
+            Ok(mut outcomes) => match outcomes.pop() {
+                Some(done) => Ok(done.outcome),
+                None => Err(serving
+                    .take_error(id)
+                    .expect("an idle engine's request completed or failed")
+                    .0),
+            },
+            Err(err) => {
+                // Whatever phase the request was left in, the next run
+                // must not step it again.
+                serving.cancel(id);
+                serving.take_cancelled(id);
+                serving.take_error(id);
+                Err(err)
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::RequestId;
     use cocktail_baselines::{AtomPolicy, Fp16Policy};
 
     fn pipeline(chunk_size: usize) -> CocktailPipeline {
@@ -217,7 +224,7 @@ mod tests {
             .run_with_policy(
                 &sample_context(),
                 "what about morale?",
-                &Fp16Policy::new(),
+                Box::new(Fp16Policy::new()),
                 4,
             )
             .unwrap();
@@ -240,7 +247,7 @@ mod tests {
             .run_with_policy(
                 &sample_context(),
                 "what is the evacuation signal phrase?",
-                &AtomPolicy::default(),
+                Box::new(AtomPolicy::default()),
                 4,
             )
             .unwrap();
@@ -257,6 +264,31 @@ mod tests {
         let pipeline = pipeline(16);
         assert!(pipeline.run("", "question", 4).is_err());
         assert!(pipeline.run("some context", "", 4).is_err());
+    }
+
+    #[test]
+    fn a_failed_run_returns_its_error_and_leaves_the_engine_clean() {
+        let (context, query) = (sample_context(), "what supplies are mentioned?");
+        let used = pipeline(16);
+        let Err(CocktailError::InvalidInput(message)) = used.run("", "q", 4) else {
+            panic!("an empty context is invalid input");
+        };
+        assert!(message.starts_with("context and query"), "{message}");
+        {
+            // The pipeline's first request has id 0.
+            let serving = used.serving.borrow();
+            assert!(serving.is_idle());
+            assert_eq!(serving.state(RequestId::new(0)), None, "a slot remains");
+        }
+        let after = used.run(&context, query, 5).unwrap();
+        // The failed call interned its words, so the reference is a fresh
+        // pipeline given the same failed call first.
+        let fresh = pipeline(16);
+        assert!(fresh.run("", "q", 4).is_err());
+        let reference = fresh.run(&context, query, 5).unwrap();
+        assert_eq!(after.answer, reference.answer);
+        assert_eq!(after.generated_tokens, reference.generated_tokens);
+        assert_eq!(after.cache_bytes, reference.cache_bytes);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! The index is advisory: a stale entry (the replica has since evicted the
 //! prefix) costs a cache miss, never correctness. Byte-identity holds per
 //! replica — each request's output equals a solo [`crate::CocktailPipeline`]
-//! replay of *that replica's* request subsequence in submission order. The
+//! replay (one request at a time through the same serving path) of *that
+//! replica's* request subsequence in submission order. The
 //! index only decides placement; the HTTP gateway's replica pool
 //! (`cocktail_server`) owns the replicas and drives them.
 

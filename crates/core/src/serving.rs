@@ -1,8 +1,9 @@
 //! The batched serving engine: many concurrent requests over one model.
 //!
-//! [`CocktailPipeline`](crate::CocktailPipeline) runs one request at a time;
-//! this module is the multi-request serving surface built on the same
-//! machinery. A [`ServingEngine`] owns the model engine plus one
+//! This module is the one request path: a [`ServingEngine`] serves many
+//! concurrent requests over one model, and
+//! [`CocktailPipeline`](crate::CocktailPipeline) is a `ServingEngine` fed
+//! one request at a time. A [`ServingEngine`] owns the model engine plus one
 //! [`ChunkedKvCache`] per in-flight request, and a
 //! [`BatchScheduler`](crate::BatchScheduler) admits queued requests under a
 //! KV-memory budget measured in *compressed* bytes — so Cocktail's
@@ -321,8 +322,7 @@ pub enum FinishReason {
     Cancelled,
     /// The request failed terminally before or during admission (invalid
     /// input, or a prompt that can never fit the memory budget); the
-    /// message is available via [`ServingEngine::failure`] /
-    /// [`ServingEngine::take_failure`].
+    /// message is available via [`ServingEngine::take_failure`].
     Failed,
 }
 
@@ -403,8 +403,8 @@ pub struct RequestOutcome {
     /// The request id.
     pub id: RequestId,
     /// The pipeline outcome (answer, tokens, policy report, plan, bytes,
-    /// timings) — identical to what [`CocktailPipeline::run`] returns for
-    /// the same request.
+    /// timings): what [`CocktailPipeline::run`] returns for the same
+    /// request, since the pipeline serves it through a `ServingEngine`.
     ///
     /// [`CocktailPipeline::run`]: crate::CocktailPipeline::run
     pub outcome: CocktailOutcome,
@@ -427,10 +427,11 @@ struct RoundStart {
     action: RoundAction,
 }
 
-/// The per-request state machine shared by the single-request pipeline and
-/// the batched serving engine: a prefilled, policy-compressed cache plus the
-/// greedy-decoding cursor and the incrementally streamed answer text.
-pub(crate) struct RequestTask {
+/// The per-request state machine the serving engine drives for every
+/// request, the pipeline's included: a prefilled, policy-compressed cache
+/// plus the greedy-decoding cursor and the incrementally streamed answer
+/// text.
+struct RequestTask {
     prompt_len: usize,
     context_tokens: usize,
     query_tokens: usize,
@@ -471,7 +472,7 @@ pub(crate) struct RequestTask {
 
 /// The encoded prompt of one request, with the tokenizer's interning
 /// horizon captured right after encoding (see [`RequestTask`]).
-pub(crate) struct EncodedPrompt {
+struct EncodedPrompt {
     context_tokens: Vec<u32>,
     query_tokens: Vec<u32>,
     prompt: Vec<u32>,
@@ -509,43 +510,6 @@ impl EncodedPrompt {
 }
 
 impl RequestTask {
-    /// Tokenizes, prefills and compresses one request — the exact
-    /// pre-decode half of the original `CocktailPipeline::run_with_policy`,
-    /// as a cold batch of one.
-    pub(crate) fn prepare(
-        engine: &InferenceEngine,
-        config: &CocktailConfig,
-        context: &str,
-        query: &str,
-        policy: &dyn CachePolicy,
-        max_new_tokens: usize,
-    ) -> Result<Self, CocktailError> {
-        let encoded = EncodedPrompt::encode(engine, context, query)?;
-        let start = Instant::now();
-        let prefill = engine
-            .prefill_batch(&[PrefillSlot::cold(&encoded.prompt)])?
-            .pop()
-            .expect("batch of one yields one prefill");
-        let prefill_us = start.elapsed().as_micros() as u64;
-        let (task, _) = Self::from_parts(
-            engine,
-            config,
-            context,
-            query,
-            policy,
-            max_new_tokens,
-            Vec::new(),
-            None,
-            &encoded,
-            None,
-            None,
-            &prefill,
-            prefill_us,
-            false,
-        )?;
-        Ok(task)
-    }
-
     /// Builds the task from an already-encoded prompt and the prefill
     /// output of its last computed rows (which may come from a batched
     /// and/or prefix-resumed prefill). `prefix` holds the KV rows of the
@@ -556,7 +520,7 @@ impl RequestTask {
     /// shareable prefix blocks, so the caller can publish them to a prefix
     /// cache without re-deriving them.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
+    fn from_parts(
         engine: &InferenceEngine,
         config: &CocktailConfig,
         context: &str,
@@ -701,28 +665,13 @@ impl RequestTask {
         self.prefix.take().is_some()
     }
 
-    /// Runs one sequential generation round; returns `true` once complete.
-    pub(crate) fn generate_next(
-        &mut self,
-        engine: &InferenceEngine,
-    ) -> Result<bool, CocktailError> {
-        match self.begin_round(engine).action {
-            RoundAction::Finished(_) => Ok(true),
-            RoundAction::Decode { token, pos } => {
-                let step = engine.decode_step(token, pos, &mut self.cache)?;
-                self.finish_round(step);
-                Ok(false)
-            }
-        }
-    }
-
     /// Adds decode wall-clock time to the timings.
-    pub(crate) fn add_decode_us(&mut self, micros: u64) {
+    fn add_decode_us(&mut self, micros: u64) {
         self.timings.decode_us += micros;
     }
 
     /// Compressed cache footprint measured after the policy ran.
-    pub(crate) fn cache_bytes(&self) -> usize {
+    fn cache_bytes(&self) -> usize {
         self.cache_bytes
     }
 
@@ -731,7 +680,7 @@ impl RequestTask {
     /// vocabulary horizon the moment it was committed — which is
     /// byte-identical to decoding the whole generated sequence at once, so
     /// batched, streamed and sequential serving all produce the same text.
-    pub(crate) fn into_outcome(self, engine: &InferenceEngine) -> CocktailOutcome {
+    fn into_outcome(self, engine: &InferenceEngine) -> CocktailOutcome {
         debug_assert_eq!(
             self.streamed,
             engine
@@ -851,8 +800,8 @@ enum Phase {
     Running(Box<RequestTask>),
     /// Finished successfully.
     Completed(Box<CocktailOutcome>),
-    /// Terminally failed.
-    Failed(String),
+    /// Terminally failed, with the error that failed it.
+    Failed(CocktailError),
     /// Cancelled by the client; the task (cache, prefix pin) is dropped.
     Cancelled,
     /// The phase's payload is being moved into the next phase. Only held
@@ -1070,23 +1019,9 @@ impl ServingEngine {
     /// Returns [`CocktailError`] if the profile or configuration is
     /// invalid.
     pub fn new(profile: ModelProfile, config: CocktailConfig) -> Result<Self, CocktailError> {
-        let engine = InferenceEngine::new(profile)?;
-        Self::with_engine(engine, config)
-    }
-
-    /// Builds a serving engine around an existing inference engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CocktailError::InvalidConfig`] if the configuration is
-    /// invalid.
-    pub(crate) fn with_engine(
-        engine: InferenceEngine,
-        config: CocktailConfig,
-    ) -> Result<Self, CocktailError> {
         config.validate()?;
         Ok(Self {
-            engine,
+            engine: InferenceEngine::new(profile)?,
             config,
             scheduler: BatchScheduler::new(SchedulerConfig::default()),
             prefix_cache: None,
@@ -1357,14 +1292,6 @@ impl ServingEngine {
         self.slots.get(&id).map(|slot| &slot.stats)
     }
 
-    /// The failure message of a failed request.
-    pub fn failure(&self, id: RequestId) -> Option<&str> {
-        match &self.slots.get(&id)?.phase {
-            Phase::Failed(message) => Some(message),
-            _ => None,
-        }
-    }
-
     /// Removes and returns the outcome of a completed request.
     pub fn take_outcome(&mut self, id: RequestId) -> Option<RequestOutcome> {
         if !matches!(self.slots.get(&id)?.phase, Phase::Completed(_)) {
@@ -1388,12 +1315,21 @@ impl ServingEngine {
     /// (as it drains completions with [`ServingEngine::take_outcome`]) to
     /// keep the slot table from growing without bound.
     pub fn take_failure(&mut self, id: RequestId) -> Option<(String, ServingStats)> {
+        self.take_error(id)
+            .map(|(error, stats)| (error.to_string(), stats))
+    }
+
+    /// [`ServingEngine::take_failure`] with the typed error. A request
+    /// failed behind a deferred head is still queued; it leaves the queue
+    /// with its slot.
+    pub(crate) fn take_error(&mut self, id: RequestId) -> Option<(CocktailError, ServingStats)> {
         if !matches!(self.slots.get(&id)?.phase, Phase::Failed(_)) {
             return None;
         }
+        self.scheduler.remove_queued(id);
         let slot = self.slots.remove(&id)?;
         match slot.phase {
-            Phase::Failed(message) => Some((message, slot.stats)),
+            Phase::Failed(error) => Some((error, slot.stats)),
             _ => unreachable!("phase checked above"),
         }
     }
@@ -1508,11 +1444,11 @@ impl ServingEngine {
     /// token-less [`FinishReason::Failed`] terminal event is delivered at
     /// the front of the next [`ServingEngine::step_events`] batch, so
     /// stream consumers see failures exactly like every other finish.
-    fn fail_request(&mut self, id: RequestId, now: usize, message: String) {
+    fn fail_request(&mut self, id: RequestId, now: usize, error: CocktailError) {
         let slot = self.slots.get_mut(&id).expect("failing request has a slot");
         slot.stats.finished_step = Some(now);
         let index = slot.stats.generated_tokens;
-        slot.phase = Phase::Failed(message);
+        slot.phase = Phase::Failed(error);
         self.pending_events.push(TokenEvent {
             id,
             step: now,
@@ -1647,7 +1583,7 @@ impl ServingEngine {
                 prefill_us: 0,
             }),
             Err(err) => {
-                self.fail_request(id, now, err.to_string());
+                self.fail_request(id, now, err);
                 None
             }
         }
@@ -1784,7 +1720,7 @@ impl ServingEngine {
 
         if let Err(err) = self.prefill_candidates(whole(cold), now) {
             for cand in warm {
-                self.fail_request(cand.id, now, err.to_string());
+                self.fail_request(cand.id, now, err.clone());
             }
             return Err(err);
         }
@@ -1826,10 +1762,11 @@ impl ServingEngine {
         let outputs = match outputs {
             Ok(outputs) => outputs,
             Err(err) => {
+                let err = CocktailError::from(err);
                 for (cand, _) in &candidates {
-                    self.fail_request(cand.id, now, err.to_string());
+                    self.fail_request(cand.id, now, err.clone());
                 }
-                return Err(err.into());
+                return Err(err);
             }
         };
 
@@ -1857,7 +1794,7 @@ impl ServingEngine {
                         slot.stats.timings.prefill_us = cand.prefill_us;
                         slot.phase = Phase::Prefilling(Box::new(cand));
                     }
-                    Err(err) => self.fail_request(id, now, err.to_string()),
+                    Err(err) => self.fail_request(id, now, err),
                 }
                 continue;
             }
@@ -1885,7 +1822,7 @@ impl ServingEngine {
                 want_blocks,
             );
             let mut publish: Option<(Vec<u32>, SharedPrefixKv)> = None;
-            let mut failure: Option<String> = None;
+            let mut failure: Option<CocktailError> = None;
             {
                 let slot = self
                     .slots
@@ -1904,11 +1841,11 @@ impl ServingEngine {
                             publish = Some((cand.encoded.context_tokens, blocks));
                         }
                     }
-                    Err(err) => failure = Some(err.to_string()),
+                    Err(err) => failure = Some(err),
                 }
             }
-            if let Some(message) = failure {
-                self.fail_request(cand.id, now, message);
+            if let Some(error) = failure {
+                self.fail_request(cand.id, now, error);
             }
             if let Some((tokens, blocks)) = publish {
                 self.insert_prefix_entry(tokens, blocks);
@@ -2079,7 +2016,9 @@ impl ServingEngine {
                             self.fail_request(
                                 head,
                                 now,
-                                format!("request needs {cost} KV bytes but the budget is {budget}"),
+                                CocktailError::InvalidInput(format!(
+                                    "request needs {cost} KV bytes but the budget is {budget}"
+                                )),
                             );
                         }
                         AdmitDecision::DeferredBudget => {
@@ -2338,7 +2277,8 @@ mod tests {
         let outcomes = engine.run_until_idle().unwrap();
         assert!(outcomes.is_empty());
         assert_eq!(engine.state(big), Some(RequestState::Failed));
-        assert!(engine.failure(big).unwrap().contains("budget"));
+        let (message, _) = engine.take_failure(big).unwrap();
+        assert!(message.contains("budget"));
     }
 
     #[test]
@@ -2364,8 +2304,8 @@ mod tests {
         let mut expected = vec![big, bad];
         expected.sort();
         assert_eq!(terminals, expected);
-        assert!(engine.failure(big).unwrap().contains("budget"));
-        assert!(engine.failure(bad).unwrap().contains("non-empty"));
+        assert!(engine.take_failure(big).unwrap().0.contains("budget"));
+        assert!(engine.take_failure(bad).unwrap().0.contains("non-empty"));
     }
 
     #[test]
@@ -2385,6 +2325,101 @@ mod tests {
         assert!(message.contains("non-empty"));
         assert_eq!(stats.generated_tokens, 0);
         assert_eq!(engine.state(bad), None);
+    }
+
+    #[test]
+    fn a_failure_taken_behind_a_deferred_head_leaves_the_queue() {
+        // A budget for one request: `first` runs, `second` is prepared but
+        // deferred, and `bad` fails while queued behind it. Taking the
+        // failure at once, as a gateway does on its terminal event, must
+        // not leave its id in the admission queue.
+        let (ctx, q) = &contexts()[0];
+        let mut sizing = ServingEngine::new(ModelProfile::tiny(), config()).unwrap();
+        sizing.submit(ServeRequest::new(ctx.clone(), q.clone(), 4));
+        sizing.step().unwrap();
+        let budget = sizing.kv_bytes_in_use() * 3 / 2;
+        let mut engine = ServingEngine::new(ModelProfile::tiny(), config())
+            .unwrap()
+            .with_scheduler_config(SchedulerConfig::default().with_budget(budget));
+        let first = engine.submit(ServeRequest::new(ctx.clone(), q.clone(), 4));
+        let second = engine.submit(ServeRequest::new(ctx.clone(), q.clone(), 4));
+        let bad = engine.submit(ServeRequest::new("", "question", 4));
+        engine.step().unwrap();
+        assert_eq!(engine.state(first), Some(RequestState::Running));
+        assert_eq!(engine.state(second), Some(RequestState::Queued));
+        assert_eq!(engine.state(bad), Some(RequestState::Failed));
+        assert!(engine.take_failure(bad).is_some());
+        assert_eq!(engine.queue_position(bad), None);
+        let outcomes = engine.run_until_idle().unwrap();
+        let ids: Vec<RequestId> = outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec![first, second]);
+    }
+
+    #[test]
+    fn context_cache_keeps_the_query_rows_in_the_fp16_tail() {
+        // 21 context tokens in chunks of 8 (two chunks, five remainder
+        // rows), then the query: its rows must sit in every slot's FP16
+        // tail, bit for bit, whether the context was prefilled cold or
+        // resumed from shared rows covering part or all of it.
+        let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
+        let model = engine.config().clone();
+        let chunk = config().chunk_size;
+        let context: Vec<u32> = (0..21).map(|i| 3 + (i * 7) % 50).collect();
+        let query: Vec<u32> = vec![5, 11, 17];
+        let prompt: Vec<u32> = context.iter().chain(&query).copied().collect();
+        let cold = engine
+            .prefill_batch(&[PrefillSlot::cold(&prompt)])
+            .unwrap()
+            .remove(0);
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        // The tail stores FP16 values, as it does for decode tokens.
+        let fp16_bits = |row: &[f32]| {
+            let mut row = row.to_vec();
+            cocktail_tensor::ops::round_to_f16(&mut row);
+            bits(&row)
+        };
+        let shared_rows = |len: usize| {
+            let blocks = cold
+                .suffix_kv
+                .iter()
+                .flatten()
+                .map(|raw| {
+                    PrefixKvBlock::new(raw.k.slice_rows(0, len), raw.v.slice_rows(0, len)).unwrap()
+                })
+                .collect();
+            SharedPrefixKv::from_blocks(model.n_layers, model.n_kv_heads, blocks).unwrap()
+        };
+        for reused in [0usize, 9, context.len()] {
+            let shared = (reused > 0).then(|| shared_rows(reused));
+            let prefix = shared.as_ref().map(|kv| (kv, reused));
+            let prefill = match prefix {
+                Some((kv, len)) => {
+                    let slot = PrefillSlot::with_prefix(&prompt, kv, len);
+                    engine.prefill_batch(&[slot]).unwrap().remove(0)
+                }
+                None => cold.clone(),
+            };
+            let (cache, _) =
+                build_context_cache(&engine, &config(), prefix, &prefill, context.len(), false)
+                    .unwrap();
+            assert_eq!(
+                (cache.layers(), cache.kv_heads()),
+                (model.n_layers, model.n_kv_heads)
+            );
+            for (layer, head, slot) in cache.iter() {
+                let at = format!("reused {reused}, slot ({layer}, {head})");
+                assert_eq!(slot.chunk_count(), context.len() / chunk, "{at}");
+                assert_eq!(slot.remainder_len(), context.len() % chunk, "{at}");
+                assert_eq!(slot.tail_len(), query.len(), "{at}");
+                let raw = &cold.suffix_kv[layer][head];
+                let (k, v) = (slot.full_key_matrix(), slot.full_value_matrix());
+                // Chunks, remainder and tail hold the prompt's rows in order.
+                for row in context.len()..prompt.len() {
+                    assert_eq!(bits(k.row(row)), fp16_bits(raw.k.row(row)), "{at}");
+                    assert_eq!(bits(v.row(row)), fp16_bits(raw.v.row(row)), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -3069,7 +3104,7 @@ mod tests {
 
             // Budget sized for roughly two requests (compressed bytes +
             // reserved FP16 tail), so admission takes turns under cancels.
-            let tail = (max_new - 1) * pipeline.engine().config().kv_bytes_per_token_fp16();
+            let tail = (max_new - 1) * ModelProfile::tiny().sim().kv_bytes_per_token_fp16();
             let budget = solo
                 .iter()
                 .map(|o| o.cache_bytes + tail)
@@ -3286,7 +3321,7 @@ mod tests {
             // A budget generous enough to admit everything in the first
             // step (so every prompt is encoded before any cancellation
             // fires), still asserted every step below.
-            let tail = (max_new - 1) * pipeline.engine().config().kv_bytes_per_token_fp16();
+            let tail = (max_new - 1) * ModelProfile::tiny().sim().kv_bytes_per_token_fp16();
             let budget: usize = solo.iter().map(|o| o.cache_bytes + tail).sum();
 
             let run = |with_cancels: bool| -> (Vec<RequestId>, Vec<RequestId>, ServingEngine) {

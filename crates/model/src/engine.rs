@@ -5,7 +5,7 @@ use crate::error::ModelError;
 use crate::profile::ModelProfile;
 use crate::tokenizer::Tokenizer;
 use crate::weights::{LayerWeights, ModelWeights};
-use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
+use cocktail_kvcache::{ChunkedKvCache, ChunkedLayerCache, SharedPrefixKv};
 use cocktail_quant::parallel as kernel_parallel;
 use cocktail_tensor::ops::{
     causal_attention, rms_norm_rows, rope_in_place, rope_rows, silu, KvRows,
@@ -45,37 +45,6 @@ pub struct RawKv {
     pub k: Matrix,
     /// Value tensor.
     pub v: Matrix,
-}
-
-/// Everything the prefill phase hands on: the KV cache of every layer and
-/// the first generated token's logits. No other prompt row's output leaves
-/// the last layer, so none is computed there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefillOutput {
-    /// Raw per-layer, per-KV-head key/value tensors (`[layer][kv_head]`).
-    pub kv: Vec<Vec<RawKv>>,
-    /// Logits of the token following the prompt.
-    pub last_logits: Vec<f32>,
-}
-
-impl PrefillOutput {
-    /// Greedy next token after the prompt.
-    pub fn next_token(&self) -> u32 {
-        argmax(&self.last_logits)
-    }
-
-    /// Number of prompt tokens: the rows of each KV tensor.
-    pub fn prompt_len(&self) -> usize {
-        kv_rows(&self.kv)
-    }
-}
-
-/// Rows of the first KV tensor of a `[layer][kv_head]` set (every tensor in
-/// it has the same rows).
-fn kv_rows(kv: &[Vec<RawKv>]) -> usize {
-    kv.first()
-        .and_then(|heads| heads.first())
-        .map_or(0, |raw| raw.k.rows())
 }
 
 /// Result of a single decode step.
@@ -147,7 +116,7 @@ impl<'a> PrefillSlot<'a> {
 ///
 /// Together with the reused prefix blocks, `suffix_kv` covers the whole
 /// prompt, and every row is bit-identical to the same row of a cold
-/// [`InferenceEngine::prefill`] of the full prompt.
+/// prefill of the full prompt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPrefill {
     /// How many leading prompt tokens were served from cached blocks.
@@ -346,19 +315,15 @@ impl PrefillSlotMeta {
 /// weights and a pluggable chunked KV cache.
 ///
 /// The engine separates the two phases:
-/// [`InferenceEngine::prefill`] runs full causal attention over the prompt
-/// in FP32 and returns the raw per-layer KV tensors;
-/// [`InferenceEngine::build_cache`] segments those tensors into a
-/// [`ChunkedKvCache`]; a quantization policy (baseline or Cocktail) then
-/// rewrites the cache in place; and [`InferenceEngine::decode_step`] /
-/// [`InferenceEngine::generate_with_cache`] run decode-phase attention over
-/// the (possibly quantized, possibly reordered) cache.
-///
-/// `build_cache` segments the whole prompt, query tokens included, so a
-/// query token that falls in a full chunk gets quantized with it. The
-/// paper keeps the query in FP16; the Cocktail request path
-/// (`build_context_cache` in `cocktail_core::serving`) does so by chunking
-/// only the context and appending the query tokens to the FP16 tail.
+/// [`InferenceEngine::prefill_batch`] runs full causal attention over each
+/// prompt in FP32 and returns the raw per-layer KV rows; the caller
+/// segments them into a [`ChunkedKvCache`] and a quantization policy
+/// (baseline or Cocktail) rewrites it in place; and
+/// [`InferenceEngine::decode_step`] / [`InferenceEngine::decode_step_batch`]
+/// run decode-phase attention over the (possibly quantized, possibly
+/// reordered) cache. The Cocktail request path (`build_context_cache` in
+/// `cocktail_core::serving`) chunks only the context and appends the query
+/// rows to the FP16 tail, as the paper keeps the query in FP16.
 ///
 /// The engine owns no threads. Its parallel work runs on the process-wide
 /// kernel pool of `cocktail_quant::parallel`, sized and tiled by
@@ -371,15 +336,25 @@ impl PrefillSlotMeta {
 /// # Example
 ///
 /// ```
-/// use cocktail_model::{InferenceEngine, ModelProfile};
+/// use cocktail_kvcache::{ChunkSegmentation, ChunkedKvCache, ChunkedLayerCache};
+/// use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let engine = InferenceEngine::new(ModelProfile::tiny())?;
 /// let prompt = engine.tokenizer().encode("alpha beta gamma delta epsilon zeta");
-/// let prefill = engine.prefill(&prompt)?;
-/// let mut cache = engine.build_cache(&prefill, 2)?;
-/// let generated = engine.generate_with_cache(&prefill, &mut cache, 4)?;
-/// assert_eq!(generated.len(), 4);
+/// let prefill = engine.prefill_batch(&[PrefillSlot::cold(&prompt)])?.remove(0);
+/// // Every prompt row in FP16 chunks of two tokens.
+/// let seg = ChunkSegmentation::new(prompt.len(), 2)?;
+/// let config = engine.config();
+/// let mut cache = ChunkedKvCache::new(config.n_layers, config.n_kv_heads);
+/// for (layer, heads) in prefill.suffix_kv.iter().enumerate() {
+///     for (head, raw) in heads.iter().enumerate() {
+///         cache.set(layer, head, ChunkedLayerCache::from_prefill(&raw.k, &raw.v, &seg)?);
+///     }
+/// }
+/// let step = engine.decode_step(prefill.next_token(), prompt.len(), &mut cache)?;
+/// assert!((step.next_token as usize) < engine.config().vocab_size);
+/// assert_eq!(cache.get(0, 0).unwrap().total_tokens(), prompt.len() + 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -453,28 +428,6 @@ impl InferenceEngine {
         }
         let indices: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
         Ok(self.shared.weights.embedding.gather_rows(&indices))
-    }
-
-    /// Runs the prefill phase over `tokens` (full causal attention in FP32)
-    /// and returns every layer's raw KV tensors and the next-token logits.
-    /// The last layer carries only the final prompt row past its K/V
-    /// projections, since nothing else reads its output.
-    ///
-    /// Implemented as a cold [`InferenceEngine::prefill_batch`] of one, so
-    /// single prefills, batched prefills and prefix-reusing prefills all go
-    /// through the same row-wise arithmetic and stay bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidPrompt`] if the prompt is empty, longer
-    /// than the model's maximum context, or contains out-of-vocabulary ids.
-    pub fn prefill(&self, tokens: &[u32]) -> Result<PrefillOutput, ModelError> {
-        let mut batch = self.prefill_batch(&[PrefillSlot::cold(tokens)])?;
-        let one = batch.pop().expect("batch of one yields one prefill");
-        Ok(PrefillOutput {
-            kv: one.suffix_kv,
-            last_logits: one.last_logits,
-        })
     }
 
     /// Validates one prefill slot against the model.
@@ -555,7 +508,7 @@ impl InferenceEngine {
     ///
     /// Because prefill is causal and every op outside attention is
     /// row-wise, each handed-on bit is identical to the same bit of a cold
-    /// single-prompt [`InferenceEngine::prefill`] — and to a prefill that
+    /// single-prompt prefill — and to a prefill that
     /// carries every row through every layer: reusing a prefix, batching
     /// prompts, dropping the last layer's other rows or changing the thread
     /// count never changes any output. Attention scores of a query row
@@ -735,33 +688,6 @@ impl InferenceEngine {
                 Ok((attn, kv))
             })
             .collect()
-    }
-
-    /// Segments the prefill KV tensors into a [`ChunkedKvCache`] with the
-    /// given chunk size. All chunks start in FP16; a quantization policy is
-    /// applied afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::CacheMismatch`] if the chunk size is zero.
-    pub fn build_cache(
-        &self,
-        prefill: &PrefillOutput,
-        chunk_size: usize,
-    ) -> Result<ChunkedKvCache, ModelError> {
-        let seg = ChunkSegmentation::new(prefill.prompt_len(), chunk_size)?;
-        let config = &self.shared.config;
-        let mut cache = ChunkedKvCache::new(config.n_layers, config.n_kv_heads);
-        for (layer, heads) in prefill.kv.iter().enumerate() {
-            for (head, raw) in heads.iter().enumerate() {
-                cache.set(
-                    layer,
-                    head,
-                    ChunkedLayerCache::from_prefill(&raw.k, &raw.v, &seg)?,
-                );
-            }
-        }
-        Ok(cache)
     }
 
     /// Runs one decode step: processes `token` at absolute position `pos`,
@@ -951,34 +877,6 @@ impl InferenceEngine {
             .collect();
         Matrix::from_vec(slots.len(), config.hidden_dim, out).map_err(ModelError::from)
     }
-
-    /// Greedy generation of `max_new_tokens` tokens after the prompt, using
-    /// the supplied cache (which has usually been rewritten by a
-    /// quantization policy between [`InferenceEngine::build_cache`] and this
-    /// call).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`InferenceEngine::decode_step`].
-    pub fn generate_with_cache(
-        &self,
-        prefill: &PrefillOutput,
-        cache: &mut ChunkedKvCache,
-        max_new_tokens: usize,
-    ) -> Result<Vec<u32>, ModelError> {
-        let mut generated = Vec::with_capacity(max_new_tokens);
-        let prompt_len = prefill.prompt_len();
-        let mut token = prefill.next_token();
-        for step in 0..max_new_tokens {
-            generated.push(token);
-            if step + 1 == max_new_tokens {
-                break;
-            }
-            let out = self.decode_step(token, prompt_len + step, cache)?;
-            token = out.next_token;
-        }
-        Ok(generated)
-    }
 }
 
 fn argmax(values: &[f32]) -> u32 {
@@ -996,7 +894,7 @@ fn argmax(values: &[f32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocktail_kvcache::ChunkPermutation;
+    use cocktail_kvcache::{ChunkPermutation, ChunkSegmentation};
     use cocktail_quant::{Bitwidth, QuantAxis};
     use cocktail_tensor::rng;
 
@@ -1105,6 +1003,35 @@ mod tests {
         engine.prefill_batch(&[slot]).unwrap().pop().unwrap()
     }
 
+    fn cold_prefill(engine: &InferenceEngine, tokens: &[u32]) -> BatchPrefill {
+        prefill_one(engine, PrefillSlot::cold(tokens))
+    }
+
+    /// Rows of the first KV tensor of a `[layer][kv_head]` set (every
+    /// tensor in it has the same rows).
+    fn kv_rows(kv: &[Vec<RawKv>]) -> usize {
+        kv.first()
+            .and_then(|heads| heads.first())
+            .map_or(0, |raw| raw.k.rows())
+    }
+
+    /// A cold prefill's rows, every one of them (query included), in FP16
+    /// chunks of `chunk_size` tokens: a decode state for engine tests. The
+    /// request path chunks only the context (`build_context_cache` in
+    /// `cocktail_core::serving`).
+    fn segmented_cache(prefill: &BatchPrefill, chunk_size: usize) -> ChunkedKvCache {
+        let seg = ChunkSegmentation::new(kv_rows(&prefill.suffix_kv), chunk_size).unwrap();
+        let heads = prefill.suffix_kv.first().map_or(0, Vec::len);
+        let mut cache = ChunkedKvCache::new(prefill.suffix_kv.len(), heads);
+        for (layer, heads) in prefill.suffix_kv.iter().enumerate() {
+            for (head, raw) in heads.iter().enumerate() {
+                let entry = ChunkedLayerCache::from_prefill(&raw.k, &raw.v, &seg).unwrap();
+                cache.set(layer, head, entry);
+            }
+        }
+        cache
+    }
+
     /// Every bit a prefill hands on, piece by piece: each layer's and KV
     /// head's K then V rows from `from_row` on, then the next-token logits.
     fn handed_on(kv: &[Vec<RawKv>], from_row: usize, logits: &[f32]) -> Vec<Vec<u32>> {
@@ -1151,9 +1078,9 @@ mod tests {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 96);
         kernel_parallel::set_kernel_thread_override(Some(1));
-        let scalar = engine.prefill(&prompt).unwrap();
+        let scalar = cold_prefill(&engine, &prompt);
         kernel_parallel::set_kernel_thread_override(Some(4));
-        let parallel = engine.prefill(&prompt).unwrap();
+        let parallel = cold_prefill(&engine, &prompt);
         kernel_parallel::set_kernel_thread_override(None);
         assert_eq!(scalar, parallel);
     }
@@ -1176,7 +1103,7 @@ mod tests {
         let prompt = cyclic_prompt(&engine, 40, 4);
         let short = cyclic_prompt(&engine, 9, 5);
         let one_token = [prompt[0]];
-        let cold = engine.prefill(&prompt).unwrap();
+        let cold = cold_prefill(&engine, &prompt);
         let all_but_one = prefix_blocks_from_prefill(&engine, &cold, prompt.len() - 1);
         let half = prefix_blocks_from_prefill(&engine, &cold, 17);
         let singles = [
@@ -1229,7 +1156,7 @@ mod tests {
     fn resumed_long_prefill_equals_cold_at_every_split_kind() {
         let engine = long_context_engine();
         let prompt = cyclic_prompt(&engine, 640, 1);
-        let cold = engine.prefill(&prompt).unwrap();
+        let cold = cold_prefill(&engine, &prompt);
         // One token, one 32-token chunk, and everything but the last token.
         for prefix_len in [1usize, 32, prompt.len() - 1] {
             let shared = prefix_blocks_from_prefill(&engine, &cold, prefix_len);
@@ -1238,7 +1165,7 @@ mod tests {
             let context = format!("prefix {prefix_len}");
             let reference = slot_bits(&materialised_prefill(&engine, &slot));
             assert_same_bits(&warm, &reference, &context);
-            let cold_rows = handed_on(&cold.kv, prefix_len, &cold.last_logits);
+            let cold_rows = handed_on(&cold.suffix_kv, prefix_len, &cold.last_logits);
             assert_same_bits(&cold_rows, &warm, &context);
         }
     }
@@ -1256,7 +1183,7 @@ mod tests {
         let prefixes: Vec<SharedPrefixKv> = prompts
             .iter()
             .map(|p| {
-                let half = engine.prefill(&p[..p.len() / 2]).unwrap();
+                let half = cold_prefill(&engine, &p[..p.len() / 2]);
                 prefix_blocks_from_prefill(&engine, &half, p.len() / 2)
             })
             .collect();
@@ -1308,13 +1235,13 @@ mod tests {
             kernel_parallel::set_kernel_thread_override(None);
             assert_same_bits(&slot_bits(&cold), &reference, &format!("threads {threads}"));
         }
-        let cold = engine.prefill(&prompt).unwrap();
+        let cold = cold_prefill(&engine, &prompt);
         let shared = prefix_blocks_from_prefill(&engine, &cold, 100);
         let slot = PrefillSlot::with_prefix(&prompt, &shared, 100);
         let warm = slot_bits(&prefill_one(&engine, slot.clone()));
         let warm_reference = slot_bits(&materialised_prefill(&engine, &slot));
         assert_same_bits(&warm, &warm_reference, "warm");
-        let cold_rows = handed_on(&cold.kv, 100, &cold.last_logits);
+        let cold_rows = handed_on(&cold.suffix_kv, 100, &cold.last_logits);
         assert_same_bits(&cold_rows, &warm, "warm against cold");
     }
 
@@ -1322,14 +1249,14 @@ mod tests {
     fn prefill_produces_kv_of_expected_shapes() {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 12);
-        let out = engine.prefill(&prompt).unwrap();
-        assert_eq!(out.kv.len(), engine.config().n_layers);
-        assert_eq!(out.kv[0].len(), engine.config().n_kv_heads);
-        for raw in out.kv.iter().flatten() {
+        let out = cold_prefill(&engine, &prompt);
+        assert_eq!(out.suffix_kv.len(), engine.config().n_layers);
+        assert_eq!(out.suffix_kv[0].len(), engine.config().n_kv_heads);
+        for raw in out.suffix_kv.iter().flatten() {
             assert_eq!(raw.k.shape(), (12, engine.config().head_dim()));
             assert_eq!(raw.v.shape(), (12, engine.config().head_dim()));
         }
-        assert_eq!(out.prompt_len(), 12);
+        assert_eq!(kv_rows(&out.suffix_kv), 12);
         assert_eq!(out.last_logits.len(), engine.config().vocab_size);
         assert!(out.last_logits.iter().all(|v| v.is_finite()));
     }
@@ -1337,26 +1264,28 @@ mod tests {
     #[test]
     fn prefill_rejects_empty_and_oversized_prompts() {
         let engine = tiny_engine();
-        assert!(engine.prefill(&[]).is_err());
+        assert!(engine.prefill_batch(&[PrefillSlot::cold(&[])]).is_err());
         let too_long = vec![2u32; engine.config().max_context + 1];
-        assert!(engine.prefill(&too_long).is_err());
+        assert!(engine
+            .prefill_batch(&[PrefillSlot::cold(&too_long)])
+            .is_err());
     }
 
     #[test]
     fn prefill_rejects_out_of_vocab_tokens() {
         let engine = tiny_engine();
         let bad = vec![engine.config().vocab_size as u32 + 5];
-        assert!(engine.prefill(&bad).is_err());
+        assert!(engine.prefill_batch(&[PrefillSlot::cold(&bad)]).is_err());
     }
 
     #[test]
     fn prefill_is_deterministic() {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 8);
-        let a = engine.prefill(&prompt).unwrap();
-        let b = engine.prefill(&prompt).unwrap();
+        let a = cold_prefill(&engine, &prompt);
+        let b = cold_prefill(&engine, &prompt);
         assert_eq!(a.last_logits, b.last_logits);
-        assert_eq!(a.kv[0][0].k, b.kv[0][0].k);
+        assert_eq!(a.suffix_kv[0][0].k, b.suffix_kv[0][0].k);
     }
 
     #[test]
@@ -1366,10 +1295,10 @@ mod tests {
         let engine = tiny_engine();
         let long = sample_prompt(&engine, 10);
         let short = long[..6].to_vec();
-        let out_short = engine.prefill(&short).unwrap();
-        let out_long = engine.prefill(&long).unwrap();
+        let out_short = cold_prefill(&engine, &short);
+        let out_long = cold_prefill(&engine, &long);
         let leading: Vec<Vec<RawKv>> = out_long
-            .kv
+            .suffix_kv
             .iter()
             .map(|heads| {
                 heads
@@ -1381,7 +1310,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let short_kv = handed_on(&out_short.kv, 0, &[]);
+        let short_kv = handed_on(&out_short.suffix_kv, 0, &[]);
         assert_same_bits(
             &short_kv,
             &handed_on(&leading, 0, &[]),
@@ -1390,24 +1319,11 @@ mod tests {
     }
 
     #[test]
-    fn build_cache_has_one_slot_per_layer_and_head() {
-        let engine = tiny_engine();
-        let prompt = sample_prompt(&engine, 10);
-        let prefill = engine.prefill(&prompt).unwrap();
-        let cache = engine.build_cache(&prefill, 4).unwrap();
-        assert_eq!(cache.layers(), engine.config().n_layers);
-        assert_eq!(cache.kv_heads(), engine.config().n_kv_heads);
-        let layer0 = cache.get(0, 0).unwrap();
-        assert_eq!(layer0.chunk_count(), 2); // 10 tokens, chunk 4 -> 2 chunks + 2 remainder
-        assert_eq!(layer0.remainder_len(), 2);
-    }
-
-    #[test]
     fn decode_step_appends_to_cache_and_returns_valid_token() {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 8);
-        let prefill = engine.prefill(&prompt).unwrap();
-        let mut cache = engine.build_cache(&prefill, 4).unwrap();
+        let prefill = cold_prefill(&engine, &prompt);
+        let mut cache = segmented_cache(&prefill, 4);
         let before = cache.get(0, 0).unwrap().total_tokens();
         let step = engine.decode_step(3, prompt.len(), &mut cache).unwrap();
         assert!((step.next_token as usize) < engine.config().vocab_size);
@@ -1419,14 +1335,14 @@ mod tests {
     fn decode_with_quantized_cache_stays_close_to_fp16() {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 16);
-        let prefill = engine.prefill(&prompt).unwrap();
+        let prefill = cold_prefill(&engine, &prompt);
 
-        let mut fp16_cache = engine.build_cache(&prefill, 4).unwrap();
+        let mut fp16_cache = segmented_cache(&prefill, 4);
         let fp16_step = engine
             .decode_step(5, prompt.len(), &mut fp16_cache)
             .unwrap();
 
-        let mut int8_cache = engine.build_cache(&prefill, 4).unwrap();
+        let mut int8_cache = segmented_cache(&prefill, 4);
         int8_cache
             .try_for_each_mut(|_, _, layer| {
                 layer.quantize_all(Bitwidth::Int8, QuantAxis::PerToken, QuantAxis::PerToken, 16)
@@ -1461,19 +1377,6 @@ mod tests {
         assert!(engine.decode_step(0, 0, &mut wrong).is_err());
     }
 
-    #[test]
-    fn generate_emits_requested_number_of_tokens() {
-        let engine = tiny_engine();
-        let prompt = sample_prompt(&engine, 8);
-        let prefill = engine.prefill(&prompt).unwrap();
-        let mut cache = engine.build_cache(&prefill, 4).unwrap();
-        let out = engine.generate_with_cache(&prefill, &mut cache, 5).unwrap();
-        assert_eq!(out.len(), 5);
-        assert!(out
-            .iter()
-            .all(|&t| (t as usize) < engine.config().vocab_size));
-    }
-
     /// Decodes `rounds` greedy steps of every prompt alone through
     /// `decode_step`, then as one batch through `decode_step_batch` under
     /// kernel-thread overrides of 1 (one inline job) and 2 and 4 (forked
@@ -1485,16 +1388,15 @@ mod tests {
         chunk_size: usize,
         rounds: usize,
     ) {
-        let prefills: Vec<PrefillOutput> =
-            prompts.iter().map(|p| engine.prefill(p).unwrap()).collect();
+        let prefills: Vec<BatchPrefill> = prompts.iter().map(|p| cold_prefill(engine, p)).collect();
         let fresh_caches = || -> Vec<ChunkedKvCache> {
             prefills
                 .iter()
-                .map(|p| engine.build_cache(p, chunk_size).unwrap())
+                .map(|p| segmented_cache(p, chunk_size))
                 .collect()
         };
         let mut solo_caches = fresh_caches();
-        let mut solo_tokens: Vec<u32> = prefills.iter().map(PrefillOutput::next_token).collect();
+        let mut solo_tokens: Vec<u32> = prefills.iter().map(BatchPrefill::next_token).collect();
         let solo_rounds: Vec<Vec<DecodeStep>> = (0..rounds)
             .map(|round| {
                 solo_caches
@@ -1502,7 +1404,7 @@ mod tests {
                     .zip(&prefills)
                     .zip(&mut solo_tokens)
                     .map(|((cache, prefill), token)| {
-                        let pos = prefill.prompt_len() + round;
+                        let pos = kv_rows(&prefill.suffix_kv) + round;
                         let step = engine.decode_step(*token, pos, cache).unwrap();
                         *token = step.next_token;
                         step
@@ -1515,7 +1417,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             kernel_parallel::set_kernel_thread_override(Some(threads));
             let mut caches = fresh_caches();
-            let mut tokens: Vec<u32> = prefills.iter().map(PrefillOutput::next_token).collect();
+            let mut tokens: Vec<u32> = prefills.iter().map(BatchPrefill::next_token).collect();
             for (round, solo_round) in solo_rounds.iter().enumerate() {
                 let mut slots: Vec<DecodeSlot<'_>> = caches
                     .iter_mut()
@@ -1523,7 +1425,7 @@ mod tests {
                     .zip(&tokens)
                     .map(|((cache, prefill), &token)| DecodeSlot {
                         token,
-                        pos: prefill.prompt_len() + round,
+                        pos: kv_rows(&prefill.suffix_kv) + round,
                         cache,
                     })
                     .collect();
@@ -1742,11 +1644,11 @@ mod tests {
 
     fn prefix_blocks_from_prefill(
         engine: &InferenceEngine,
-        prefill: &PrefillOutput,
+        prefill: &BatchPrefill,
         prefix_len: usize,
     ) -> SharedPrefixKv {
         let mut blocks = Vec::new();
-        for heads in &prefill.kv {
+        for heads in &prefill.suffix_kv {
             for raw in heads {
                 blocks.push(
                     cocktail_kvcache::PrefixKvBlock::new(
@@ -1765,14 +1667,14 @@ mod tests {
     fn batched_prefill_is_bit_identical_to_sequential_prefill() {
         let engine = tiny_engine();
         let prompts: Vec<Vec<u32>> = (0..3).map(|i| sample_prompt(&engine, 7 + 4 * i)).collect();
-        let sequential: Vec<PrefillOutput> =
-            prompts.iter().map(|p| engine.prefill(p).unwrap()).collect();
+        let sequential: Vec<BatchPrefill> =
+            prompts.iter().map(|p| cold_prefill(&engine, p)).collect();
         let slots: Vec<PrefillSlot<'_>> = prompts.iter().map(|p| PrefillSlot::cold(p)).collect();
         let batched = engine.prefill_batch(&slots).unwrap();
         for ((seq, batch), prompt) in sequential.iter().zip(&batched).zip(&prompts) {
             assert_eq!(batch.prefix_len, 0);
             assert_eq!(kv_rows(&batch.suffix_kv), prompt.len());
-            let sequential_bits = handed_on(&seq.kv, 0, &seq.last_logits);
+            let sequential_bits = handed_on(&seq.suffix_kv, 0, &seq.last_logits);
             assert_same_bits(&sequential_bits, &slot_bits(batch), "batched slot");
         }
     }
@@ -1781,7 +1683,7 @@ mod tests {
     fn prefix_reusing_prefill_is_bit_identical_to_cold_prefill() {
         let engine = tiny_engine();
         let full = sample_prompt(&engine, 14);
-        let cold = engine.prefill(&full).unwrap();
+        let cold = cold_prefill(&engine, &full);
         for prefix_len in [1usize, 5, 8, 13] {
             let shared = prefix_blocks_from_prefill(&engine, &cold, prefix_len);
             let warm = engine
@@ -1791,7 +1693,7 @@ mod tests {
                 .unwrap();
             assert_eq!(warm.prefix_len, prefix_len);
             assert_eq!(kv_rows(&warm.suffix_kv), full.len() - prefix_len);
-            let cold_rows = handed_on(&cold.kv, prefix_len, &cold.last_logits);
+            let cold_rows = handed_on(&cold.suffix_kv, prefix_len, &cold.last_logits);
             assert_same_bits(
                 &cold_rows,
                 &slot_bits(&warm),
@@ -1804,7 +1706,7 @@ mod tests {
     fn mixed_cold_and_warm_prefill_batch_matches_singles() {
         let engine = tiny_engine();
         let shared_full = sample_prompt(&engine, 12);
-        let cold_prefill = engine.prefill(&shared_full).unwrap();
+        let cold_prefill = cold_prefill(&engine, &shared_full);
         let shared = prefix_blocks_from_prefill(&engine, &cold_prefill, 9);
         let other = sample_prompt(&engine, 10);
 
@@ -1835,7 +1737,7 @@ mod tests {
     fn prefill_batch_rejects_invalid_slots() {
         let engine = tiny_engine();
         let prompt = sample_prompt(&engine, 10);
-        let prefill = engine.prefill(&prompt).unwrap();
+        let prefill = cold_prefill(&engine, &prompt);
         let shared = prefix_blocks_from_prefill(&engine, &prefill, 10);
         // Empty prompt.
         assert!(engine.prefill_batch(&[PrefillSlot::cold(&[])]).is_err());
@@ -1930,8 +1832,8 @@ mod tests {
         let engine = InferenceEngine::new(ModelProfile::mistral_7b_sim()).unwrap();
         assert_eq!(engine.config().gqa_group_size(), 4);
         let prompt = cyclic_prompt(&engine, 160, 3);
-        let prefill = engine.prefill(&prompt).unwrap();
-        let mut cache = engine.build_cache(&prefill, 16).unwrap();
+        let prefill = cold_prefill(&engine, &prompt);
+        let mut cache = segmented_cache(&prefill, 16);
         mix_bitwidths(&mut cache);
         let mut reference_cache = cache.clone();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -1944,18 +1846,6 @@ mod tests {
             assert_eq!(cache, reference_cache, "step {step}");
             token = grouped.next_token;
         }
-    }
-
-    #[test]
-    fn gqa_engine_runs_end_to_end() {
-        let profile = ModelProfile::mistral_7b_sim();
-        let engine = InferenceEngine::new(profile).unwrap();
-        assert!(engine.config().gqa_group_size() > 1);
-        let prompt = sample_prompt(&engine, 12);
-        let prefill = engine.prefill(&prompt).unwrap();
-        let mut cache = engine.build_cache(&prefill, 4).unwrap();
-        let out = engine.generate_with_cache(&prefill, &mut cache, 3).unwrap();
-        assert_eq!(out.len(), 3);
     }
 
     #[test]

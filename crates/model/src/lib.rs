@@ -18,15 +18,16 @@
 //! # Example
 //!
 //! ```
-//! use cocktail_model::{InferenceEngine, ModelProfile};
+//! use cocktail_model::{InferenceEngine, ModelProfile, PrefillSlot};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let engine = InferenceEngine::new(ModelProfile::llama2_7b_sim())?;
 //! let tokens = engine.tokenizer().encode("the quick brown fox jumps over the lazy dog");
-//! let prefill = engine.prefill(&tokens)?;
-//! let mut cache = engine.build_cache(&prefill, 4)?;
-//! let step = engine.decode_step(*tokens.last().unwrap(), tokens.len(), &mut cache)?;
-//! assert!((step.next_token as usize) < engine.config().vocab_size);
+//! let prefill = engine.prefill_batch(&[PrefillSlot::cold(&tokens)])?.remove(0);
+//! // One K and one V row per prompt token, per layer and KV head.
+//! assert_eq!(prefill.suffix_kv.len(), engine.config().n_layers);
+//! assert_eq!(prefill.suffix_kv[0][0].k.rows(), tokens.len());
+//! assert!((prefill.next_token() as usize) < engine.config().vocab_size);
 //! # Ok(())
 //! # }
 //! ```
@@ -43,9 +44,7 @@ mod tokenizer;
 mod weights;
 
 pub use config::ModelConfig;
-pub use engine::{
-    BatchPrefill, DecodeSlot, DecodeStep, InferenceEngine, PrefillOutput, PrefillSlot, RawKv,
-};
+pub use engine::{BatchPrefill, DecodeSlot, DecodeStep, InferenceEngine, PrefillSlot, RawKv};
 pub use error::ModelError;
 pub use profile::ModelProfile;
 pub use sample::{SamplerChain, SamplingParams};

@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run Cocktail and the uniform INT4 baseline on the same request.
     let cocktail = pipeline.run(&task.context, &task.query, 12)?;
-    let atom = pipeline.run_with_policy(&task.context, &task.query, &AtomPolicy::default(), 12)?;
+    let atom = pipeline.run_with_policy(
+        &task.context,
+        &task.query,
+        Box::new(AtomPolicy::default()),
+        12,
+    )?;
 
     println!("{:<22} {:>14} {:>14}", "", "Cocktail", "Atom (INT4)");
     println!(

@@ -44,12 +44,12 @@ fn all_policies_run_on_the_same_request_and_compress_as_expected() {
         ),
     ];
     let mut cache_bytes = std::collections::HashMap::new();
-    for (name, policy) in &policies {
+    for (name, policy) in policies {
         let outcome = pipeline
-            .run_with_policy(&task.context, &task.query, policy.as_ref(), 3)
+            .run_with_policy(&task.context, &task.query, policy, 3)
             .unwrap();
         assert_eq!(outcome.generated_tokens.len(), 3, "{name}");
-        cache_bytes.insert(*name, outcome.cache_bytes);
+        cache_bytes.insert(name, outcome.cache_bytes);
     }
     // Every quantization method shrinks the cache; Atom (pure INT4) is the
     // smallest, KVQuant adds outlier overhead on top of Atom, Cocktail sits
@@ -89,7 +89,8 @@ fn reordering_does_not_change_generated_tokens() {
 #[test]
 fn cocktail_keeps_the_ground_truth_relevant_chunks_at_high_precision() {
     let task = sample_task();
-    let pipeline = small_pipeline();
+    let config = CocktailConfig::default().with_chunk_size(32).unwrap();
+    let pipeline = CocktailPipeline::new(ModelProfile::llama2_7b_sim(), config.clone()).unwrap();
     let outcome = pipeline.run(&task.context, &task.query, 2).unwrap();
     let plan = &outcome.chunk_plan;
     // The chunk containing each needle's anchor (where the retrieval signal
@@ -97,7 +98,7 @@ fn cocktail_keeps_the_ground_truth_relevant_chunks_at_high_precision() {
     // spills into the following chunk may leave that continuation chunk at
     // low precision, which the search cannot know about.
     for needle in &task.needles {
-        let chunk = needle.word_offset / pipeline.config().chunk_size;
+        let chunk = needle.word_offset / config.chunk_size;
         if chunk < plan.len() {
             assert_ne!(
                 plan[chunk],
@@ -134,7 +135,7 @@ fn the_outcome_reports_the_plan_the_request_policy_stored() {
 
     let pipeline = CocktailPipeline::new(profile.clone(), CocktailConfig::default()).unwrap();
     let solo = pipeline
-        .run_with_policy(&task.context, &task.query, &policy(), 2)
+        .run_with_policy(&task.context, &task.query, Box::new(policy()), 2)
         .unwrap();
     let mut serving = ServingEngine::new(profile, CocktailConfig::default()).unwrap();
     serving.submit(
@@ -358,7 +359,9 @@ fn branching_traffic_dedups_in_the_trie_and_stays_byte_identical() {
     // Nothing was evicted (unlimited budget), so resident bytes are the
     // full dedup footprint: strictly below the whole-sequence sum.
     assert_eq!(stats.evictions, 0);
-    let fp32_per_token = 2 * pipeline.engine().config().kv_bytes_per_token_fp16();
+    let fp32_per_token = 2 * ModelProfile::llama2_7b_sim()
+        .sim()
+        .kv_bytes_per_token_fp16();
     let whole_sequence_bytes: usize = on
         .iter()
         .map(|o| o.stats.context_tokens * fp32_per_token)
@@ -546,37 +549,32 @@ proptest! {
 
 #[test]
 fn int8_uniform_cache_preserves_greedy_generation_of_the_sim_model() {
-    // A fidelity check through the real transformer: INT8-quantizing the
-    // whole cache should rarely change the greedy continuation.
-    let engine = InferenceEngine::new(ModelProfile::tiny()).unwrap();
-    let prompt = engine
-        .tokenizer()
-        .encode("the quick brown fox jumps over the lazy dog while the calm river flows north");
-    let prefill = engine.prefill(&prompt).unwrap();
+    // A fidelity check through the real transformer: INT8-quantizing every
+    // context chunk should rarely change the greedy continuation.
+    let pipeline = CocktailPipeline::new(
+        ModelProfile::tiny(),
+        CocktailConfig::default().with_chunk_size(4).unwrap(),
+    )
+    .unwrap();
+    let context = "the quick brown fox jumps over the lazy dog while the calm river flows north";
+    let query = "where does the river flow?";
+    let run = |policy: Box<dyn CachePolicy>| pipeline.run_with_policy(context, query, policy, 5);
+    let fp16 = run(Box::new(Fp16Policy::new())).unwrap();
+    let int8 = run(Box::new(AtomPolicy::new(Bitwidth::Int8, 16).unwrap())).unwrap();
+    assert!(int8.report.chunks_at(Bitwidth::Int8) > 0);
+    assert_eq!(int8.report.chunks_at(Bitwidth::Fp16), 0);
 
-    let mut fp16_cache = engine.build_cache(&prefill, 4).unwrap();
-    let fp16_tokens = engine
-        .generate_with_cache(&prefill, &mut fp16_cache, 5)
-        .unwrap();
-
-    let mut int8_cache = engine.build_cache(&prefill, 4).unwrap();
-    int8_cache
-        .try_for_each_mut(|_, _, layer| {
-            layer.quantize_all(Bitwidth::Int8, QuantAxis::PerToken, QuantAxis::PerToken, 16)
-        })
-        .unwrap();
-    let int8_tokens = engine
-        .generate_with_cache(&prefill, &mut int8_cache, 5)
-        .unwrap();
-
-    let matching = fp16_tokens
+    let matching = fp16
+        .generated_tokens
         .iter()
-        .zip(int8_tokens.iter())
+        .zip(&int8.generated_tokens)
         .filter(|(a, b)| a == b)
         .count();
     assert!(
         matching >= 4,
-        "INT8 cache diverged too much: {fp16_tokens:?} vs {int8_tokens:?}"
+        "INT8 cache diverged too much: {:?} vs {:?}",
+        fp16.generated_tokens,
+        int8.generated_tokens
     );
 }
 

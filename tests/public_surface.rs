@@ -15,10 +15,10 @@ use std::path::Path;
 const BOUNDS: &[(&str, usize)] = &[
     ("baselines", 24),
     ("bench", 8),
-    ("core", 130),
+    ("core", 127),
     ("hwsim", 35),
     ("kvcache", 87),
-    ("model", 77),
+    ("model", 71),
     ("quant", 58),
     ("retrieval", 19),
     ("server", 103),
