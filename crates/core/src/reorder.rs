@@ -3,9 +3,11 @@
 //! Mixed-precision quantization naturally interleaves chunks of different
 //! bitwidths in memory, which costs extra cache lines and kernel switches
 //! during decode (Figure 3 of the paper). Reordering groups all chunks of
-//! the same bitwidth contiguously; because softmax attention is invariant
-//! to a permutation of the key/value token order (Eq. 4/5), the result is
-//! numerically identical.
+//! the same bitwidth contiguously. Softmax attention is invariant to a
+//! permutation of the key/value token order (Eq. 4/5), so the result is
+//! equal up to `f32` summation order: the sums run in the new order, and
+//! `cocktail_kvcache`'s `attend_is_invariant_to_chunk_reordering_when_fp16`
+//! bounds the difference at 1e-5.
 
 use crate::search::BitwidthPlan;
 use cocktail_kvcache::{ChunkPermutation, ChunkedLayerCache, KvCacheError};

@@ -723,9 +723,10 @@ fn logical_bitwidths(cache: &ChunkedKvCache) -> Vec<Bitwidth> {
 /// When `prefix` is given, the first `reused` context rows are read from
 /// the shared blocks (bit-identical to the rows a cold prefill would have
 /// produced) and the prefill output only covers the computed suffix. When
-/// `want_prefix_blocks` is set, the assembled full-context raw KV is also
-/// returned as shareable blocks — built from the same matrices, so sharing
-/// costs no extra pass over the data.
+/// `want_prefix_blocks` is set, the full-context raw KV is also returned as
+/// shareable blocks. Those blocks are the only FP32 copy of the rows this
+/// makes: the chunks round their FP16 rows straight from the prefix blocks
+/// and the prefill output.
 fn build_context_cache(
     engine: &InferenceEngine,
     config: &CocktailConfig,
@@ -744,34 +745,37 @@ fn build_context_cache(
     let mut cache = ChunkedKvCache::new(model.n_layers, model.n_kv_heads);
     let mut blocks =
         want_prefix_blocks.then(|| Vec::with_capacity(model.n_layers * model.n_kv_heads));
+    let head_dim = model.head_dim();
+    let computed = (context_len - reused) * head_dim;
     for layer in 0..model.n_layers {
         for head in 0..model.n_kv_heads {
             let raw = &prefill.suffix_kv[layer][head];
-            let (k_ctx, v_ctx) = match prefix {
-                Some((shared, len)) if len > 0 => {
+            // The context rows are the reused prefix rows, then the fresh
+            // ones; the chunks read them in place.
+            let (pk, pv): (&[f32], &[f32]) = match prefix {
+                Some((shared, _)) => {
                     let block = shared.block(layer, head);
-                    let pk = block.k().slice_rows(0, len);
-                    let pv = block.v().slice_rows(0, len);
-                    let sk = raw.k.slice_rows(0, context_len - len);
-                    let sv = raw.v.slice_rows(0, context_len - len);
                     (
-                        Matrix::concat_rows(&[&pk, &sk])?,
-                        Matrix::concat_rows(&[&pv, &sv])?,
+                        &block.k().as_slice()[..reused * head_dim],
+                        &block.v().as_slice()[..reused * head_dim],
                     )
                 }
-                _ => (
-                    raw.k.slice_rows(0, context_len),
-                    raw.v.slice_rows(0, context_len),
-                ),
+                None => (&[], &[]),
             };
-            let mut layer_cache = ChunkedLayerCache::from_prefill(&k_ctx, &v_ctx, &seg)?;
+            let k_parts = [pk, &raw.k.as_slice()[..computed]];
+            let v_parts = [pv, &raw.v.as_slice()[..computed]];
+            let mut layer_cache =
+                ChunkedLayerCache::from_prefill_parts(&k_parts, &v_parts, head_dim, &seg)?;
             // The suffix rows past the context are the query tokens.
             for row in (context_len - reused)..raw.k.rows() {
                 layer_cache.append_decode_token(raw.k.row(row), raw.v.row(row))?;
             }
             cache.set(layer, head, layer_cache);
+            // Only a block the prefix cache will keep gets its own FP32 copy.
             if let Some(blocks) = &mut blocks {
-                blocks.push(PrefixKvBlock::new(k_ctx, v_ctx)?);
+                let rows =
+                    |parts: [&[f32]; 2]| Matrix::from_vec(context_len, head_dim, parts.concat());
+                blocks.push(PrefixKvBlock::new(rows(k_parts)?, rows(v_parts)?)?);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! decode-time attention kernel over mixed-precision chunks (the paper's
 //! Algorithm 1).
 
-use crate::chunk::{KvChunk, Rows};
+use crate::chunk::{rounded_rows, KvChunk, Rows};
 use crate::error::KvCacheError;
 use crate::permutation::ChunkPermutation;
 use crate::segmentation::ChunkSegmentation;
@@ -77,25 +77,54 @@ impl ChunkedLayerCache {
                 segmentation.context_len()
             )));
         }
-        let head_dim = k.cols();
-        let mut chunks = Vec::with_capacity(segmentation.chunk_count());
-        for (i, range) in segmentation.iter_ranges().enumerate() {
-            let kc = k.slice_rows(range.start, range.end);
-            let vc = v.slice_rows(range.start, range.end);
-            chunks.push(KvChunk::new_fp16(i, &kc, &vc)?);
+        Self::from_prefill_parts(&[k.as_slice()], &[v.as_slice()], k.cols(), segmentation)
+    }
+
+    /// [`ChunkedLayerCache::from_prefill`] over context rows held in
+    /// pieces: the row-major concatenation of `k_parts` (and of `v_parts`)
+    /// is the `(context_len, head_dim)` key (value) tensor. A prefix-resumed
+    /// prefill passes the reused prefix rows and the freshly computed ones
+    /// without joining them first. Each chunk's FP16 rows are written once,
+    /// straight from the parts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvCacheError::ShapeMismatch`] unless the key parts and the
+    /// value parts each hold exactly `segmentation.context_len() *
+    /// head_dim` elements.
+    pub fn from_prefill_parts(
+        k_parts: &[&[f32]],
+        v_parts: &[&[f32]],
+        head_dim: usize,
+        segmentation: &ChunkSegmentation,
+    ) -> Result<Self, KvCacheError> {
+        let expected = segmentation.context_len() * head_dim;
+        let held = |parts: &[&[f32]]| parts.iter().map(|p| p.len()).sum::<usize>();
+        if held(k_parts) != expected || held(v_parts) != expected {
+            return Err(KvCacheError::ShapeMismatch(format!(
+                "prefill parts hold {} key and {} value elements but segmentation covers {} \
+                 tokens of {head_dim}",
+                held(k_parts),
+                held(v_parts),
+                segmentation.context_len()
+            )));
         }
+        let rows = |parts, tokens| rounded_rows(parts, tokens, head_dim);
+        let chunks: Vec<KvChunk> = segmentation
+            .iter_ranges()
+            .enumerate()
+            .map(|(i, range)| {
+                KvChunk::from_fp16_rows(i, rows(k_parts, range.clone()), rows(v_parts, range))
+            })
+            .collect();
         let rem = segmentation.remainder_range();
-        let mut remainder_k = k.slice_rows(rem.start, rem.end);
-        let mut remainder_v = v.slice_rows(rem.start, rem.end);
-        remainder_k.round_to_f16();
-        remainder_v.round_to_f16();
         Ok(Self {
             head_dim,
             segmentation: *segmentation,
             permutation: ChunkPermutation::identity(chunks.len()),
             chunks,
-            remainder_k,
-            remainder_v,
+            remainder_k: rows(k_parts, rem.clone()),
+            remainder_v: rows(v_parts, rem),
             tail_k: Matrix::zeros(0, head_dim),
             tail_v: Matrix::zeros(0, head_dim),
         })
@@ -178,9 +207,8 @@ impl ChunkedLayerCache {
                 len,
             });
         }
-        let chunk = self.chunks[physical_index].clone();
-        self.chunks[physical_index] =
-            chunk.quantized_with_axis(bitwidth, key_axis, value_axis, group_size)?;
+        self.chunks[physical_index] = self.chunks[physical_index]
+            .quantized_with_axis(bitwidth, key_axis, value_axis, group_size)?;
         Ok(())
     }
 
@@ -206,9 +234,11 @@ impl ChunkedLayerCache {
                 len,
             });
         }
-        let chunk = self.chunks[physical_index].clone();
-        self.chunks[physical_index] =
-            chunk.quantized_with_outliers(bitwidth, group_size, outlier_rows)?;
+        self.chunks[physical_index] = self.chunks[physical_index].quantized_with_outliers(
+            bitwidth,
+            group_size,
+            outlier_rows,
+        )?;
         Ok(())
     }
 
@@ -248,7 +278,17 @@ impl ChunkedLayerCache {
                 self.chunks.len()
             )));
         }
-        self.chunks = permutation.apply(&self.chunks);
+        // Move the chunks, not copies of them: a permutation names each
+        // current position exactly once.
+        let mut current: Vec<Option<KvChunk>> = std::mem::take(&mut self.chunks)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.chunks = permutation
+            .as_slice()
+            .iter()
+            .map(|&old| current[old].take().expect("a permutation repeats no index"))
+            .collect();
         let combined: Vec<usize> = (0..self.chunks.len())
             .map(|new_pos| self.chunks[new_pos].logical_index())
             .collect();
@@ -669,6 +709,122 @@ mod tests {
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts two chunks store the same thing: bitwidth, footprint, and
+    /// the reconstructed rows bit for bit.
+    fn assert_same_chunk(got: &KvChunk, want: &KvChunk, what: &str) {
+        assert_eq!(got.bitwidth(), want.bitwidth(), "{what}");
+        assert_eq!(got.storage_bytes(), want.storage_bytes(), "{what}");
+        assert_eq!(got.outliers(), want.outliers(), "{what}");
+        assert_eq!(bits(&got.key_matrix()), bits(&want.key_matrix()), "{what}");
+        assert_eq!(
+            bits(&got.value_matrix()),
+            bits(&want.value_matrix()),
+            "{what}"
+        );
+        assert_eq!(got, want, "{what}");
+    }
+
+    #[test]
+    fn by_reference_quantize_chunk_matches_quantizing_a_copy() {
+        let (k, v) = (
+            rng::gaussian_matrix(96, 16, 1.5, 71),
+            rng::gaussian_matrix(96, 16, 1.5, 72),
+        );
+        let seg = ChunkSegmentation::new(96, 32).unwrap();
+        let mut base = ChunkedLayerCache::from_prefill(&k, &v, &seg).unwrap();
+        // Chunk 0 stays FP16, chunk 1 is already INT4, chunk 2 is a KVQuant
+        // chunk with an outlier patch: the last two take the fallback that
+        // reconstructs their rows first.
+        base.quantize_chunk(1, Bitwidth::Int4, 32).unwrap();
+        base.quantize_chunk_with_outliers(2, Bitwidth::Int2, 8, &[3, 30])
+            .unwrap();
+        assert_eq!(base.chunks()[2].outlier_count(), 2);
+        for i in 0..3 {
+            let source = base.chunks()[i].clone();
+            for bitwidth in [
+                Bitwidth::Int2,
+                Bitwidth::Int4,
+                Bitwidth::Int8,
+                Bitwidth::Fp16,
+            ] {
+                let what = format!("chunk {i} ({}) to {bitwidth}", source.bitwidth());
+                let mut cache = base.clone();
+                cache.quantize_chunk(i, bitwidth, 32).unwrap();
+                let oracle = source.clone().requantized_by_copy(
+                    bitwidth,
+                    QuantAxis::PerToken,
+                    QuantAxis::PerToken,
+                    32,
+                    &[],
+                );
+                assert_same_chunk(&cache.chunks()[i], &oracle, &what);
+                let on_a_clone = source.clone().quantized(bitwidth, 32).unwrap();
+                assert_same_chunk(&cache.chunks()[i], &on_a_clone, &what);
+
+                let mut kivi = base.clone();
+                kivi.quantize_chunk_with_axis(
+                    i,
+                    bitwidth,
+                    QuantAxis::PerChannel,
+                    QuantAxis::PerToken,
+                    8,
+                )
+                .unwrap();
+                let oracle = source.clone().requantized_by_copy(
+                    bitwidth,
+                    QuantAxis::PerChannel,
+                    QuantAxis::PerToken,
+                    8,
+                    &[],
+                );
+                assert_same_chunk(&kivi.chunks()[i], &oracle, &format!("KIVI {what}"));
+
+                let mut kvquant = base.clone();
+                kvquant
+                    .quantize_chunk_with_outliers(i, bitwidth, 16, &[31, 0, 0, 99])
+                    .unwrap();
+                let oracle = source.clone().requantized_by_copy(
+                    bitwidth,
+                    QuantAxis::PerToken,
+                    QuantAxis::PerToken,
+                    16,
+                    &[31, 0, 0, 99],
+                );
+                assert_same_chunk(&kvquant.chunks()[i], &oracle, &format!("KVQuant {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn prefill_parts_build_the_cache_their_concatenation_builds() {
+        let (k, v) = (
+            rng::gaussian_matrix(77, 16, 3.0, 81),
+            rng::gaussian_matrix(77, 16, 3.0, 82),
+        );
+        let seg = ChunkSegmentation::new(77, 16).unwrap();
+        let whole = ChunkedLayerCache::from_prefill(&k, &v, &seg).unwrap();
+        // Splits at chunk boundaries, inside chunks, inside the remainder
+        // and at either end, in two and three parts.
+        for split in [0, 1, 15, 16, 17, 40, 64, 70, 77] {
+            let (ka, kb) = k.as_slice().split_at(split * 16);
+            let (va, vb) = v.as_slice().split_at(split * 16);
+            let parts =
+                ChunkedLayerCache::from_prefill_parts(&[ka, kb], &[va, vb], 16, &seg).unwrap();
+            assert_eq!(parts, whole, "split at row {split}");
+            let (kb0, kb1) = kb.split_at(kb.len() / 2);
+            let (vb0, vb1) = vb.split_at(vb.len() / 2);
+            let three =
+                ChunkedLayerCache::from_prefill_parts(&[ka, kb0, kb1], &[va, vb0, vb1], 16, &seg)
+                    .unwrap();
+            assert_eq!(three, whole, "three parts at row {split}");
+        }
+        let short = &k.as_slice()[16..];
+        assert!(matches!(
+            ChunkedLayerCache::from_prefill_parts(&[short], &[v.as_slice()], 16, &seg),
+            Err(KvCacheError::ShapeMismatch(_))
+        ));
     }
 
     /// Rewrites `cache` into storage mix `mix`: 0 all-FP16; 1–3 uniform

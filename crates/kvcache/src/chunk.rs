@@ -3,8 +3,31 @@
 
 use crate::error::KvCacheError;
 use cocktail_quant::{Bitwidth, QuantAxis, QuantConfig, QuantizedMatrix};
-use cocktail_tensor::Matrix;
+use cocktail_tensor::{Matrix, F16};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Range;
+
+/// Token rows `tokens` of the row-major concatenation of `parts`, rounded
+/// through FP16 into a new `(tokens.len(), head_dim)` matrix: every
+/// element is read once and written once, and a run of rows that spans two
+/// parts is stitched on the way.
+///
+/// # Panics
+///
+/// Panics if the parts hold fewer than `tokens.end * head_dim` elements.
+pub(crate) fn rounded_rows(parts: &[&[f32]], tokens: Range<usize>, head_dim: usize) -> Matrix {
+    let wanted = tokens.start * head_dim..tokens.end * head_dim;
+    let mut data = Vec::with_capacity(wanted.len());
+    let mut offset = 0;
+    for part in parts {
+        let lo = wanted.start.clamp(offset, offset + part.len()) - offset;
+        let hi = wanted.end.clamp(offset, offset + part.len()) - offset;
+        data.extend(part[lo..hi].iter().map(|&x| F16::round_trip(x)));
+        offset += part.len();
+    }
+    Matrix::from_vec(tokens.len(), head_dim, data).expect("the parts cover the requested rows")
+}
 
 /// Physical storage of a chunk's key and value tensors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,13 +123,16 @@ impl OutlierPatch {
 /// # Example
 ///
 /// ```
-/// use cocktail_kvcache::KvChunk;
+/// use cocktail_kvcache::{ChunkSegmentation, ChunkedLayerCache};
 /// use cocktail_quant::Bitwidth;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let k = cocktail_tensor::rng::gaussian_matrix(32, 16, 1.0, 1);
 /// let v = cocktail_tensor::rng::gaussian_matrix(32, 16, 1.0, 2);
-/// let chunk = KvChunk::new_fp16(0, &k, &v)?;
+/// let seg = ChunkSegmentation::new(32, 32)?;
+/// let cache = ChunkedLayerCache::from_prefill(&k, &v, &seg)?;
+/// let chunk = &cache.chunks()[0];
+/// assert_eq!(chunk.bitwidth(), Bitwidth::Fp16);
 /// let quantized = chunk.clone().quantized(Bitwidth::Int2, 32)?;
 /// assert!(quantized.storage_bytes() < chunk.storage_bytes());
 /// assert_eq!(quantized.bitwidth(), Bitwidth::Int2);
@@ -130,7 +156,11 @@ impl KvChunk {
     ///
     /// Returns [`KvCacheError::ShapeMismatch`] if `k` and `v` do not have
     /// identical shapes.
-    pub fn new_fp16(logical_index: usize, k: &Matrix, v: &Matrix) -> Result<Self, KvCacheError> {
+    pub(crate) fn new_fp16(
+        logical_index: usize,
+        k: &Matrix,
+        v: &Matrix,
+    ) -> Result<Self, KvCacheError> {
         if k.shape() != v.shape() {
             return Err(KvCacheError::ShapeMismatch(format!(
                 "k {:?} vs v {:?}",
@@ -138,21 +168,25 @@ impl KvChunk {
                 v.shape()
             )));
         }
-        let mut k16 = k.clone();
-        let mut v16 = v.clone();
-        k16.round_to_f16();
-        v16.round_to_f16();
-        Ok(Self {
+        let rounded = |m: &Matrix| rounded_rows(&[m.as_slice()], 0..m.rows(), m.cols());
+        Ok(Self::from_fp16_rows(logical_index, rounded(k), rounded(v)))
+    }
+
+    /// An FP16 chunk over key/value rows already rounded through half
+    /// precision, taken as they are.
+    pub(crate) fn from_fp16_rows(logical_index: usize, k: Matrix, v: Matrix) -> Self {
+        debug_assert_eq!(k.shape(), v.shape());
+        Self {
             logical_index,
             token_len: k.rows(),
             head_dim: k.cols(),
-            storage: ChunkStorage::Fp16 { k: k16, v: v16 },
+            storage: ChunkStorage::Fp16 { k, v },
             outliers: None,
-        })
+        }
     }
 
-    /// Returns a copy of this chunk quantized to `bitwidth` with per-token
-    /// groups of `group_size` (the layout used by Atom and Cocktail).
+    /// This chunk quantized to `bitwidth` with per-token groups of
+    /// `group_size` (the layout used by Atom and Cocktail).
     ///
     /// Asking for [`Bitwidth::Fp16`] returns the chunk converted back to
     /// FP16 storage (dequantizing first if necessary).
@@ -170,28 +204,35 @@ impl KvChunk {
         )
     }
 
-    /// Returns a copy quantized with separate grouping axes for keys and
-    /// values (KIVI quantizes keys per channel and values per token).
+    /// A copy quantized with separate grouping axes for keys and values
+    /// (KIVI quantizes keys per channel and values per token). FP16 rows
+    /// are read where they are stored; only quantized storage (or an
+    /// outlier patch) is reconstructed first.
     ///
     /// # Errors
     ///
     /// Returns [`KvCacheError::Quant`] if the quantization kernel rejects
     /// the configuration.
     pub(crate) fn quantized_with_axis(
-        self,
+        &self,
         bitwidth: Bitwidth,
         key_axis: QuantAxis,
         value_axis: QuantAxis,
         group_size: usize,
     ) -> Result<Self, KvCacheError> {
-        let (k, v) = self.dequantized_pair();
+        let (k, v) = self.source_pair();
         if bitwidth.is_float() {
             return Self::new_fp16(self.logical_index, &k, &v);
         }
         let k_cfg = QuantConfig::new(bitwidth, key_axis, group_size)?;
         let v_cfg = QuantConfig::new(bitwidth, value_axis, group_size)?;
-        // Dispatched: large chunks quantize row-parallel on the kernel
-        // pool, small ones scalar — bit-identical either way.
+        // Dispatched, bit-identical either way: a per-token matrix of at
+        // least `PARALLEL_THRESHOLD` (65,536) elements quantizes
+        // row-parallel on the kernel pool when it has more than one
+        // thread, anything smaller inline. A chunk's matrix holds
+        // `chunk_size * head_dim` elements, so at `llama2-7b-sim`'s
+        // `head_dim` of 16 only chunks of 4,096 tokens or more reach it;
+        // a default 32-token chunk holds 512 and always quantizes inline.
         let kq = cocktail_quant::parallel::quantize(&k, &k_cfg)?;
         let vq = cocktail_quant::parallel::quantize(&v, &v_cfg)?;
         Ok(Self {
@@ -214,13 +255,17 @@ impl KvChunk {
     /// Returns [`KvCacheError::Quant`] if the quantization kernel rejects
     /// the configuration.
     pub(crate) fn quantized_with_outliers(
-        self,
+        &self,
         bitwidth: Bitwidth,
         group_size: usize,
         outlier_rows: &[usize],
     ) -> Result<Self, KvCacheError> {
-        let (k, v) = self.dequantized_pair();
-        let mut chunk = self.quantized(bitwidth, group_size)?;
+        let mut chunk = self.quantized_with_axis(
+            bitwidth,
+            QuantAxis::PerToken,
+            QuantAxis::PerToken,
+            group_size,
+        )?;
         let mut rows: Vec<usize> = outlier_rows
             .iter()
             .copied()
@@ -231,6 +276,7 @@ impl KvChunk {
         if rows.is_empty() || bitwidth.is_float() {
             return Ok(chunk);
         }
+        let (k, v) = self.source_pair();
         let mut k_rows = k.gather_rows(&rows);
         let mut v_rows = v.gather_rows(&rows);
         k_rows.round_to_f16();
@@ -334,8 +380,63 @@ impl KvChunk {
         }
     }
 
-    fn dequantized_pair(&self) -> (Matrix, Matrix) {
-        (self.key_matrix(), self.value_matrix())
+    /// The key and value rows quantization reads: FP16 storage borrowed
+    /// where it lies, anything else reconstructed as
+    /// [`KvChunk::key_matrix`] / [`KvChunk::value_matrix`] return it.
+    fn source_pair(&self) -> (Cow<'_, Matrix>, Cow<'_, Matrix>) {
+        match (&self.storage, &self.outliers) {
+            (ChunkStorage::Fp16 { k, v }, None) => (Cow::Borrowed(k), Cow::Borrowed(v)),
+            _ => (
+                Cow::Owned(self.key_matrix()),
+                Cow::Owned(self.value_matrix()),
+            ),
+        }
+    }
+
+    /// The quantizer before it read FP16 rows by reference: it rebuilt both
+    /// matrices from a consumed copy of the chunk first. Kept as the oracle
+    /// of the by-reference path.
+    #[cfg(test)]
+    pub(crate) fn requantized_by_copy(
+        self,
+        bitwidth: Bitwidth,
+        key_axis: QuantAxis,
+        value_axis: QuantAxis,
+        group_size: usize,
+        outlier_rows: &[usize],
+    ) -> Self {
+        let (k, v) = (self.key_matrix(), self.value_matrix());
+        if bitwidth.is_float() {
+            return Self::new_fp16(self.logical_index, &k, &v).unwrap();
+        }
+        let k_cfg = QuantConfig::new(bitwidth, key_axis, group_size).unwrap();
+        let v_cfg = QuantConfig::new(bitwidth, value_axis, group_size).unwrap();
+        let mut rows: Vec<usize> = outlier_rows
+            .iter()
+            .copied()
+            .filter(|&r| r < self.token_len)
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let outliers = (!rows.is_empty()).then(|| {
+            let mut k_rows = k.gather_rows(&rows);
+            let mut v_rows = v.gather_rows(&rows);
+            k_rows.round_to_f16();
+            v_rows.round_to_f16();
+            OutlierPatch {
+                rows,
+                k_rows,
+                v_rows,
+            }
+        });
+        Self {
+            storage: ChunkStorage::Quantized {
+                k: QuantizedMatrix::quantize(&k, &k_cfg).unwrap(),
+                v: QuantizedMatrix::quantize(&v, &v_cfg).unwrap(),
+            },
+            outliers,
+            ..self
+        }
     }
 
     /// Exact storage footprint in bytes (payload plus quantization

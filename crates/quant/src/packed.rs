@@ -41,15 +41,20 @@ impl PackedInts {
             "packed storage requires an integer bitwidth"
         );
         let max = bitwidth.max_code();
-        let per_byte = bitwidth.values_per_byte();
-        let bits = bitwidth.bits();
-        let mut bytes = vec![0u8; codes.len().div_ceil(per_byte)];
-        for (i, &code) in codes.iter().enumerate() {
-            assert!(code <= max, "code {code} exceeds max {max} for {bitwidth}");
-            let byte = i / per_byte;
-            let slot = (i % per_byte) as u32;
-            bytes[byte] |= (code as u8) << (slot * bits);
+        // `max` is `2^bits - 1`, so every code is in range iff their OR is.
+        if codes.iter().fold(0, |acc, &code| acc | code) > max {
+            let code = codes
+                .iter()
+                .find(|&&code| code > max)
+                .expect("the OR of in-range codes is in range");
+            panic!("code {code} exceeds max {max} for {bitwidth}");
         }
+        let bytes = match bitwidth {
+            Bitwidth::Int2 => pack_bytes::<4>(codes),
+            Bitwidth::Int4 => pack_bytes::<2>(codes),
+            Bitwidth::Int8 => pack_bytes::<1>(codes),
+            Bitwidth::Fp16 => unreachable!("checked above"),
+        };
         Self {
             bitwidth,
             len: codes.len(),
@@ -187,10 +192,68 @@ impl PackedInts {
     }
 }
 
+/// Packs in-range codes `PER_BYTE` to a byte, a whole byte at a time; a
+/// short last group fills the low slots of the last byte.
+fn pack_bytes<const PER_BYTE: usize>(codes: &[u32]) -> Vec<u8> {
+    let whole = codes.chunks_exact(PER_BYTE);
+    let tail = whole.remainder();
+    let mut bytes = Vec::with_capacity(codes.len().div_ceil(PER_BYTE));
+    bytes.extend(whole.map(pack_byte::<PER_BYTE>));
+    if !tail.is_empty() {
+        bytes.push(pack_byte::<PER_BYTE>(tail));
+    }
+    bytes
+}
+
+/// One byte of up to `PER_BYTE` codes, the first in the low bits.
+#[inline]
+fn pack_byte<const PER_BYTE: usize>(codes: &[u32]) -> u8 {
+    let bits = 8 / PER_BYTE;
+    codes
+        .iter()
+        .enumerate()
+        .fold(0, |byte, (slot, &code)| byte | code << (slot * bits)) as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The per-code packing loop `pack` replaced, kept as its oracle.
+    fn pack_reference(codes: &[u32], bitwidth: Bitwidth) -> Vec<u8> {
+        let max = bitwidth.max_code();
+        let per_byte = bitwidth.values_per_byte();
+        let bits = bitwidth.bits();
+        let mut bytes = vec![0u8; codes.len().div_ceil(per_byte)];
+        for (i, &code) in codes.iter().enumerate() {
+            assert!(code <= max, "code {code} exceeds max {max} for {bitwidth}");
+            let byte = i / per_byte;
+            let slot = (i % per_byte) as u32;
+            bytes[byte] |= (code as u8) << (slot * bits);
+        }
+        bytes
+    }
+
+    #[test]
+    fn pack_matches_the_per_code_loop_at_every_length() {
+        for bw in [Bitwidth::Int2, Bitwidth::Int4, Bitwidth::Int8] {
+            for n in 0..=67u32 {
+                let codes: Vec<u32> = (0..n)
+                    .map(|i| i.wrapping_mul(2_654_435_761) % bw.levels())
+                    .collect();
+                let packed = PackedInts::pack(&codes, bw);
+                assert_eq!(packed.as_bytes(), pack_reference(&codes, bw), "{bw} n={n}");
+                assert_eq!(packed.len(), codes.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code 16 exceeds max 15")]
+    fn pack_names_the_first_out_of_range_code() {
+        PackedInts::pack(&[1, 15, 16, 17], Bitwidth::Int4);
+    }
 
     #[test]
     fn int2_packs_four_per_byte() {
@@ -304,6 +367,17 @@ mod tests {
         fn pack_unpack_round_trip_int8(codes in proptest::collection::vec(0u32..256, 0..128)) {
             let p = PackedInts::pack(&codes, Bitwidth::Int8);
             prop_assert_eq!(p.unpack(), codes);
+        }
+
+        #[test]
+        fn pack_is_byte_identical_to_the_per_code_loop(
+            codes in proptest::collection::vec(0u32..256, 0..200),
+            bw_pick in 0usize..3,
+        ) {
+            let bw = [Bitwidth::Int2, Bitwidth::Int4, Bitwidth::Int8][bw_pick];
+            let codes: Vec<u32> = codes.iter().map(|c| c % bw.levels()).collect();
+            let packed = PackedInts::pack(&codes, bw);
+            prop_assert_eq!(packed.as_bytes(), &pack_reference(&codes, bw)[..]);
         }
     }
 }

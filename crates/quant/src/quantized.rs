@@ -358,10 +358,26 @@ fn group_params(min: f32, max: f32, max_code: f32) -> (f32, f32) {
     )
 }
 
-/// Encodes one value against its group's affine parameters.
+/// Encodes one value against its group's affine parameters: bit for bit
+/// `((v - zero) / scale).round().clamp(0.0, max_code) as u32`.
+///
+/// Clamping first is exact because both bounds are integers. The clamp is
+/// `max(0.0).min(max_code)` written as two ordered selects, which lower to
+/// plain min/max instructions and map NaN to 0, as `NaN as u32` is. On
+/// `[0, max_code]`, adding `2^23` rounds to an integer (nearest, ties to
+/// even) that the sum's low mantissa bits hold; where that tie went down,
+/// `q` sits exactly `0.5` above it and [`f32::round`] goes up instead. No
+/// branch, no libm call and no saturating float-to-int cast, so a loop
+/// over a group vectorises.
 #[inline]
 fn encode(v: f32, scale: f32, zero: f32, max_code: f32) -> u32 {
-    ((v - zero) / scale).round().clamp(0.0, max_code) as u32
+    const TWO_23: f32 = 8_388_608.0;
+    let q = (v - zero) / scale;
+    let q = if q > 0.0 { q } else { 0.0 };
+    let q = if q < max_code { q } else { max_code };
+    let shifted = q + TWO_23;
+    let nearest_even = shifted.to_bits() - TWO_23.to_bits();
+    nearest_even + u32::from(q - (shifted - TWO_23) == 0.5)
 }
 
 /// One row tile's worth of per-token quantization output: parameters and
@@ -378,10 +394,13 @@ pub(crate) struct PerTokenTile {
 
 /// Quantizes rows `[row_start, row_end)` under per-token grouping.
 ///
-/// Per-token groups never cross a row, so each row is processed as a
-/// sequence of group-aligned contiguous chunks: one min/max scan and one
-/// encode pass per chunk, no per-element group-index arithmetic and no
-/// bounds checks inside the hot loops.
+/// Per-token groups never cross a row, so each row is a sequence of
+/// group-aligned contiguous chunks, walked with no per-element group-index
+/// arithmetic and no bounds checks inside the hot loops. A group's min/max
+/// scan, its parameters and its codes form one long dependency chain, so
+/// the tile runs three passes, each over every group (statistics, then
+/// parameters, then codes): the CPU then overlaps neighbouring groups'
+/// chains instead of waiting out each in turn.
 pub(crate) fn quantize_rows_per_token(
     matrix: &Matrix,
     config: &QuantConfig,
@@ -394,30 +413,50 @@ pub(crate) fn quantize_rows_per_token(
     let per_row = cols.div_ceil(group);
     let rows = row_end - row_start;
 
+    // The statistics pass leaves each group's min in `zeros` and its max
+    // in `scales`; the parameter pass turns them into zero and scale.
     let mut scales = Vec::with_capacity(rows * per_row);
     let mut zeros = Vec::with_capacity(rows * per_row);
-    let mut codes = Vec::with_capacity(rows * cols);
-
-    for r in row_start..row_end {
-        let row = matrix.row(r);
-        for chunk in row.chunks(group) {
-            // Same comparison pattern as the original two-pass kernel, so
-            // the statistics (and therefore every parameter bit) match.
-            let mut min = f32::INFINITY;
-            let mut max = f32::NEG_INFINITY;
-            for &v in chunk {
-                if v < min {
-                    min = v;
-                }
-                if v > max {
-                    max = v;
-                }
+    let mut codes = vec![0u32; rows * cols];
+    if cols == 0 {
+        return PerTokenTile {
+            scales,
+            zeros,
+            codes,
+        };
+    }
+    let values = &matrix.as_slice()[row_start * cols..row_end * cols];
+    for chunk in values.chunks_exact(cols).flat_map(|row| row.chunks(group)) {
+        // Same comparison pattern as the original two-pass kernel, so
+        // the statistics (and therefore every parameter bit) match.
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for &v in chunk {
+            if v < min {
+                min = v;
             }
-            let (scale, zero) = group_params(min, max, max_code);
-            scales.push(scale);
-            zeros.push(zero);
-            for &v in chunk {
-                codes.push(encode(v, scale, zero, max_code));
+            if v > max {
+                max = v;
+            }
+        }
+        zeros.push(min);
+        scales.push(max);
+    }
+    for (scale, zero) in scales.iter_mut().zip(&mut zeros) {
+        (*scale, *zero) = group_params(*zero, *scale, max_code);
+    }
+    let params = scales
+        .chunks_exact(per_row)
+        .zip(zeros.chunks_exact(per_row));
+    for ((row, code_row), (scales, zeros)) in values
+        .chunks_exact(cols)
+        .zip(codes.chunks_exact_mut(cols))
+        .zip(params)
+    {
+        let groups = row.chunks(group).zip(code_row.chunks_mut(group));
+        for (((chunk, out), &scale), &zero) in groups.zip(scales).zip(zeros) {
+            for (code, &v) in out.iter_mut().zip(chunk) {
+                *code = encode(v, scale, zero, max_code);
             }
         }
     }
@@ -448,6 +487,105 @@ mod tests {
         };
         let code = q.codes.get(row * q.cols + col) as f32;
         code * q.scales[g] + q.zeros[g]
+    }
+
+    /// The encode `encode` replaced, kept as its oracle.
+    fn encode_reference(v: f32, scale: f32, zero: f32, max_code: f32) -> u32 {
+        ((v - zero) / scale).round().clamp(0.0, max_code) as u32
+    }
+
+    /// The per-token quantizer before it wrote preallocated slices, on
+    /// the encode oracle above.
+    fn quantize_per_token_reference(matrix: &Matrix, config: &QuantConfig) -> QuantizedMatrix {
+        let max_code = config.bitwidth().max_code() as f32;
+        let (mut scales, mut zeros, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+        for r in 0..matrix.rows() {
+            for chunk in matrix.row(r).chunks(config.group_size()) {
+                let mut min = f32::INFINITY;
+                let mut max = f32::NEG_INFINITY;
+                for &v in chunk {
+                    if v < min {
+                        min = v;
+                    }
+                    if v > max {
+                        max = v;
+                    }
+                }
+                let (scale, zero) = group_params(min, max, max_code);
+                scales.push(scale);
+                zeros.push(zero);
+                codes.extend(
+                    chunk
+                        .iter()
+                        .map(|&v| encode_reference(v, scale, zero, max_code)),
+                );
+            }
+        }
+        QuantizedMatrix::assemble(matrix.rows(), matrix.cols(), *config, &codes, scales, zeros)
+    }
+
+    const INTEGER_BITWIDTHS: [Bitwidth; 3] = [Bitwidth::Int2, Bitwidth::Int4, Bitwidth::Int8];
+
+    #[test]
+    fn encode_matches_round_then_clamp_at_every_edge() {
+        // The adjacent bit patterns: one ulp either side of a nonzero `x`.
+        let next_up = |x: f32| f32::from_bits(x.to_bits().wrapping_add(1));
+        let next_down = |x: f32| f32::from_bits(x.to_bits().wrapping_sub(1));
+        for bw in INTEGER_BITWIDTHS {
+            let max_code = bw.max_code() as f32;
+            let mut inputs = vec![
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                next_down(0.5),
+                max_code - 0.5,
+                next_down(max_code - 0.5),
+                next_up(max_code - 0.5),
+                f32::MAX,
+                f32::MIN,
+                1e9,
+                -1e9,
+            ];
+            for k in -2..=bw.max_code() as i32 + 2 {
+                for x in [k as f32 - 0.5, k as f32, k as f32 + 0.5] {
+                    inputs.extend([next_down(x), x, next_up(x)]);
+                }
+            }
+            for (scale, zero) in [(1.0, 0.0), (0.25, -1.5), (0.1, 0.3), (3.0, 7.0)] {
+                for &q in &inputs {
+                    // A `v` whose `(v - zero) / scale` lands on `q` or
+                    // beside it, plus `q` itself.
+                    for v in [q * scale + zero, q] {
+                        assert_eq!(
+                            encode(v, scale, zero, max_code),
+                            encode_reference(v, scale, zero, max_code),
+                            "{bw} v={v:e} scale={scale} zero={zero}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_matches_round_then_clamp_over_a_sweep_of_f32_patterns() {
+        // Every 13th pattern in release, a coarser stride in debug; with
+        // scale 1 and zero 0 the pattern is the encoded quotient itself.
+        let stride = if cfg!(debug_assertions) { 65_521 } else { 13 };
+        for bw in INTEGER_BITWIDTHS {
+            let max_code = bw.max_code() as f32;
+            for bits in (0..=u32::MAX).step_by(stride) {
+                let v = f32::from_bits(bits);
+                assert_eq!(
+                    encode(v, 1.0, 0.0, max_code),
+                    encode_reference(v, 1.0, 0.0, max_code),
+                    "{bw} v={bits:#010x}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -640,6 +778,35 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The per-token quantizer against the code it replaced, every
+        // parameter and code equal, over groups that hold zeros of both
+        // signs, NaNs, infinities and values past the FP16 range.
+        #[test]
+        fn per_token_quantize_is_bit_identical_to_the_reference(
+            rows in 0usize..12,
+            cols in 0usize..40,
+            bw_pick in 0usize..3,
+            group in 1usize..24,
+            special_mask in 0u64..u64::MAX,
+            seed in 0u64..500,
+        ) {
+            let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 7e4, -1e-30];
+            let mut m = rng::gaussian_matrix(rows, cols, 2.0, seed);
+            for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+                let pick = (special_mask >> (i % 61)) & 0x1F;
+                if let Some(&special) = specials.get(pick as usize) {
+                    *v = special;
+                }
+            }
+            let config = cfg(INTEGER_BITWIDTHS[bw_pick], QuantAxis::PerToken, group);
+            let q = QuantizedMatrix::quantize(&m, &config).unwrap();
+            let want = quantize_per_token_reference(&m, &config);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&q.scales), bits(&want.scales));
+            prop_assert_eq!(bits(&q.zeros), bits(&want.zeros));
+            prop_assert_eq!(&q.codes, &want.codes);
+        }
 
         // The block dequantizer against the per-row one, bit for bit, over
         // ranges that start and end mid-byte and mid-group.

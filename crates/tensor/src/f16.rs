@@ -114,8 +114,44 @@ impl F16 {
 
     /// Rounds an `f32` through binary16 precision and back, i.e. the value
     /// that would be recovered after storing it in an FP16 KV cache.
+    ///
+    /// Bit for bit `F16::from_f32(value).to_f32()` (checked on every `f32`
+    /// pattern), but computed on the `f32` bits with no branch, so a loop
+    /// over a slice vectorises. At binary16 normal magnitudes
+    /// (`|x| >= 2^-14`) round-to-nearest-even drops the 13 low mantissa
+    /// bits after adding `0xFFF` plus the kept mantissa's last bit; a carry
+    /// lands in the exponent, and a result of `65536` or more is infinity.
+    /// Below that, binary16 steps are `2^-24`, which is one `f32` ulp at
+    /// `0.5`: the `f32` addition `|x| + 0.5` rounds to that step (nearest,
+    /// ties to even) and subtracting `0.5` again is exact. NaN becomes the
+    /// quiet NaN `from_f32` yields, and the sign is put back last.
+    ///
+    /// The magnitude is compared as an `i32` (it is never negative), which
+    /// SSE2 compares four lanes at a time; a NaN's sum may wrap, but a
+    /// NaN's result is chosen last.
+    #[inline]
     pub fn round_trip(value: f32) -> f32 {
-        Self::from_f32(value).to_f32()
+        let bits = value.to_bits();
+        let sign = bits & 0x8000_0000;
+        let abs = (bits & 0x7FFF_FFFF) as i32;
+        let normal = abs.wrapping_add(0xFFF + ((abs >> 13) & 1)) & !0x1FFF;
+        let subnormal = ((f32::from_bits(abs as u32) + 0.5) - 0.5).to_bits() as i32;
+        let rounded = if abs >= 0x3880_0000 {
+            normal
+        } else {
+            subnormal
+        };
+        let rounded = if rounded >= 0x4780_0000 {
+            0x7F80_0000
+        } else {
+            rounded
+        };
+        let rounded = if abs > 0x7F80_0000 {
+            0x7FC0_0000
+        } else {
+            rounded
+        };
+        f32::from_bits(sign | rounded as u32)
     }
 
     /// Returns `true` if the value is positive or negative infinity.
@@ -249,6 +285,74 @@ mod tests {
         round_slice_to_f16(&mut values);
         for v in &values {
             assert_eq!(*v, F16::round_trip(*v), "idempotent after one pass");
+        }
+    }
+
+    /// `round_trip` against the reference conversion, bit for bit, on the
+    /// `f32` patterns `0, stride, 2 * stride, ...`.
+    fn assert_round_trip_matches_reference(stride: usize) {
+        for bits in (0..=u32::MAX).step_by(stride) {
+            let x = f32::from_bits(bits);
+            let want = F16::from_f32(x).to_f32().to_bits();
+            assert_eq!(F16::round_trip(x).to_bits(), want, "input {bits:#010x}");
+        }
+    }
+
+    #[test]
+    fn round_trip_matches_the_reference_conversion_on_every_f32() {
+        // Every one of the 2^32 patterns in release (~20 s); a strided
+        // sweep in debug, where the edges below carry the weight.
+        let stride = if cfg!(debug_assertions) { 1031 } else { 1 };
+        assert_round_trip_matches_reference(stride);
+    }
+
+    #[test]
+    fn round_trip_matches_the_reference_conversion_at_the_edges() {
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            65504.0,
+            65519.99,
+            65520.0,
+            65535.0,
+            65536.0,
+            f32::from_bits(1),
+        ];
+        // Every binary16 subnormal step, the halfway points around it and
+        // their neighbours, and the normal/subnormal boundary.
+        for m in 0..=1024u32 {
+            let step = m as f32 * 2f32.powi(-24);
+            for x in [step, step + 2f32.powi(-25)] {
+                let b = x.to_bits();
+                edges.extend([
+                    x,
+                    f32::from_bits(b.saturating_sub(1)),
+                    f32::from_bits(b + 1),
+                ]);
+            }
+        }
+        // Ties at every binary16 exponent: the kept mantissa odd and even.
+        for e in -14..=15 {
+            let base = 2f32.powi(e).to_bits();
+            for kept in [0u32, 1, 2, 0x3FE, 0x3FF] {
+                let tie = base + (kept << 13) + 0x1000;
+                edges.extend([tie - 1, tie, tie + 1].map(f32::from_bits));
+            }
+        }
+        for x in edges {
+            for x in [x, -x] {
+                let want = F16::from_f32(x).to_f32().to_bits();
+                assert_eq!(F16::round_trip(x).to_bits(), want, "input {x:e}");
+            }
         }
     }
 
